@@ -1,21 +1,15 @@
 from setuptools import Extension, setup
 
-# The compiled CSR kernel is optional: without Cython (or a C compiler) the
-# package falls back to the numpy implementation selected in latflow.backend.
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "latflow._ckernels",
-                ["src/latflow/_ckernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled kernels are optional: without a C compiler the build skips
+# them and latflow.backend selects the numpy fallback at import.
+setup(
+    ext_modules=[
+        Extension(
+            "latflow._ckernels",
+            ["src/latflow/_ckernels.c"],
+            # no -ffast-math: the lookup's key guard needs IEEE rint and NaN
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

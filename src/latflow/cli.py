@@ -415,6 +415,10 @@ def cmd_cycle(args):
         print(f"no cycle within {len(history) - 1} recorded steps")
 
 
+# bench skips the dense baseline when its n x n float64 copy would be larger
+_DENSE_BENCH_MAX_BYTES = 2**30
+
+
 def cmd_bench(args):
     import time
 
@@ -424,7 +428,8 @@ def cmd_bench(args):
     from .systems import _child_seeds, random_sparse_uniform
 
     matrix = random_sparse_uniform(args.n, args.density, args.seed)
-    dense = matrix.to_dense()
+    dense_bytes = 8 * args.n * args.n
+    dense = matrix.to_dense() if dense_bytes <= _DENSE_BENCH_MAX_BYTES else None
     rng = np.random.default_rng(_child_seeds(args.seed, 2)[1])
     v = rng.uniform(-1.0, 1.0, size=args.n)
 
@@ -435,7 +440,7 @@ def cmd_bench(args):
             f(v)
         return (time.perf_counter() - start) / repeats
 
-    dense_mean = timed(lambda x: dense @ x, args.repeats)
+    dense_mean = timed(lambda x: dense @ x, args.repeats) if dense is not None else None
     sparse_mean = timed(matrix.matvec, args.repeats)
     python_mean = timed(
         lambda x: backend.csr_matvec_python(
@@ -443,18 +448,26 @@ def cmd_bench(args):
         ),
         args.repeats,
     )
-    diff = float(np.max(np.abs(dense @ v - matrix.matvec(v)))) if args.n else 0.0
-    ratio = dense_mean / sparse_mean if sparse_mean > 0 else float("inf")
     print(
         f"matvec benchmark: n={args.n} density={args.density} "
         f"nnz={matrix.nnz} repeats={args.repeats} seed={args.seed}"
     )
-    print(f"dense mean:  {dense_mean:.3e} s")
+    if dense is None:
+        print(
+            f"dense baseline skipped: {args.n}x{args.n} float64 would take "
+            f"{dense_bytes / 2**30:.1f} GiB, above the {_DENSE_BENCH_MAX_BYTES / 2**30:.0f} GiB cap"
+        )
+    else:
+        print(f"dense mean:  {dense_mean:.3e} s")
     print(f"sparse mean: {sparse_mean:.3e} s (backend: {backend.BACKEND})")
     print(f"sparse mean: {python_mean:.3e} s (backend: python fallback)")
-    if backend.BACKEND == "cython":
+    if backend.BACKEND == "c":
         kernel_ratio = python_mean / sparse_mean if sparse_mean > 0 else float("inf")
-        print(f"compiled kernel speedup over fallback: {kernel_ratio:.2f}x")
+        print(f"compiled kernel (backend: c) speedup over fallback: {kernel_ratio:.2f}x")
+    if dense is None:
+        return
+    diff = float(np.max(np.abs(dense @ v - matrix.matvec(v)))) if args.n else 0.0
+    ratio = dense_mean / sparse_mean if sparse_mean > 0 else float("inf")
     print(f"speedup dense/sparse: {ratio:.2f}x")
     print(f"max |dense - sparse| = {diff:.3e} (within 1e-12: {'yes' if diff <= 1e-12 else 'NO'})")
     if ratio < 1.0 and args.density <= 0.01:

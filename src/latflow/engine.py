@@ -57,7 +57,12 @@ class StateHistory:
             raise FileFormatError("empty state CSV")
         if len({len(r) for r in rows}) != 1:
             raise FileFormatError("ragged state CSV")
-        return cls(rows)
+        history = cls(rows)
+        finite = np.isfinite(history.states).all(axis=1)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite)[0])
+            raise FileFormatError(f"non-finite value in state CSV row {row}")
+        return history
 
     @classmethod
     def load_csv(cls, path):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import backend
 from .errors import (
     ArgumentTooSmall,
     DimensionMismatch,
@@ -25,7 +26,7 @@ from .errors import (
     RuleOutOfRange,
 )
 
-KEY_TOL = 1e-6
+KEY_TOL = 1e-6  # _ckernels.c repeats this value
 
 MIX_THEN_MAP = "mix_then_map"
 MAP_THEN_MIX = "map_then_mix"
@@ -43,7 +44,7 @@ class PatternLUT:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=np.int64)
+        self.table = np.ascontiguousarray(self.table, dtype=np.int64)
         if self.n_states < 2:
             raise ArgumentTooSmall(f"need at least 2 states, got {self.n_states}")
         k = self.k
@@ -53,6 +54,7 @@ class PatternLUT:
             )
         if len(self.table) and (self.table.min() < 0 or self.table.max() >= self.n_states):
             raise RuleOutOfRange("table values must lie in [0, n_states)")
+        self._flat_table = (self.table, 0, len(self.table), 0)
 
     @property
     def k(self):
@@ -81,6 +83,7 @@ class CountLUT:
             dense[k - lo] = v
         self._lo = lo
         self._dense = dense
+        self._flat_table = (dense, lo, len(dense), 0)
 
 
 @dataclass(eq=False)
@@ -97,11 +100,14 @@ class PerNodeLUT:
 
     def __post_init__(self):
         self.tables = [np.asarray(t, dtype=np.int64) for t in self.tables]
-        for t in self.tables:
-            if len(t) and (t.min() < 0 or t.max() >= self.n_states):
-                raise RuleOutOfRange("table values must lie in [0, n_states)")
         lengths = {len(t) for t in self.tables}
         self._stacked = np.vstack(self.tables) if len(lengths) == 1 and self.tables else None
+        # a uniform rule is range-checked in one pass, not once per node
+        for t in self.tables if self._stacked is None else [self._stacked]:
+            if t.size and (t.min() < 0 or t.max() >= self.n_states):
+                raise RuleOutOfRange("table values must lie in [0, n_states)")
+        width = 0 if self._stacked is None else self._stacked.shape[1]
+        self._flat_table = (self._stacked.ravel(), 0, width, width) if width else None
 
 
 @dataclass(eq=False)
@@ -197,6 +203,14 @@ def apply_rule(rule, preactivation, current_state=None):
         raise DimensionMismatch(
             f"state of {len(current_state)} against preactivation of {len(pre)}"
         )
+    # _flat_table is a table rule's (table, lo, width, stride) view, built at
+    # construction; on any bad key the compiled lookup declines and the
+    # numpy code below raises the precise error
+    flat = getattr(rule, "_flat_table", None)
+    if flat is not None:
+        out = backend.table_lookup(pre, *flat)
+        if out is not None:
+            return out
     if isinstance(rule, PatternLUT):
         keys = _integer_keys(pre)
         if len(keys) and (keys.min() < 0 or keys.max() >= len(rule.table)):
@@ -267,6 +281,17 @@ def _parse_digits(text, n_states):
     return [int(v) for v in text.split(",")]
 
 
+def _pernode_k(rule):
+    """k with n_states**k entries in every table, or None when there is none
+    (ragged tables), in which case the text declares no k."""
+    if rule._stacked is None:
+        return None
+    width, k = rule._stacked.shape[1], 0
+    while rule.n_states > 1 and rule.n_states**k < width:
+        k += 1
+    return k if rule.n_states**k == width else None
+
+
 def rule_to_text(rule):
     """Serialize a rule; tables are always listed index-0-first."""
     lines = [_HEADER]
@@ -279,10 +304,9 @@ def rule_to_text(rule):
         entries = ",".join(f"{k}:{rule.table[k]}" for k in sorted(rule.table))
         lines.append(f"rule count center_weight={rule.center_weight} table={entries}")
     elif isinstance(rule, PerNodeLUT):
-        k = 0
-        if rule.tables:
-            k = max(1, round(np.log(max(len(rule.tables[0]), 1)) / np.log(rule.n_states)))
-        lines.append(f"rule pernode n={rule.n_states} nodes={len(rule.tables)} k={k}")
+        head = f"rule pernode n={rule.n_states} nodes={len(rule.tables)}"
+        k = _pernode_k(rule)
+        lines.append(head if k is None else f"{head} k={k}")
         for i, t in enumerate(rule.tables):
             lines.append(f"node {i} table={_digits(t, rule.n_states)}")
     elif isinstance(rule, ContinuousMap):
@@ -339,16 +363,32 @@ def rule_from_text(text):
             f = _fields(head[2:])
             n = int(f["n"])
             nodes = int(f["nodes"])
+            size = None
+            if "k" in f:
+                k = int(f["k"])
+                # no table of n**64 entries fits in memory
+                if not 0 <= k < 64:
+                    raise FileFormatError(f"in-degree k={k} outside [0, 64)")
+                size = n**k
+            # one line per node, so the list below is no larger than the text
+            if nodes != len(lines) - 1:
+                raise FileFormatError(f"{len(lines) - 1} node lines for nodes={nodes}")
             tables = [None] * nodes
             for ln in lines[1:]:
                 toks = ln.split()
                 if len(toks) != 3 or toks[0] != "node":
                     raise FileFormatError(f"bad node line: {ln!r}")
                 idx = int(toks[1])
-                nf = _fields(toks[2:])
-                tables[idx] = _parse_digits(nf["table"], n)
-            if any(t is None for t in tables):
-                raise FileFormatError("missing node table")
+                if not 0 <= idx < nodes:
+                    raise FileFormatError(f"node {idx} outside [0, {nodes})")
+                if tables[idx] is not None:
+                    raise FileFormatError(f"second table for node {idx}")
+                table = _parse_digits(_fields(toks[2:])["table"], n)
+                if size is not None and len(table) != size:
+                    raise FileFormatError(
+                        f"node {idx} table of {len(table)} does not match n={n} k={k}"
+                    )
+                tables[idx] = table
             return PerNodeLUT(tables=tables, n_states=n)
         if kind == "map":
             f = _fields(head[2:])

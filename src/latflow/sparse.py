@@ -128,7 +128,8 @@ class SparseMatrix:
             raise DimensionMismatch(
                 f"vector of length {v.shape} against {self.n_rows}x{self.n_cols}"
             )
-        return backend.csr_matvec(self.data, self.indices, self.indptr, v)
+        # a strided view is copied, as the compiled kernel reads contiguous memory
+        return backend.csr_matvec(self.data, self.indices, self.indptr, np.ascontiguousarray(v))
 
     def __matmul__(self, v):
         return self.matvec(v)

@@ -326,3 +326,12 @@ def test_bench_dense_favorable_regime(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "within 1e-12: yes" in out
     assert "anomalous" not in out  # density > 0.01, never flagged
+
+
+def test_bench_skips_dense_baseline_above_cap(capsys):
+    # 20000^2 float64 is 3 GiB: above the cap, so nothing dense is allocated
+    assert run_cli("bench", "--n", 20000, "--density", 1e-6,
+                   "--repeats", 2, "--seed", 3) == 0
+    out = capsys.readouterr().out
+    assert "dense baseline skipped" in out
+    assert "dense mean" not in out

@@ -191,6 +191,12 @@ def test_csv_ragged_rows_rejected(tmp_path):
         StateHistory.load_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_rejected(value):
+    with pytest.raises(FileFormatError):
+        StateHistory.from_csv(f"1.0,2.0\n3.0,{value}\n")
+
+
 def test_csv_empty_rejected(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("")

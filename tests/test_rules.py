@@ -181,3 +181,28 @@ def test_rule_text_parse_errors():
         rule_from_text(
             "# latflow rule v1 tables=index0first\nrule pattern n=2 k=3 table=0111\n"
         )
+
+
+PERNODE_HEAD = "# latflow rule v1 tables=index0first\nrule pernode n=2 nodes=2 k=1\n"
+
+
+def test_pernode_text_rejects_negative_node():
+    with pytest.raises(FileFormatError, match="outside"):
+        rule_from_text(PERNODE_HEAD + "node 0 table=01\nnode -1 table=10\n")
+
+
+def test_pernode_text_rejects_duplicate_node():
+    with pytest.raises(FileFormatError, match="second table"):
+        rule_from_text(PERNODE_HEAD + "node 0 table=01\nnode 0 table=10\n")
+
+
+def test_pernode_text_rejects_table_not_n_to_the_k():
+    with pytest.raises(FileFormatError, match="does not match"):
+        rule_from_text(PERNODE_HEAD + "node 0 table=01\nnode 1 table=0110\n")
+
+
+def test_pernode_text_round_trips_in_degree_zero_and_ragged_tables():
+    for rule in (random_boolean_tables(3, 0, seed=2), PerNodeLUT([[0, 1], [1, 0, 0, 1]])):
+        back = rule_from_text(rule_to_text(rule))
+        assert all(np.array_equal(x, y) for x, y in zip(back.tables, rule.tables))
+        assert rule_to_text(back) == rule_to_text(rule)
