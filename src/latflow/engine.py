@@ -57,12 +57,15 @@ class StateHistory:
             raise FileFormatError("empty state CSV")
         if len({len(r) for r in rows}) != 1:
             raise FileFormatError("ragged state CSV")
-        history = cls(rows)
-        finite = np.isfinite(history.states).all(axis=1)
+        return cls(rows)._finite("state CSV")
+
+    def _finite(self, source):
+        """Self, or FileFormatError naming the first row holding NaN or inf."""
+        finite = np.isfinite(self.states).all(axis=1)
         if not finite.all():
             row = int(np.flatnonzero(~finite)[0])
-            raise FileFormatError(f"non-finite value in state CSV row {row}")
-        return history
+            raise FileFormatError(f"non-finite value in {source} row {row}")
+        return self
 
     @classmethod
     def load_csv(cls, path):
@@ -93,7 +96,7 @@ class StateHistory:
                 f"expected {expected} payload bytes, found {len(body)}"
             )
         states = np.frombuffer(body, dtype="<f8").reshape(rows, n)
-        return cls(states)
+        return cls(states)._finite("LFST state file")
 
 
 def load_history(path):

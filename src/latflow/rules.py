@@ -25,6 +25,7 @@ from .errors import (
     NonIntegerKey,
     RuleOutOfRange,
 )
+from .topology import _words
 
 KEY_TOL = 1e-6  # _ckernels.c repeats this value
 
@@ -95,13 +96,17 @@ class PerNodeLUT:
     generator.
     """
 
-    tables: list
+    tables: list  # or an (n_nodes, table size) array
     n_states: int = 2
 
     def __post_init__(self):
-        self.tables = [np.asarray(t, dtype=np.int64) for t in self.tables]
-        lengths = {len(t) for t in self.tables}
-        self._stacked = np.vstack(self.tables) if len(lengths) == 1 and self.tables else None
+        if isinstance(self.tables, np.ndarray) and self.tables.ndim == 2 and len(self.tables):
+            # one table per row, kept as it is: no per-node list is built
+            self.tables = self._stacked = np.ascontiguousarray(self.tables, dtype=np.int64)
+        else:
+            self.tables = [np.asarray(t, dtype=np.int64) for t in self.tables]
+            lengths = {len(t) for t in self.tables}
+            self._stacked = np.vstack(self.tables) if len(lengths) == 1 else None
         # a uniform rule is range-checked in one pass, not once per node
         for t in self.tables if self._stacked is None else [self._stacked]:
             if t.size and (t.min() < 0 or t.max() >= self.n_states):
@@ -170,13 +175,18 @@ def game_of_life_rule():
 
 
 def random_boolean_tables(n_nodes, in_degree, seed):
-    """Independent random binary tables of 2^in_degree entries per node."""
+    """Independent random binary tables of 2^in_degree entries per node,
+    ``rng.integers(0, 2, 2**in_degree)`` per node in turn from
+    ``rng = np.random.default_rng(seed)``."""
     if in_degree < 0:
         raise ArgumentTooSmall(f"in-degree {in_degree} is negative")
     rng = np.random.default_rng(seed)
     size = 2**in_degree
-    tables = [rng.integers(0, 2, size=size) for _ in range(n_nodes)]
-    return PerNodeLUT(tables=tables, n_states=2)
+    count = n_nodes * size
+    # the same entries as rng.integers(0, 2, size) per node in turn: each
+    # such draw is the top bit of the generator's next 32-bit word
+    words = _words(rng, count)[:count]
+    return PerNodeLUT(tables=(words >> 31).astype(np.int64).reshape(n_nodes, size), n_states=2)
 
 
 # -- application -----------------------------------------------------------
@@ -330,6 +340,14 @@ def _fields(tokens):
     return out
 
 
+def _text_k(fields):
+    k = int(fields["k"])
+    # no table of n**64 entries fits in memory
+    if not 0 <= k < 64:
+        raise FileFormatError(f"in-degree k={k} outside [0, 64)")
+    return k
+
+
 def rule_from_text(text):
     raw = [ln.strip() for ln in text.splitlines() if ln.strip()]
     # the header declares table ordering; refuse to guess without it
@@ -347,7 +365,7 @@ def rule_from_text(text):
             f = _fields(head[2:])
             n = int(f["n"])
             table = _parse_digits(f["table"], n)
-            if "k" in f and n ** int(f["k"]) != len(table):
+            if "k" in f and n ** _text_k(f) != len(table):
                 raise FileFormatError(
                     f"table of {len(table)} does not match k={f['k']}"
                 )
@@ -365,10 +383,7 @@ def rule_from_text(text):
             nodes = int(f["nodes"])
             size = None
             if "k" in f:
-                k = int(f["k"])
-                # no table of n**64 entries fits in memory
-                if not 0 <= k < 64:
-                    raise FileFormatError(f"in-degree k={k} outside [0, 64)")
+                k = _text_k(f)
                 size = n**k
             # one line per node, so the list below is no larger than the text
             if nodes != len(lines) - 1:

@@ -111,23 +111,18 @@ def random_sparse_uniform(n, density, seed, low=-1.0, high=1.0):
     total = n * n
     nnz = max(1, int(round(density * total)))
     if nnz > total // 2:
-        positions = rng.permutation(total)[:nnz].tolist()
+        positions = rng.permutation(total)[:nnz]
     else:
-        seen = set()
-        positions = []
+        # batches of draws, each value kept at its first occurrence, until
+        # nnz distinct positions are found
+        positions = np.empty(0, dtype=np.int64)
         while len(positions) < nnz:
             batch = rng.integers(0, total, size=2 * (nnz - len(positions)) + 16)
-            for pos in batch.tolist():
-                if pos not in seen:
-                    seen.add(pos)
-                    positions.append(pos)
-                    if len(positions) == nnz:
-                        break
+            fresh = batch[np.sort(np.unique(batch, return_index=True)[1])]
+            fresh = fresh[~np.isin(fresh, positions)]
+            positions = np.concatenate([positions, fresh[: nnz - len(positions)]])
     weights = rng.uniform(low, high, size=nnz)
-    triplets = [
-        (pos // n, pos % n, float(w)) for pos, w in zip(positions, weights)
-    ]
-    return SparseMatrix.from_triplets(n, n, triplets)
+    return SparseMatrix.from_coo(n, n, positions // n, positions % n, weights)
 
 
 def echo_state_network(n, density, rho_target, seed, init=None):

@@ -1,10 +1,11 @@
 """Procedural adjacency-matrix generation for lattices and random digraphs.
 
-The 1D and 2D lattice generators walk every cell and every stencil offset,
-writing the stencil weight into the adjacency row of the cell.  On a wrapped
-grid the offset indices are reduced modulo the grid size, so the first and
-last cells become neighbors; on an unwrapped grid the out-of-range offsets
-are simply skipped (no padding, no ghost cells).
+The 1D and 2D lattice generators loop over the stencil offsets, not over the
+cells: each nonzero stencil weight contributes one block of entries, the
+weight at the shifted index of every cell.  On a wrapped grid the shifted
+indices are reduced modulo the grid size, so the first and last cells become
+neighbors; on an unwrapped grid the out-of-range ones are masked out (no
+padding, no ghost cells).
 
 Cells of a 2D grid are flattened row-major: cell (r, c) has index
 r * width + c, and a stencil offset (dr, dc) relative to the center targets
@@ -97,22 +98,11 @@ def generate_ca_1d(grid, nb):
     """
     if grid.height != 1:
         raise ArgumentTooSmall("1D generation requires height 1")
-    width = grid.width
-    weights = nb.weights
-    center = nb.center_index
-    if len(weights) > width:
+    if len(nb.weights) > grid.width:
         raise StencilWiderThanGrid(
-            f"stencil of {len(weights)} on a width-{width} grid"
+            f"stencil of {len(nb.weights)} on a width-{grid.width} grid"
         )
-    triplets = []
-    for i in range(width):
-        for j in range(-center, len(weights) - center):
-            w = weights[j + center]
-            if w == 0.0:
-                continue
-            if grid.wrapped or 0 <= i + j < width:
-                triplets.append((i, (i + j) % width, w))
-    return SparseMatrix.from_triplets(width, width, triplets)
+    return _stencil_matrix(grid, np.array([nb.weights]), (0, nb.center_index))
 
 
 def generate_ca_2d(grid, nb):
@@ -123,25 +113,31 @@ def generate_ca_2d(grid, nb):
         raise StencilWiderThanGrid(
             f"stencil {sh}x{sw} on a {height}x{width} grid"
         )
-    cr, cc = nb.center
-    n = grid.n_cells
-    triplets = []
-    for i in range(n):
-        r, c = divmod(i, width)
-        for sr in range(sh):
-            for sc in range(sw):
-                w = nb.weights[sr, sc]
-                if w == 0.0:
-                    continue
-                dr, dc = sr - cr, sc - cc
-                if grid.wrapped:
-                    col = ((r + dr) % height) * width + (c + dc) % width
-                elif 0 <= r + dr < height and 0 <= c + dc < width:
-                    col = (r + dr) * width + (c + dc)
-                else:
-                    continue
-                triplets.append((i, col, float(w)))
-    return SparseMatrix.from_triplets(n, n, triplets)
+    return _stencil_matrix(grid, nb.weights, nb.center)
+
+
+def _stencil_matrix(grid, weights, center):
+    """One block of entries per nonzero weight of a 2D stencil that fits
+    the grid, so no two blocks share a (row, col) even when wrapped."""
+    height, width = grid.height, grid.width
+    cells = np.arange(grid.n_cells)
+    r, c = np.divmod(cells, width)
+    rows, cols, vals = [], [], []
+    for (sr, sc), w in np.ndenumerate(weights):
+        if w == 0.0:
+            continue
+        tr, tc = r + (sr - center[0]), c + (sc - center[1])
+        if grid.wrapped:
+            tr, tc, keep = tr % height, tc % width, slice(None)
+        else:
+            keep = (tr >= 0) & (tr < height) & (tc >= 0) & (tc < width)
+        rows.append(cells[keep])
+        cols.append((tr * width + tc)[keep])
+        vals.append(np.full(len(rows[-1]), w))
+    return SparseMatrix.from_coo(
+        grid.n_cells, grid.n_cells, np.concatenate(rows), np.concatenate(cols),
+        np.concatenate(vals),
+    )
 
 
 @dataclass(frozen=True)
@@ -166,6 +162,16 @@ def generate_random_digraph(n_nodes, in_degree, weight_scheme, allow_self, seed)
     ``seed``; the whole construction is a pure function of its arguments.
     Returns (matrix, input_lists) where input_lists[i] is node i's inputs in
     draw order, the order the positional weights follow.
+
+    Stream contract: node i's inputs are ``rng.choice(limit, in_degree,
+    replace=False)`` drawn for i = 0, 1, ... in turn from
+    ``rng = np.random.default_rng(seed)``, with limit = n_nodes, or
+    n_nodes - 1 and picks >= i shifted up by one when self-loops are not
+    allowed; ``UniformWeights`` draws the node's weights with
+    ``rng.uniform(low, high, in_degree)`` right after its inputs.  With
+    ``PositionalBase`` the draws are reproduced from one block of raw PCG64
+    output (see :func:`_choice_rows`) wherever numpy's sampler allows it, so
+    building a large network makes no Python call per node.
     """
     limit = n_nodes if allow_self else n_nodes - 1
     if in_degree > limit:
@@ -173,23 +179,95 @@ def generate_random_digraph(n_nodes, in_degree, weight_scheme, allow_self, seed)
             f"in-degree {in_degree} with {n_nodes} nodes (allow_self={allow_self})"
         )
     rng = np.random.default_rng(seed)
-    if isinstance(weight_scheme, PositionalBase):
-        row_weights = pattern_weights(weight_scheme.n_states, max(in_degree, 1))
-    triplets = []
-    input_lists = []
-    for i in range(n_nodes):
-        if in_degree == 0:
-            input_lists.append([])
-            continue
-        picks = rng.choice(limit, size=in_degree, replace=False)
-        if not allow_self:
-            picks = np.where(picks >= i, picks + 1, picks)
-        inputs = [int(p) for p in picks]
-        input_lists.append(inputs)
-        if isinstance(weight_scheme, PositionalBase):
-            ws = row_weights[:in_degree]
-        else:
-            ws = rng.uniform(weight_scheme.low, weight_scheme.high, size=in_degree)
-        for src, w in zip(inputs, ws):
-            triplets.append((i, src, float(w)))
-    return SparseMatrix.from_triplets(n_nodes, n_nodes, triplets), input_lists
+    k = in_degree
+    positional = isinstance(weight_scheme, PositionalBase)
+    if positional:
+        row_weights = pattern_weights(weight_scheme.n_states, max(k, 1))[:k]
+    # numpy's tail shuffle (limit > 10000 and k > limit // 50) and
+    # UniformWeights, whose 64-bit uniform draws interleave with the 32-bit
+    # words, are drawn call by call
+    floyd = limit <= 10000 or k <= limit // 50
+    if positional and floyd and limit <= 2**32:
+        picks = _choice_rows(rng, n_nodes, limit, k)
+        weights = np.tile(row_weights, n_nodes)
+    else:
+        picks = np.empty((n_nodes, k), dtype=np.int64)
+        weights = np.empty((n_nodes, k))
+        for i in range(n_nodes if k else 0):
+            picks[i] = rng.choice(limit, size=k, replace=False)
+            if positional:
+                weights[i] = row_weights
+            else:
+                weights[i] = rng.uniform(weight_scheme.low, weight_scheme.high, size=k)
+    node = np.arange(n_nodes)
+    if not allow_self:
+        picks += picks >= node[:, None]
+    matrix = SparseMatrix.from_coo(
+        n_nodes, n_nodes, np.repeat(node, k), picks.ravel(), weights.ravel()
+    )
+    return matrix, picks.tolist()
+
+
+def _words(rng, count):
+    """The next ``count`` (rounded up to even) 32-bit draws of a PCG64
+    generator whose 32-bit buffer is empty: the low, then the high half of
+    each 64-bit output."""
+    return rng.bit_generator.random_raw((count + 1) // 2).astype("<u8").view("<u4")
+
+
+def _choice_rows(rng, n_rows, limit, k):
+    """``rng.choice(limit, k, replace=False)`` for each of ``n_rows`` rows in
+    turn, as an (n_rows, k) array computed from raw PCG64 output.
+
+    numpy samples such a row with Floyd's algorithm followed by a
+    Fisher-Yates shuffle (in the regime limit <= 10000 or k <= limit // 50,
+    limit <= 2**32).  Every draw on [0, j] takes the next 32-bit word u and
+    returns (u * (j + 1)) >> 32 (Lemire's method), taking another word while
+    the low 32 bits of the product are below 2**32 mod (j + 1); a draw on
+    [0, 0] takes no word.  So every row takes the same words unless a draw
+    is rejected, which at limit ~ 1e5 happens a few times per million draws:
+    the rows are decoded at once up to the first rejection, whose word is
+    dropped before decoding again from its row.
+    """
+    base = limit - k
+    # the bound j + 1 of each word-taking draw of a row, in stream order:
+    # Floyd's j = base .. limit - 1, then the shuffle's i = k - 1 .. 1
+    floyd = np.arange(max(base, 1), limit)
+    spans = np.concatenate([floyd, np.arange(k - 1, 0, -1)]).astype(np.uint64) + 1
+    thresholds = (2**32 - spans) % spans
+    per_row = len(spans)
+    draws = np.empty((n_rows, per_row), dtype=np.int64)
+    words = _words(rng, n_rows * per_row)
+    row = 0
+    while row < n_rows:
+        need = (n_rows - row) * per_row
+        if len(words) < need:
+            words = np.concatenate([words, _words(rng, need - len(words))])
+        prod = words[:need].reshape(n_rows - row, per_row) * spans
+        rejected = np.flatnonzero((prod & 0xFFFFFFFF) < thresholds)
+        good = rejected[0] // per_row if len(rejected) else n_rows - row
+        draws[row:row + good] = prod[:good] >> 32
+        row += good
+        if len(rejected):
+            words = np.delete(words, rejected[0])[good * per_row:]
+    # Floyd: the draw on [0, base + t] is kept unless a value already taken,
+    # in which case base + t is.  A value is taken iff it was drawn before in
+    # the row, or it is base + s for an earlier s whose draw was replaced.
+    v = np.zeros((n_rows, k), dtype=np.int64)
+    v[:, k - len(floyd):] = draws[:, :len(floyd)]
+    order = np.argsort(v, axis=1, kind="stable")
+    sorted_v = np.take_along_axis(v, order, axis=1)
+    repeat = np.zeros((n_rows, k), dtype=bool)
+    repeat[:, 1:] = sorted_v[:, 1:] == sorted_v[:, :-1]
+    np.put_along_axis(repeat, order, repeat.copy(), axis=1)
+    replaced = np.zeros((n_rows, k), dtype=bool)
+    node = np.arange(n_rows)
+    for t in range(k):
+        s = v[:, t] - base
+        earlier = (s >= 0) & (s < t)
+        replaced[:, t] = repeat[:, t] | earlier & replaced[node, np.where(earlier, s, 0)]
+    picks = np.where(replaced, base + np.arange(k), v)
+    # Fisher-Yates: swap position i with the draw on [0, i]
+    for i, j in zip(range(k - 1, 0, -1), draws[:, len(floyd):].T):
+        picks[:, i], picks[node, j] = picks[node, j], picks[:, i].copy()
+    return picks

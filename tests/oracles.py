@@ -2,7 +2,10 @@
 
 Nothing here touches the sparse-matrix machinery: the CA oracles scan
 arrays directly, the readout oracle is first-order optimization, and the
-network oracles replay the published input lists by hand.
+network oracles replay the published input lists by hand.  The construction
+oracles draw from numpy one call per row or node, as the generators did
+before they decoded the raw PCG64 stream, and build lattice matrices densely
+by shifting the grid.
 """
 
 import numpy as np
@@ -114,3 +117,59 @@ def ridge_gd(states, targets, ridge, grad_tol=1e-10, max_iters=500_000):
         if np.linalg.norm(grad(w)) <= grad_tol:
             return w
     raise AssertionError("gradient descent oracle failed to converge")
+
+
+def choice_digraph(n, k, allow_self, seed, uniform=None):
+    """Per-node inputs and weights of a random digraph: ``rng.choice`` per
+    node, then ``rng.uniform`` over ``uniform`` = (low, high) if given,
+    else the positional weights 2^m.  Returns (inputs, weights), (n, k)."""
+    limit = n if allow_self else n - 1
+    rng = np.random.default_rng(seed)
+    inputs = np.zeros((n, k), dtype=np.int64)
+    weights = np.tile(2.0 ** np.arange(k), (n, 1))
+    for i in range(n if k else 0):
+        picks = rng.choice(limit, size=k, replace=False)
+        inputs[i] = np.where(picks >= i, picks + 1, picks) if not allow_self else picks
+        if uniform is not None:
+            weights[i] = rng.uniform(uniform[0], uniform[1], size=k)
+    return inputs, weights
+
+
+def boolean_tables(n, k, seed):
+    """Random binary tables, ``rng.integers(0, 2)`` per node in turn."""
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 2, size=2**k) for _ in range(n)]
+
+
+def distinct_positions(total, nnz, seed):
+    """nnz distinct positions below total and their uniform(-1, 1) weights,
+    drawn by batches kept through a Python set (the sparse-case sampler)."""
+    rng = np.random.default_rng(seed)
+    seen, positions = set(), []
+    while len(positions) < nnz:
+        for pos in rng.integers(0, total, size=2 * (nnz - len(positions)) + 16).tolist():
+            if pos not in seen:
+                seen.add(pos)
+                positions.append(pos)
+                if len(positions) == nnz:
+                    break
+    return positions, rng.uniform(-1.0, 1.0, size=nnz)
+
+
+def stencil_dense(height, width, weights, center, wrapped):
+    """Dense adjacency of a 2D stencil: column j is the sum over offsets of
+    weight * (unit grid j shifted so that each cell reads its offset)."""
+    weights = np.atleast_2d(weights)
+    n = height * width
+    basis = np.eye(n).reshape(height, width, n)
+    if not wrapped:
+        pad = max(weights.shape)
+        basis = np.pad(basis, ((pad, pad), (pad, pad), (0, 0)))
+    out = np.zeros((height, width, n))
+    for (sr, sc), w in np.ndenumerate(weights):
+        dr, dc = sr - center[0], sc - center[1]
+        if wrapped:
+            out += w * np.roll(basis, (-dr, -dc), axis=(0, 1))
+        else:
+            out += w * basis[pad + dr:pad + dr + height, pad + dc:pad + dc + width]
+    return out.reshape(n, n)

@@ -335,3 +335,10 @@ def test_bench_skips_dense_baseline_above_cap(capsys):
     out = capsys.readouterr().out
     assert "dense baseline skipped" in out
     assert "dense mean" not in out
+
+
+def test_cycle_command_non_finite_lfst_exits_3(tmp_path, capsys):
+    record = tmp_path / "h.lfst"
+    StateHistory(np.array([[1.0, np.nan], [np.inf, 0.0]])).save_binary(record)
+    assert run_cli("cycle", "--states", record) == 3
+    assert "non-finite" in capsys.readouterr().err

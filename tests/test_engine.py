@@ -218,3 +218,13 @@ def test_binary_bad_magic_rejected(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 16)
     with pytest.raises(FileFormatError):
         StateHistory.load_binary(path)
+
+
+def test_binary_non_finite_rejected_naming_the_row(tmp_path):
+    path = tmp_path / "h.lfst"
+    StateHistory([[1.0, np.nan], [np.inf, 0.0]]).save_binary(path)
+    with pytest.raises(FileFormatError, match="row 0"):
+        StateHistory.load_binary(path)
+    StateHistory([[1.0, 0.0], [-np.inf, 0.0]]).save_binary(path)
+    with pytest.raises(FileFormatError, match="row 1"):
+        load_history(path)

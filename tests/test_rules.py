@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from latflow.errors import (
     ArgumentTooSmall,
     FileFormatError,
@@ -206,3 +207,26 @@ def test_pernode_text_round_trips_in_degree_zero_and_ragged_tables():
         back = rule_from_text(rule_to_text(rule))
         assert all(np.array_equal(x, y) for x, y in zip(back.tables, rule.tables))
         assert rule_to_text(back) == rule_to_text(rule)
+
+
+@pytest.mark.parametrize("n,k,seed", [(0, 2, 1), (1, 0, 3), (7, 3, 5), (300, 2, 9), (1001, 5, 2)])
+def test_random_boolean_tables_match_per_node_integers(n, k, seed):
+    want = oracles.boolean_tables(n, k, seed)
+    rule = random_boolean_tables(n, k, seed=seed)
+    assert len(rule.tables) == n
+    assert all(np.asarray(t).tobytes() == w.tobytes() for t, w in zip(rule.tables, want))
+    # the 2-D form gives the same rule as a list of the same tables
+    if n:
+        assert rule_to_text(rule) == rule_to_text(PerNodeLUT(want))
+
+
+@pytest.mark.parametrize("kind", ["pattern", "pernode"])
+@pytest.mark.parametrize("k", [-1, 64, 3000000])
+def test_rule_text_k_bounded_before_any_power(kind, k):
+    head = f"# latflow rule v1 tables=index0first\nrule {kind} n=3 "
+    text = (
+        head + f"k={k} table=012\n" if kind == "pattern"
+        else head + f"nodes=1 k={k}\nnode 0 table=012\n"
+    )
+    with pytest.raises(FileFormatError, match=r"outside \[0, 64\)"):
+        rule_from_text(text)

@@ -244,3 +244,55 @@ def test_matrix_market_truncated_body(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n")
     with pytest.raises(FileFormatError):
         load_matrix_market(path)
+
+
+def _outcome(build):
+    try:
+        m = build()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return m.shape, m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-2, 4),
+    st.integers(-2, 4),
+    st.lists(
+        st.tuples(
+            st.integers(-1, 4),
+            st.integers(-1, 4),
+            st.sampled_from([1.0, -2.5, 0.0, float("nan"), float("inf"), -float("inf")]),
+        ),
+        max_size=8,
+    ),
+)
+def test_from_coo_and_from_triplets_agree(n_rows, n_cols, triplets):
+    rows, cols, vals = (
+        np.array([t[i] for t in triplets], dtype=dtype)
+        for i, dtype in enumerate((np.int64, np.int64, np.float64))
+    )
+    coo = _outcome(lambda: SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals))
+    assert coo == _outcome(lambda: SparseMatrix.from_triplets(n_rows, n_cols, triplets))
+
+
+def test_from_coo_rejects_arrays_of_unequal_length():
+    with pytest.raises(DimensionMismatch):
+        SparseMatrix.from_coo(2, 2, [0, 1], [0], [1.0, 2.0])
+
+
+def test_from_dense_keeps_entry_values_and_order(rng):
+    dense = rng.uniform(-1, 1, (5, 7)) * (rng.uniform(size=(5, 7)) < 0.4)
+    m = SparseMatrix.from_dense(dense)
+    rows, cols = np.nonzero(dense)
+    assert np.array_equal(m.indices, cols)
+    assert m.data.tobytes() == dense[rows, cols].tobytes()
+    assert np.array_equal(np.diff(m.indptr), np.count_nonzero(dense, axis=1))
+
+
+def test_matrix_market_huge_declared_shape_refused_before_allocating(tmp_path):
+    # 3e9 rows would need a 22.4 GiB row-pointer array
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3000000000 3000000000 0\n")
+    with pytest.raises(FileFormatError, match="row pointers"):
+        load_matrix_market(path)

@@ -213,6 +213,17 @@ def test_random_sparse_uniform_dense_limit():
     assert m.nnz == 100
 
 
+@pytest.mark.parametrize("n,density,seed", [(40, 0.05, 8), (300, 0.2, 1), (2000, 0.01, 3), (7, 0.5, 2)])
+def test_random_sparse_uniform_matches_set_sampler(n, density, seed):
+    nnz = max(1, round(density * n * n))
+    positions, weights = oracles.distinct_positions(n * n, nnz, seed)
+    dense = np.zeros(n * n)
+    dense[positions] = weights
+    m = random_sparse_uniform(n, density, seed)
+    assert m.nnz == nnz
+    assert m.to_dense().tobytes() == dense.reshape(n, n).tobytes()
+
+
 # -- SystemConfig ----------------------------------------------------------
 
 

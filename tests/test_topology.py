@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from latflow import topology
 from latflow.errors import (
     ArgumentTooSmall,
     DegreeTooLarge,
@@ -223,3 +225,96 @@ def test_digraph_exact_draws_match_fixture():
     m, _ = generate_random_digraph(8, 2, PositionalBase(2), False, 42)
     pinned = load_matrix_market(fixture)
     assert np.array_equal(m.to_dense(), pinned.to_dense())
+
+
+# -- construction against independent oracles --------------------------------
+
+def _csr_from_rows(inputs, weights):
+    """CSR arrays of a matrix whose row i has weights[i] at inputs[i]."""
+    order = np.argsort(inputs, axis=1)
+    n, k = inputs.shape
+    return (
+        np.arange(n + 1, dtype=np.int64) * k,
+        np.take_along_axis(inputs, order, axis=1).ravel(),
+        np.take_along_axis(weights, order, axis=1).ravel(),
+    )
+
+
+def _assert_matches_choice_oracle(n, k, allow_self, seed, scheme=PositionalBase(2), uniform=None):
+    m, inputs = generate_random_digraph(n, k, scheme, allow_self, seed)
+    want_inputs, want_weights = oracles.choice_digraph(n, k, allow_self, seed, uniform)
+    assert inputs == want_inputs.tolist()
+    indptr, indices, data = _csr_from_rows(want_inputs, want_weights)
+    assert m.indptr.tobytes() == indptr.tobytes()
+    assert m.indices.tobytes() == indices.tobytes()
+    assert m.data.tobytes() == data.tobytes()
+
+
+DIGRAPH_GRID = [
+    (n, k, allow_self, seed)
+    for n in (2, 3, 10, 300, 10001, 10002, 100000)
+    for k in (0, 1, 2, 3, 5, 10)
+    for allow_self in (False, True)
+    # three seeds each, one at n=1e5, where the per-node oracle is slow
+    for seed in ((11,) if n == 100000 else (0, 1, 2))
+    if k <= (n if allow_self else n - 1)
+]
+
+
+@pytest.mark.parametrize("n,k,allow_self,seed", DIGRAPH_GRID)
+def test_digraph_matches_per_node_choice(n, k, allow_self, seed):
+    _assert_matches_choice_oracle(n, k, allow_self, seed)
+
+
+def test_digraph_stream_with_lemire_rejection():
+    # RBN shape n=1e5, k=2, no self loops: a node's draws are bounded by
+    # 99998 and 99999 (Floyd) and 2 (shuffle), one 32-bit word each unless
+    # rejected.  Up to the first rejection the words align with those
+    # bounds, so an aligned rejection proves the seed's stream has one.
+    n, seed = 100000, 0
+    spans = np.array([99998, 99999, 2], dtype=np.uint64)
+    raw = np.random.default_rng(seed).bit_generator.random_raw(3 * n // 2)
+    words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(n, 3)
+    assert ((words * spans & 0xFFFFFFFF) < (2**32 - spans) % spans).any()
+    _assert_matches_choice_oracle(n, 2, False, seed)
+
+
+def test_digraph_tail_shuffle_and_uniform_weights_draw_per_node(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("decoded from the raw stream")
+
+    monkeypatch.setattr(topology, "_choice_rows", refuse)
+    # numpy's tail shuffle: limit 10001 > 10000 and k = 201 > 10001 // 50
+    _assert_matches_choice_oracle(10002, 201, False, 4)
+    for allow_self in (False, True):
+        _assert_matches_choice_oracle(
+            300, 3, allow_self, 5, UniformWeights(-1.0, 1.0), (-1.0, 1.0)
+        )
+
+
+def _ca_cases():
+    for height, width, weights, center in (
+        (1, 16, [[4.0, 2.0, 1.0]], (0, 1)),
+        (1, 5, [[0.0, 1.5, 0.0, -2.0, 3.0]], (0, 3)),  # zero weights, as wide as the grid
+        (1, 3, [[1.0, 0.0, 2.0]], (0, 0)),
+        (4, 5, [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], (1, 1)),
+        (6, 7, [[1, 1, 1], [1, 9, 1], [1, 1, 1]], (1, 1)),
+        (3, 4, [[1.0, 2.0, 0.0, 3.0], [0.0, 5.0, 6.0, 7.0], [8.0, 0.0, 0.5, 1.0]], (2, 3)),
+        (2, 2, [[0.25, 0.0], [-1.0, 2.0]], (0, 1)),
+    ):
+        for wrapped in (True, False):
+            yield height, width, np.array(weights, dtype=float), center, wrapped
+
+
+@pytest.mark.parametrize("height,width,weights,center,wrapped", list(_ca_cases()))
+def test_ca_matches_dense_stencil_shift(height, width, weights, center, wrapped):
+    want = oracles.stencil_dense(height, width, weights, center, wrapped)
+    grid = GridSpec(width, height, wrapped)
+    ms = [generate_ca_2d(grid, NeighborhoodSpec2D(weights, center))]
+    if height == 1:
+        ms.append(generate_ca_1d(grid, NeighborhoodSpec1D(weights[0], center[1])))
+    for m in ms:
+        assert np.array_equal(m.to_dense(), want)
+        # no explicit zeros, and rows stored in column order
+        assert m.nnz == np.count_nonzero(want)
+        assert all(np.all(np.diff(m.indices[a:b]) > 0) for a, b in zip(m.indptr, m.indptr[1:]))
