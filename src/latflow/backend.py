@@ -68,26 +68,26 @@ def csr_matvec_compiled(data, indices, indptr, x):
     return out
 
 
-def table_lookup(pre, table, lo, width, stride):
-    """``out[i] = table[i*stride + rint(pre[i]) - lo]`` by the compiled kernel.
+def table_lookup(pre, table, lo):
+    """``out[i] = table[rint(pre[i]) - lo]`` by the compiled kernel, or
+    ``table[i, rint(pre[i]) - lo]`` when the table has one row per cell.
 
-    ``table`` holds one row of ``width`` entries shared by every cell
-    (stride 0) or one row per cell, ``stride`` entries apart.  Returns None
-    when the numpy fallback is active, when ``pre`` is not a contiguous 1-d
-    float64 array, when it does not have one entry per row, or when some key
-    is not within 1e-6 of an integer, lies outside [lo, lo + width) or hits
-    a -1 entry: the caller's numpy path then gives the result or the precise
-    error.
+    Returns None when the numpy fallback is active, when ``pre`` is not a
+    contiguous 1-d float64 array, when a 2-D table does not have one row per
+    entry of ``pre``, or when some key is not within 1e-6 of an integer,
+    lies outside [lo, lo + row width) or hits a -1 entry: the caller's numpy
+    path then gives the result or the precise error.
     """
     if BACKEND != "c" or not _is_buffer(pre, _F64):
         return None
-    _require(table, _I64, "table")
-    if width > (stride or len(table)):
-        raise ValueError(f"rows of {width} entries do not fit the table")
-    if stride and len(table) != len(pre) * stride:
+    if table.ndim == 2 and len(table) != len(pre):
         return None
+    flat = table.reshape(-1)
+    _require(flat, _I64, "table")
+    width = table.shape[-1]
     out = np.empty(len(pre), dtype=np.float64)
-    if _ckernels.table_lookup(pre, table, lo, width, stride, out) >= 0:
+    # the kernel reads row i at i * stride; stride 0 shares one row
+    if _ckernels.table_lookup(pre, flat, lo, width, width if table.ndim == 2 else 0, out) >= 0:
         return None
     return out
 

@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from .errors import BadStateValue, DimensionMismatch, FileFormatError, NotSquare
-from .rules import MAP_THEN_MIX, ContinuousMap, apply_rule, rule_n_states
+from .rules import MAP_THEN_MIX, apply_rule
 
 
 class StateHistory:
@@ -132,7 +132,7 @@ class DynamicalSystem:
             )
         if not np.all(np.isfinite(v)):
             raise BadStateValue("state contains non-finite values")
-        n_states = rule_n_states(self.rule)
+        n_states = self.rule.n_states
         if n_states is not None:
             if np.any(v != np.rint(v)) or v.min() < 0 or v.max() >= n_states:
                 raise BadStateValue(
@@ -149,10 +149,10 @@ class DynamicalSystem:
     def step(self):
         """Advance one synchronous step."""
         rule = self.rule
-        if isinstance(rule, ContinuousMap) and rule.order == MAP_THEN_MIX:
+        if rule.n_states is None and rule.order == MAP_THEN_MIX:
             new_state = self.matrix.matvec(rule.map_values(self.state))
         else:
-            new_state = apply_rule(rule, self.matrix.matvec(self.state), self.state)
+            new_state = apply_rule(rule, self.matrix.matvec(self.state))
         self.state = new_state
         self.t += 1
         return self

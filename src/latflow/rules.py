@@ -25,6 +25,7 @@ from .errors import (
     NonIntegerKey,
     RuleOutOfRange,
 )
+from .sparse import _MAX_READ_BYTES
 from .topology import _words
 
 KEY_TOL = 1e-6  # _ckernels.c repeats this value
@@ -34,85 +35,45 @@ MAP_THEN_MIX = "map_then_mix"
 
 
 @dataclass(eq=False)
-class PatternLUT:
-    """Table over positional-encoded neighborhood patterns.
+class TableRule:
+    """Lookup-table rule: node i's next state is ``table[key - lo]``, or
+    ``table[i, key - lo]`` with one table row per node, for key the node's
+    matvec result rounded to an integer.  A -1 entry is a key with no next
+    state.  The rule is one of the three forms of the rule text:
 
-    ``table[p]`` is the next state for pattern integer p; the table is
-    indexed pattern-0-first and has exactly n_states^k entries.
+    - count, when ``center_weight`` is set: 1-D from key ``lo``, with holes.
+      The paired matrix weighs each counted neighbor 1 and the cell itself
+      ``center_weight``, so the key decodes uniquely.
+    - pattern: 1-D, n_states^k entries from key 0, no holes.
+    - per-node: 2-D from key 0, -1 only padding the end of a shorter row.
+      Input m of a node adds n_states^m to its key, as the digraph
+      generator's positional weights do.
     """
 
-    n_states: int
     table: np.ndarray = field(repr=False)
+    n_states: int = 2
+    lo: int = 0
+    center_weight: int = None
 
     def __post_init__(self):
-        self.table = np.ascontiguousarray(self.table, dtype=np.int64)
+        t = self.table = np.ascontiguousarray(self.table, dtype=np.int64)
         if self.n_states < 2:
             raise ArgumentTooSmall(f"need at least 2 states, got {self.n_states}")
-        k = self.k
-        if self.n_states**k != len(self.table):
-            raise ArgumentTooSmall(
-                f"table of {len(self.table)} is not a power of {self.n_states}"
-            )
-        if len(self.table) and (self.table.min() < 0 or self.table.max() >= self.n_states):
-            raise RuleOutOfRange("table values must lie in [0, n_states)")
-        self._flat_table = (self.table, 0, len(self.table), 0)
-
-    @property
-    def k(self):
-        return max(1, round(np.log(len(self.table)) / np.log(self.n_states)))
-
-
-@dataclass(eq=False)
-class CountLUT:
-    """Table keyed by neighbor_count + center_weight * own_state.
-
-    The paired matrix must carry weight 1 on each counted neighbor and
-    ``center_weight`` on the diagonal so the key decodes uniquely.
-    """
-
-    center_weight: int
-    table: dict
-
-    def __post_init__(self):
-        self.table = {int(k): int(v) for k, v in self.table.items()}
-        if any(v < 0 for v in self.table.values()):
-            raise RuleOutOfRange("next states must be non-negative")
-        lo = min(self.table)
-        hi = max(self.table)
-        dense = np.full(hi - lo + 1, -1, dtype=np.int64)
-        for k, v in self.table.items():
-            dense[k - lo] = v
-        self._lo = lo
-        self._dense = dense
-        self._flat_table = (dense, lo, len(dense), 0)
-
-
-@dataclass(eq=False)
-class PerNodeLUT:
-    """One pattern table per node, for networks with node-specific rules.
-
-    Node i's key digits follow its ordered input list: input m contributes
-    n_states^m, matching the positional weight scheme of the digraph
-    generator.
-    """
-
-    tables: list  # or an (n_nodes, table size) array
-    n_states: int = 2
-
-    def __post_init__(self):
-        if isinstance(self.tables, np.ndarray) and self.tables.ndim == 2 and len(self.tables):
-            # one table per row, kept as it is: no per-node list is built
-            self.tables = self._stacked = np.ascontiguousarray(self.tables, dtype=np.int64)
+        hole = t < 0
+        if self.center_weight is not None:
+            fits = t.ndim == 1
+        elif t.ndim == 2:
+            fits = self.lo == 0 and not (hole[:, :-1] > hole[:, 1:]).any()
         else:
-            self.tables = [np.asarray(t, dtype=np.int64) for t in self.tables]
-            lengths = {len(t) for t in self.tables}
-            self._stacked = np.vstack(self.tables) if len(lengths) == 1 else None
-        # a uniform rule is range-checked in one pass, not once per node
-        for t in self.tables if self._stacked is None else [self._stacked]:
-            if t.size and (t.min() < 0 or t.max() >= self.n_states):
-                raise RuleOutOfRange("table values must lie in [0, n_states)")
-        width = 0 if self._stacked is None else self._stacked.shape[1]
-        self._flat_table = (self._stacked.ravel(), 0, width, width) if width else None
+            fits = t.ndim == 1 and self.lo == 0 and not hole.any()
+            fits = fits and _k(len(t), self.n_states) is not None
+        if not fits:
+            raise ArgumentTooSmall(
+                f"table of shape {t.shape} from key {self.lo} is not a count, "
+                f"pattern (n_states^k entries from key 0) or per-node table"
+            )
+        if t.size and (t.min() < -1 or t.max() >= self.n_states):
+            raise RuleOutOfRange("table values must lie in [0, n_states), or be -1")
 
 
 @dataclass(eq=False)
@@ -127,6 +88,7 @@ class ContinuousMap:
     name: str
     r: float = None
     order: str = MIX_THEN_MAP
+    n_states = None  # continuous: not a field, the same for every map
 
     def __post_init__(self):
         if self.name not in ("tanh", "logistic", "identity"):
@@ -156,8 +118,7 @@ def elementary_rule(rule_number):
     """
     if not 0 <= rule_number <= 255:
         raise RuleOutOfRange(f"rule number {rule_number} outside [0, 255]")
-    table = [(rule_number >> p) & 1 for p in range(8)]
-    return PatternLUT(n_states=2, table=table)
+    return TableRule([(rule_number >> p) & 1 for p in range(8)])
 
 
 def game_of_life_rule():
@@ -167,11 +128,9 @@ def game_of_life_rule():
     self-weight 9, so decoding is unique): birth on exactly 3 neighbors,
     survival on 2 or 3.
     """
-    table = {}
-    for count in range(9):
-        table[count] = 1 if count == 3 else 0
-        table[9 + count] = 1 if count in (2, 3) else 0
-    return CountLUT(center_weight=9, table=table)
+    dead = [1 if count == 3 else 0 for count in range(9)]
+    alive = [1 if count in (2, 3) else 0 for count in range(9)]
+    return TableRule(dead + alive, center_weight=9)
 
 
 def random_boolean_tables(n_nodes, in_degree, seed):
@@ -186,7 +145,7 @@ def random_boolean_tables(n_nodes, in_degree, seed):
     # the same entries as rng.integers(0, 2, size) per node in turn: each
     # such draw is the top bit of the generator's next 32-bit word
     words = _words(rng, count)[:count]
-    return PerNodeLUT(tables=(words >> 31).astype(np.int64).reshape(n_nodes, size), n_states=2)
+    return TableRule((words >> 31).astype(np.int64).reshape(n_nodes, size))
 
 
 # -- application -----------------------------------------------------------
@@ -202,76 +161,33 @@ def _integer_keys(preactivation):
     return keys.astype(np.int64)
 
 
-def apply_rule(rule, preactivation, current_state=None):
+def apply_rule(rule, preactivation):
     """Next-state vector from the matvec result.
 
-    ``current_state`` is accepted for uniformity; none of the shipped rule
-    variants consult it, since own-state dependence lives in the matrix.
+    A table rule raises NonIntegerKey, then DimensionMismatch (a per-node
+    table with a row count other than the vector's length), then
+    KeyOutOfTable for a key outside the table or on a -1 entry.
     """
     pre = np.asarray(preactivation, dtype=np.float64)
-    if current_state is not None and len(current_state) != len(pre):
-        raise DimensionMismatch(
-            f"state of {len(current_state)} against preactivation of {len(pre)}"
-        )
-    # _flat_table is a table rule's (table, lo, width, stride) view, built at
-    # construction; on any bad key the compiled lookup declines and the
-    # numpy code below raises the precise error
-    flat = getattr(rule, "_flat_table", None)
-    if flat is not None:
-        out = backend.table_lookup(pre, *flat)
-        if out is not None:
-            return out
-    if isinstance(rule, PatternLUT):
-        keys = _integer_keys(pre)
-        if len(keys) and (keys.min() < 0 or keys.max() >= len(rule.table)):
-            i = int(np.flatnonzero((keys < 0) | (keys >= len(rule.table)))[0])
-            raise KeyOutOfTable(
-                f"key {keys[i]} at index {i} outside table of {len(rule.table)}"
-            )
-        return rule.table[keys].astype(np.float64)
-    if isinstance(rule, CountLUT):
-        keys = _integer_keys(pre)
-        shifted = keys - rule._lo
-        bad = (shifted < 0) | (shifted >= len(rule._dense))
-        if not bad.any():
-            out = rule._dense[shifted]
-            bad = out < 0
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise KeyOutOfTable(f"key {keys[i]} at index {i} not in counting table")
-        return out.astype(np.float64)
-    if isinstance(rule, PerNodeLUT):
-        keys = _integer_keys(pre)
-        if len(keys) != len(rule.tables):
-            raise DimensionMismatch(
-                f"{len(keys)} preactivations for {len(rule.tables)} node tables"
-            )
-        if rule._stacked is not None:
-            width = rule._stacked.shape[1]
-            if len(keys) and (keys.min() < 0 or keys.max() >= width):
-                i = int(np.flatnonzero((keys < 0) | (keys >= width))[0])
-                raise KeyOutOfTable(
-                    f"key {keys[i]} at node {i} outside table of {width}"
-                )
-            return rule._stacked[np.arange(len(keys)), keys].astype(np.float64)
-        out = np.empty(len(keys), dtype=np.float64)
-        for i, (k, t) in enumerate(zip(keys, rule.tables)):
-            if not 0 <= k < len(t):
-                raise KeyOutOfTable(f"key {k} at node {i} outside table of {len(t)}")
-            out[i] = t[k]
-        return out
-    if isinstance(rule, ContinuousMap):
+    if rule.n_states is None:
         return rule.map_values(pre)
-    raise TypeError(f"not a rule: {rule!r}")
-
-
-def rule_n_states(rule):
-    """Number of discrete states, or None for continuous maps."""
-    if isinstance(rule, (PatternLUT, PerNodeLUT)):
-        return rule.n_states
-    if isinstance(rule, CountLUT):
-        return 2
-    return None
+    # on any bad key the compiled lookup declines and the numpy code below
+    # raises the precise error
+    out = backend.table_lookup(pre, rule.table, rule.lo)
+    if out is not None:
+        return out
+    table = rule.table
+    keys = _integer_keys(pre) - rule.lo
+    if table.ndim == 2 and len(keys) != len(table):
+        raise DimensionMismatch(f"{len(keys)} preactivations for {len(table)} node tables")
+    bad = (keys < 0) | (keys >= table.shape[-1])
+    if not bad.any():
+        out = table[np.arange(len(keys)), keys] if table.ndim == 2 else table[keys]
+        bad = out < 0
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise KeyOutOfTable(f"key {keys[i] + rule.lo} at index {i} is not in the table")
+    return out.astype(np.float64)
 
 
 # -- text serialization ----------------------------------------------------
@@ -279,55 +195,66 @@ def rule_n_states(rule):
 _HEADER = "# latflow rule v1 tables=index0first"
 
 
-def _digits(table, n_states):
-    if n_states <= 10:
-        return "".join(str(int(v)) for v in table)
-    return ",".join(str(int(v)) for v in table)
-
-
-def _parse_digits(text, n_states):
-    if n_states <= 10:
-        return [int(ch) for ch in text]
-    return [int(v) for v in text.split(",")]
-
-
-def _pernode_k(rule):
-    """k with n_states**k entries in every table, or None when there is none
-    (ragged tables), in which case the text declares no k."""
-    if rule._stacked is None:
-        return None
-    width, k = rule._stacked.shape[1], 0
-    while rule.n_states > 1 and rule.n_states**k < width:
+def _k(width, n_states):
+    """k with n_states**k == width, or None."""
+    k = 0
+    while n_states**k < width:
         k += 1
-    return k if rule.n_states**k == width else None
+    return k if n_states**k == width else None
+
+
+def _digits(table, n_states):
+    """Each row of a 2-D table as rule text, its -1 padding left out."""
+    if n_states > 10:
+        return [",".join(str(v) for v in row if v >= 0) for row in table.tolist()]
+    w = table.shape[1]
+    text = (table + ord("0")).astype(np.uint8).tobytes().decode()  # -1 becomes "/"
+    return [text[i * w : (i + 1) * w].rstrip("/") for i in range(len(table))]
+
+
+def _parse_digits(texts, n_states):
+    """Rule text tables as one 2-D table, shorter rows padded with -1."""
+    rows = [t.split(",") for t in texts] if n_states > 10 else texts
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    width = int(lengths.max(initial=0))
+    if (lengths != width).any() and 8 * len(rows) * width > _MAX_READ_BYTES:
+        raise FileFormatError(f"padding to {width} entries exceeds {_MAX_READ_BYTES} bytes")
+    if n_states > 10:
+        values = np.array([int(v) for row in rows for v in row], dtype=np.int64)
+        if (values < 0).any():
+            raise RuleOutOfRange("table values must lie in [0, n_states)")
+    else:
+        values = np.frombuffer("".join(texts).encode(), dtype=np.uint8) - ord("0")
+        if (values > 9).any():  # every byte that is not a digit wraps above 9
+            raise FileFormatError("a table entry is not a digit")
+    table = np.full((len(rows), width), -1, dtype=np.int64)
+    table[np.arange(width) < lengths[:, None]] = values
+    return table
 
 
 def rule_to_text(rule):
     """Serialize a rule; tables are always listed index-0-first."""
-    lines = [_HEADER]
-    if isinstance(rule, PatternLUT):
-        lines.append(
-            f"rule pattern n={rule.n_states} k={rule.k} "
-            f"table={_digits(rule.table, rule.n_states)}"
-        )
-    elif isinstance(rule, CountLUT):
-        entries = ",".join(f"{k}:{rule.table[k]}" for k in sorted(rule.table))
-        lines.append(f"rule count center_weight={rule.center_weight} table={entries}")
-    elif isinstance(rule, PerNodeLUT):
-        head = f"rule pernode n={rule.n_states} nodes={len(rule.tables)}"
-        k = _pernode_k(rule)
-        lines.append(head if k is None else f"{head} k={k}")
-        for i, t in enumerate(rule.tables):
-            lines.append(f"node {i} table={_digits(t, rule.n_states)}")
-    elif isinstance(rule, ContinuousMap):
+    n = rule.n_states
+    if n is None:
         parts = [f"rule map name={rule.name}"]
         if rule.name == "logistic":
             parts.append(f"r={float(rule.r)!r}")
         parts.append(f"order={rule.order}")
-        lines.append(" ".join(parts))
+        lines = [" ".join(parts)]
+    elif rule.table.ndim == 2:
+        t = rule.table
+        k = _k(t.shape[1], n) if len(t) and (t >= 0).all() else None
+        head = f"rule pernode n={n} nodes={len(t)}"
+        lines = [head if k is None else f"{head} k={k}"]
+        lines += [f"node {i} table={digits}" for i, digits in enumerate(_digits(t, n))]
+    elif rule.center_weight is not None:
+        keys = np.flatnonzero(rule.table >= 0).tolist()
+        entries = ",".join(f"{key + rule.lo}:{rule.table[key]}" for key in keys)
+        lines = [f"rule count center_weight={rule.center_weight} table={entries}"]
     else:
-        raise TypeError(f"not a rule: {rule!r}")
-    return "\n".join(lines) + "\n"
+        t = rule.table
+        lines = [f"rule pattern n={n} k={_k(len(t), n)} table={_digits(t[None], n)[0]}"]
+    return "\n".join([_HEADER] + lines) + "\n"
 
 
 def _fields(tokens):
@@ -348,6 +275,24 @@ def _text_k(fields):
     return k
 
 
+def _count_rule(fields):
+    pairs = [[int(x) for x in entry.split(":")] for entry in fields["table"].split(",")]
+    keys, states = np.array(pairs, dtype=np.int64).T
+    center_weight = int(fields["center_weight"])
+    if len(np.unique(keys)) < len(keys):
+        raise FileFormatError(f"a key appears twice in table={fields['table']}")
+    if states.min() < 0:
+        raise RuleOutOfRange("next states must be non-negative")
+    lo, span = int(keys.min()), int(keys.max()) - int(keys.min()) + 1
+    if 8 * span > _MAX_READ_BYTES:
+        raise FileFormatError(f"count keys span {span} entries, over {_MAX_READ_BYTES} bytes")
+    table = np.full(span, -1, dtype=np.int64)
+    table[keys - lo] = states
+    # every next state the table names is a state of the rule
+    n_states = max(2, int(states.max()) + 1)
+    return TableRule(table, n_states, lo, center_weight)
+
+
 def rule_from_text(text):
     raw = [ln.strip() for ln in text.splitlines() if ln.strip()]
     # the header declares table ordering; refuse to guess without it
@@ -364,31 +309,21 @@ def rule_from_text(text):
         if kind == "pattern":
             f = _fields(head[2:])
             n = int(f["n"])
-            table = _parse_digits(f["table"], n)
+            table = _parse_digits([f["table"]], n)[0]
             if "k" in f and n ** _text_k(f) != len(table):
-                raise FileFormatError(
-                    f"table of {len(table)} does not match k={f['k']}"
-                )
-            return PatternLUT(n_states=n, table=table)
+                raise FileFormatError(f"table of {len(table)} does not match k={f['k']}")
+            return TableRule(table, n)
         if kind == "count":
-            f = _fields(head[2:])
-            table = {}
-            for entry in f["table"].split(","):
-                k, v = entry.split(":")
-                table[int(k)] = int(v)
-            return CountLUT(center_weight=int(f["center_weight"]), table=table)
+            return _count_rule(_fields(head[2:]))
         if kind == "pernode":
             f = _fields(head[2:])
             n = int(f["n"])
             nodes = int(f["nodes"])
-            size = None
-            if "k" in f:
-                k = _text_k(f)
-                size = n**k
+            k = _text_k(f) if "k" in f else None
             # one line per node, so the list below is no larger than the text
             if nodes != len(lines) - 1:
                 raise FileFormatError(f"{len(lines) - 1} node lines for nodes={nodes}")
-            tables = [None] * nodes
+            texts = [None] * nodes
             for ln in lines[1:]:
                 toks = ln.split()
                 if len(toks) != 3 or toks[0] != "node":
@@ -396,15 +331,15 @@ def rule_from_text(text):
                 idx = int(toks[1])
                 if not 0 <= idx < nodes:
                     raise FileFormatError(f"node {idx} outside [0, {nodes})")
-                if tables[idx] is not None:
+                if texts[idx] is not None:
                     raise FileFormatError(f"second table for node {idx}")
-                table = _parse_digits(_fields(toks[2:])["table"], n)
-                if size is not None and len(table) != size:
-                    raise FileFormatError(
-                        f"node {idx} table of {len(table)} does not match n={n} k={k}"
-                    )
-                tables[idx] = table
-            return PerNodeLUT(tables=tables, n_states=n)
+                texts[idx] = _fields(toks[2:])["table"]
+            table = _parse_digits(texts, n)
+            lengths = (table >= 0).sum(axis=1)
+            if k is not None and (lengths != n**k).any():
+                idx = int(np.flatnonzero(lengths != n**k)[0])
+                raise FileFormatError(f"node {idx} table of {lengths[idx]} does not match k={k}")
+            return TableRule(table, n)
         if kind == "map":
             f = _fields(head[2:])
             return ContinuousMap(
@@ -412,7 +347,7 @@ def rule_from_text(text):
                 r=float(f["r"]) if "r" in f else None,
                 order=f.get("order", MIX_THEN_MAP),
             )
-    except (KeyError, ValueError, IndexError) as exc:
+    except (KeyError, ValueError, IndexError, OverflowError) as exc:
         raise FileFormatError(f"malformed rule text: {exc}") from exc
     raise FileFormatError(f"unknown rule kind {kind!r}")
 

@@ -169,20 +169,6 @@ class SparseMatrix:
         return SparseMatrix.from_coo(self.n_cols, self.n_rows, self.indices, rows, self.data)
 
 
-# -- module-level operation surface ---------------------------------------
-
-def from_triplets(n_rows, n_cols, triplets):
-    return SparseMatrix.from_triplets(n_rows, n_cols, triplets)
-
-
-def matvec(m, v):
-    return m.matvec(v)
-
-
-def to_dense(m):
-    return m.to_dense()
-
-
 def is_symmetric(m):
     """True iff m[i, j] == m[j, i] for every entry (exact comparison)."""
     if not m.is_square:
@@ -252,9 +238,10 @@ def spectral_radius(m, max_iters=1000, tol=1e-10):
 # -- Matrix Market I/O -----------------------------------------------------
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
-# a size line declaring more rows than this many bytes of row pointers is
-# refused before anything is allocated
-_MM_MAX_INDPTR_BYTES = 1 << 30
+# the most a reader allocates for what a file declares before its entries
+# are read: Matrix Market row pointers, and the rule text's count key spans
+# and per-node padding; a file declaring more is refused
+_MAX_READ_BYTES = 1 << 30
 
 
 def save_matrix_market(path, m):
@@ -294,9 +281,9 @@ def load_matrix_market(path):
             n_rows, n_cols, nnz = (int(x) for x in size_line.split())
         except ValueError as exc:
             raise FileFormatError(f"bad size line: {size_line!r}") from exc
-        if 8 * (n_rows + 1) > _MM_MAX_INDPTR_BYTES:
+        if 8 * (n_rows + 1) > _MAX_READ_BYTES:
             raise FileFormatError(
-                f"{n_rows} rows need more than {_MM_MAX_INDPTR_BYTES} bytes of row pointers"
+                f"{n_rows} rows need more than {_MAX_READ_BYTES} bytes of row pointers"
             )
         triplets = []
         for line in f:

@@ -173,3 +173,27 @@ def stencil_dense(height, width, weights, center, wrapped):
         else:
             out += w * basis[pad + dr:pad + dr + height, pad + dc:pad + dc + width]
     return out.reshape(n, n)
+
+
+def table_lookup(entries, pre, per_node):
+    """Next states looked up in dicts {key: next state}: one dict for every
+    cell, or (per_node) one dict per cell.  Returns the list of next states,
+    or the name of the error the lookup must raise: NonIntegerKey for the
+    first value farther than 1e-6 from an integer, then DimensionMismatch
+    for a dict count other than the number of cells, then KeyOutOfTable
+    for the first key its dict lacks.  Values must be finite."""
+    keys = []
+    for x in pre:
+        key = round(x)
+        if abs(x - key) > 1e-6:
+            return "NonIntegerKey"
+        keys.append(key)
+    if per_node and len(entries) != len(keys):
+        return "DimensionMismatch"
+    out = []
+    for i, key in enumerate(keys):
+        table = entries[i] if per_node else entries
+        if key not in table:
+            return "KeyOutOfTable"
+        out.append(float(table[key]))
+    return out

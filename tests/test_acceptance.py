@@ -175,7 +175,7 @@ def test_c09_rbn_cycles_match_exhaustive_oracle():
             h = system.run(horizon, record=True)
             report = detect_cycle(h)
             expect = oracles.rbn_first_repeat(
-                init, system.node_inputs, system.rule.tables, horizon
+                init, system.node_inputs, system.rule.table, horizon
             )
             assert (report.transient_length, report.period) == expect
             assert report.period > 0  # must cycle within 2^12 steps

@@ -10,12 +10,12 @@ from latflow.errors import (
     NotSquare,
 )
 from latflow.rules import ContinuousMap, elementary_rule
-from latflow.sparse import from_triplets
+from latflow.sparse import SparseMatrix
 from latflow.systems import elementary_ca, game_of_life
 
 
 def identity_matrix(n):
-    return from_triplets(n, n, [(i, i, 1.0) for i in range(n)])
+    return SparseMatrix.from_triplets(n, n, [(i, i, 1.0) for i in range(n)])
 
 
 def test_rule_zero_steps_to_all_dead():
@@ -114,7 +114,7 @@ def test_continuous_rule_accepts_any_finite_state():
 
 def test_not_square_matrix_rejected():
     with pytest.raises(NotSquare):
-        DynamicalSystem(from_triplets(2, 3, []), elementary_rule(0), np.zeros(3))
+        DynamicalSystem(SparseMatrix.from_triplets(2, 3, []), elementary_rule(0), np.zeros(3))
 
 
 def test_determinism_same_inputs_same_trajectory(rng):

@@ -5,24 +5,24 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from latflow import backend
 from latflow.errors import DimensionMismatch, KeyOutOfTable, LatflowError, NonIntegerKey
 from latflow.rules import (
-    CountLUT,
-    PerNodeLUT,
+    TableRule,
     apply_rule,
     elementary_rule,
     game_of_life_rule,
     random_boolean_tables,
 )
-from latflow.sparse import from_triplets
+from latflow.sparse import SparseMatrix
 
 
 def make_csr(rng, n, nnz):
     flat = rng.choice(n * n, size=nnz, replace=False)
     trips = [(int(f) // n, int(f) % n, v)
              for f, v in zip(flat, rng.uniform(-1, 1, nnz))]
-    return from_triplets(n, n, trips)
+    return SparseMatrix.from_triplets(n, n, trips)
 
 
 def test_python_kernel_matches_dense(rng):
@@ -56,7 +56,7 @@ def test_matvec_takes_a_strided_vector_on_both_backends(monkeypatch, rng):
 
 
 def test_kernel_handles_leading_and_trailing_empty_rows():
-    m = from_triplets(5, 5, [(2, 1, 2.0), (2, 3, -1.0)])
+    m = SparseMatrix.from_triplets(5, 5, [(2, 1, 2.0), (2, 3, -1.0)])
     v = np.array([1.0, 4.0, 9.0, 16.0, 25.0])
     out = backend.csr_matvec(m.data, m.indices, m.indptr, v)
     assert np.array_equal(out, [0.0, 0.0, -8.0, 0.0, 0.0])
@@ -143,11 +143,11 @@ def test_compiled_lookup_matches_numpy_on_count_and_per_node_tables(monkeypatch,
 
 
 @needs_compiled
-def test_ragged_per_node_tables_take_the_numpy_path(monkeypatch):
-    rule = PerNodeLUT([[0, 1], [1, 0, 0, 1]])
+def test_ragged_per_node_tables_take_the_compiled_path(monkeypatch):
+    rule = TableRule([[0, 1, -1, -1], [1, 0, 0, 1]])
     (py, c), completed = on_both_backends(monkeypatch, rule, [1.0, 3.0])
     assert py == c == (np.float64, np.array([1.0, 1.0]).tobytes())
-    assert completed == 0
+    assert completed == 1
 
 
 JUST_PAST = float(np.nextafter(1e-6, 1.0))
@@ -167,7 +167,7 @@ LOOKUP_CASES = [
     ("count past +1e-6", LIFE, [3.0, 9.0 + 2e-6], NonIntegerKey),
     ("count below", LIFE, [3.0, -1.0], KeyOutOfTable),
     ("count above", LIFE, [3.0, 18.0], KeyOutOfTable),
-    ("count hole", CountLUT(9, {0: 0, 2: 1}), [2.0, 1.0], KeyOutOfTable),
+    ("count hole", TableRule([0, -1, 1], center_weight=9), [2.0, 1.0], KeyOutOfTable),
     ("pernode non-integer", RBN, [0.0, 1.5, 0.0], NonIntegerKey),
     ("pernode below", RBN, [0.0, -1.0, 0.0], KeyOutOfTable),
     ("pernode above", RBN, [0.0, 4.0, 0.0], KeyOutOfTable),
@@ -190,6 +190,48 @@ def test_compiled_lookup_errors_match_numpy(monkeypatch, rule, pre, expected):
         assert issubclass(py[0], expected)
 
 
+def random_table_rule(rng):
+    """A random table rule and the same rule as dicts {key: next state}:
+    a 1-D counting table from a nonzero key with holes, or a 2-D table of
+    ragged rows padded with -1."""
+    n_states = int(rng.integers(2, 6))
+    if rng.random() < 0.5:
+        lo, width = int(rng.integers(-20, 21)), int(rng.integers(1, 30))
+        table = np.where(rng.random(width) < 0.3, -1, rng.integers(0, n_states, width))
+        entries = {lo + j: int(v) for j, v in enumerate(table) if v >= 0}
+        return TableRule(table, n_states, lo, center_weight=3), entries, lo, width, False
+    # a row of length 0 is all padding: no key of its node has an entry
+    lengths = rng.integers(0 if rng.random() < 0.3 else 1, 9, int(rng.integers(1, 20)))
+    rows = [rng.integers(0, n_states, m) for m in lengths]
+    table = [list(row) + [-1] * (max(lengths) - len(row)) for row in rows]
+    entries = [dict(enumerate(int(v) for v in row)) for row in rows]
+    return TableRule(table, n_states), entries, 0, max(lengths), True
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_table_lookup_matches_dict_oracle_on_both_backends(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    rule, entries, lo, width, per_node = random_table_rule(rng)
+    for trial in range(25):
+        # per-node: one preactivation short of the node count now and then
+        cells = len(entries) - (trial % 8 == 7) if per_node else int(rng.integers(0, 40))
+        pre = rng.integers(lo - 2, lo + width + 2, cells).astype(np.float64)
+        if trial % 2:  # keys that have entries, so most lookups succeed
+            tables = entries[:cells] if per_node else [entries] * cells
+            pre = np.array([rng.choice(list(t)) if t else lo for t in tables], dtype=np.float64)
+        pre += rng.uniform(-9e-7, 9e-7, cells)
+        if trial % 5 == 4 and cells:
+            pre[int(rng.integers(cells))] += 0.5
+        want = oracles.table_lookup(entries, pre, per_node)
+        for name in ("python", "c") if backend.compiled_available() else ("python",):
+            monkeypatch.setattr(backend, "BACKEND", name)
+            got = outcome(rule, pre)
+            if isinstance(want, str):
+                assert got[0].__name__ == want, (name, trial)
+            else:
+                assert got == (np.float64, np.array(want, dtype=np.float64).tobytes()), (name, trial)
+
+
 @needs_compiled
 def test_compiled_wrappers_reject_wrong_buffers(monkeypatch, rng):
     monkeypatch.setattr(backend, "BACKEND", "c")
@@ -202,6 +244,4 @@ def test_compiled_wrappers_reject_wrong_buffers(monkeypatch, rng):
     with pytest.raises(ValueError):
         backend.csr_matvec_compiled(m.data[:-1], m.indices[:-1], m.indptr, v[:6])
     with pytest.raises(ValueError):
-        backend.table_lookup(np.zeros(2), np.zeros(8, dtype=np.int32), 0, 8, 0)
-    with pytest.raises(ValueError):
-        backend.table_lookup(np.zeros(2), np.zeros(8, dtype=np.int64), 0, 9, 0)
+        backend.table_lookup(np.zeros(2), np.zeros(8, dtype=np.int32), 0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from latflow.engine import DynamicalSystem
 from latflow.errors import (
     ArgumentTooSmall,
     FileFormatError,
@@ -13,9 +14,7 @@ from latflow.rules import (
     MAP_THEN_MIX,
     MIX_THEN_MAP,
     ContinuousMap,
-    CountLUT,
-    PatternLUT,
-    PerNodeLUT,
+    TableRule,
     apply_rule,
     elementary_rule,
     game_of_life_rule,
@@ -25,6 +24,7 @@ from latflow.rules import (
     rule_to_text,
     save_rule,
 )
+from latflow.sparse import SparseMatrix
 
 
 def test_elementary_rule_zero_is_all_dead():
@@ -70,9 +70,9 @@ def test_non_integer_key_is_an_error():
 
 def test_pattern_lut_table_length_enforced():
     with pytest.raises(ArgumentTooSmall):
-        PatternLUT(2, [0, 1, 0])  # not a power of n_states for any k
+        TableRule([0, 1, 0])  # not a power of n_states for any k
     with pytest.raises(RuleOutOfRange):
-        PatternLUT(2, [0, 1, 2, 0, 0, 0, 0, 0])  # value out of range
+        TableRule([0, 1, 2, 0, 0, 0, 0, 0])  # value out of range
 
 
 def test_game_of_life_rule_semantics():
@@ -93,13 +93,13 @@ def test_game_of_life_key_decoding_is_injective():
 
 
 def test_count_lut_missing_key():
-    rule = CountLUT(9, {0: 0, 3: 1})
+    rule = TableRule([0, -1, -1, 1], center_weight=9)
     with pytest.raises(KeyOutOfTable):
         apply_rule(rule, np.array([5.0]))
 
 
 def test_per_node_lut_uses_each_nodes_table():
-    rule = PerNodeLUT([np.array([0, 1]), np.array([1, 0])])
+    rule = TableRule([[0, 1], [1, 0]])
     out = apply_rule(rule, np.array([1.0, 1.0]))
     assert np.array_equal(out, [1.0, 0.0])
     with pytest.raises(KeyOutOfTable):
@@ -108,21 +108,21 @@ def test_per_node_lut_uses_each_nodes_table():
 
 def test_random_boolean_tables_structure():
     rule = random_boolean_tables(4, 2, seed=1)
-    assert len(rule.tables) == 4
-    for t in rule.tables:
+    assert len(rule.table) == 4
+    for t in rule.table:
         assert len(t) == 4
         assert set(np.unique(t)).issubset({0.0, 1.0})
 
 
 def test_random_boolean_tables_in_degree_zero():
     rule = random_boolean_tables(4, 0, seed=1)
-    assert all(len(t) == 1 for t in rule.tables)
+    assert all(len(t) == 1 for t in rule.table)
 
 
 def test_random_boolean_tables_deterministic():
     a = random_boolean_tables(6, 3, seed=9)
     b = random_boolean_tables(6, 3, seed=9)
-    assert all(np.array_equal(x, y) for x, y in zip(a.tables, b.tables))
+    assert all(np.array_equal(x, y) for x, y in zip(a.table, b.table))
 
 
 def test_lut_outputs_stay_in_state_range():
@@ -203,9 +203,9 @@ def test_pernode_text_rejects_table_not_n_to_the_k():
 
 
 def test_pernode_text_round_trips_in_degree_zero_and_ragged_tables():
-    for rule in (random_boolean_tables(3, 0, seed=2), PerNodeLUT([[0, 1], [1, 0, 0, 1]])):
+    for rule in (random_boolean_tables(3, 0, seed=2), TableRule([[0, 1, -1, -1], [1, 0, 0, 1]])):
         back = rule_from_text(rule_to_text(rule))
-        assert all(np.array_equal(x, y) for x, y in zip(back.tables, rule.tables))
+        assert all(np.array_equal(x, y) for x, y in zip(back.table, rule.table))
         assert rule_to_text(back) == rule_to_text(rule)
 
 
@@ -213,11 +213,11 @@ def test_pernode_text_round_trips_in_degree_zero_and_ragged_tables():
 def test_random_boolean_tables_match_per_node_integers(n, k, seed):
     want = oracles.boolean_tables(n, k, seed)
     rule = random_boolean_tables(n, k, seed=seed)
-    assert len(rule.tables) == n
-    assert all(np.asarray(t).tobytes() == w.tobytes() for t, w in zip(rule.tables, want))
+    assert len(rule.table) == n
+    assert all(np.asarray(t).tobytes() == w.tobytes() for t, w in zip(rule.table, want))
     # the 2-D form gives the same rule as a list of the same tables
     if n:
-        assert rule_to_text(rule) == rule_to_text(PerNodeLUT(want))
+        assert rule_to_text(rule) == rule_to_text(TableRule(want))
 
 
 @pytest.mark.parametrize("kind", ["pattern", "pernode"])
@@ -229,4 +229,63 @@ def test_rule_text_k_bounded_before_any_power(kind, k):
         else head + f"nodes=1 k={k}\nnode 0 table=012\n"
     )
     with pytest.raises(FileFormatError, match=r"outside \[0, 64\)"):
+        rule_from_text(text)
+
+
+HEADER = "# latflow rule v1 tables=index0first\n"
+LIFE_TEXT = (
+    "rule count center_weight=9 table=0:0,1:0,2:0,3:1,4:0,5:0,6:0,7:0,8:0,"
+    "9:0,10:0,11:1,12:1,13:0,14:0,15:0,16:0,17:0\n"
+)
+# v1 rule text that must be written and read back byte for byte
+GOLDEN_TEXT = [
+    (game_of_life_rule, LIFE_TEXT),
+    (lambda: elementary_rule(110), "rule pattern n=2 k=3 table=01110110\n"),
+    (lambda: random_boolean_tables(0, 2, seed=1), "rule pernode n=2 nodes=0\n"),
+    (lambda: random_boolean_tables(1, 0, seed=3), "rule pernode n=2 nodes=1 k=0\nnode 0 table=1\n"),
+    (
+        lambda: random_boolean_tables(5, 2, seed=3),
+        "rule pernode n=2 nodes=5 k=2\nnode 0 table=1000\nnode 1 table=0111\n"
+        "node 2 table=0000\nnode 3 table=1000\nnode 4 table=1100\n",
+    ),
+    (
+        lambda: TableRule([[0, 1, -1, -1], [1, 0, 0, 1]]),
+        "rule pernode n=2 nodes=2\nnode 0 table=01\nnode 1 table=1001\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, text", GOLDEN_TEXT)
+def test_rule_text_matches_golden(make, text):
+    assert rule_to_text(make()) == HEADER + text
+    assert rule_to_text(rule_from_text(HEADER + text)) == HEADER + text
+
+
+def test_count_rule_text_next_states_set_n_states():
+    rule = rule_from_text(HEADER + "rule count center_weight=1 table=0:0,1:2,2:1\n")
+    assert rule.n_states == 3
+    system = DynamicalSystem(SparseMatrix.from_dense(np.eye(3)), rule, [1, 0, 1])
+    system.step()
+    assert np.array_equal(system.state, [2.0, 0.0, 2.0])
+    system.set_state(system.state)  # every state the rule reaches is a valid state
+
+
+def test_count_rule_text_rejects_a_repeated_key():
+    with pytest.raises(FileFormatError, match="twice"):
+        rule_from_text(HEADER + "rule count center_weight=9 table=3:1,3:0\n")
+
+
+def test_count_rule_text_key_span_bounded_before_allocating():
+    # 1e15 keys would need a 7.1 PiB table
+    with pytest.raises(FileFormatError, match="span"):
+        rule_from_text(HEADER + "rule count center_weight=9 table=0:0,1000000000000000:1\n")
+
+
+def test_pernode_text_padding_bounded_before_allocating():
+    # 1e5 tables padded to 1e6 entries would take 800 GB, more than any
+    # host has, so even without the bound nothing this large is touched
+    nodes = 100000
+    lines = [f"node {i} table={'0' * (1000000 if i == 0 else 1)}" for i in range(nodes)]
+    text = HEADER + f"rule pernode n=2 nodes={nodes}\n" + "\n".join(lines) + "\n"
+    with pytest.raises(FileFormatError, match="padding"):
         rule_from_text(text)

@@ -13,14 +13,11 @@ from latflow.errors import (
 )
 from latflow.sparse import (
     SparseMatrix,
-    from_triplets,
     is_symmetric,
     load_matrix_market,
-    matvec,
     power_iteration,
     save_matrix_market,
     spectral_radius,
-    to_dense,
 )
 
 
@@ -31,47 +28,47 @@ def random_triplets(rng, n_rows, n_cols, nnz):
 
 
 def test_empty_matrix_is_all_zeros():
-    m = from_triplets(2, 2, [])
-    assert np.array_equal(to_dense(m), np.zeros((2, 2)))
+    m = SparseMatrix.from_triplets(2, 2, [])
+    assert np.array_equal(m.to_dense(), np.zeros((2, 2)))
     assert m.nnz == 0
 
 
 def test_identity_triplets():
-    m = from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
-    assert np.array_equal(to_dense(m), np.eye(3))
+    m = SparseMatrix.from_triplets(3, 3, [(i, i, 1.0) for i in range(3)])
+    assert np.array_equal(m.to_dense(), np.eye(3))
 
 
 def test_triplet_order_does_not_matter(rng):
     trips = random_triplets(rng, 6, 7, 12)
-    a = from_triplets(6, 7, trips)
+    a = SparseMatrix.from_triplets(6, 7, trips)
     shuffled = [trips[i] for i in rng.permutation(len(trips))]
-    b = from_triplets(6, 7, shuffled)
-    assert np.array_equal(to_dense(a), to_dense(b))
+    b = SparseMatrix.from_triplets(6, 7, shuffled)
+    assert np.array_equal(a.to_dense(), b.to_dense())
 
 
 def test_finalization_preserves_triplet_multiset(rng):
     trips = random_triplets(rng, 5, 5, 10)
-    m = from_triplets(5, 5, trips)
+    m = SparseMatrix.from_triplets(5, 5, trips)
     assert sorted(m.triplets()) == sorted(trips)
 
 
 def test_duplicate_entry_rejected():
     with pytest.raises(DuplicateEntry):
-        from_triplets(2, 2, [(0, 1, 1.0), (0, 1, 2.0)])
+        SparseMatrix.from_triplets(2, 2, [(0, 1, 1.0), (0, 1, 2.0)])
 
 
 def test_out_of_bounds_rejected():
     with pytest.raises(IndexOutOfBounds):
-        from_triplets(2, 2, [(2, 0, 1.0)])
+        SparseMatrix.from_triplets(2, 2, [(2, 0, 1.0)])
     with pytest.raises(IndexOutOfBounds):
-        from_triplets(2, 2, [(0, -1, 1.0)])
+        SparseMatrix.from_triplets(2, 2, [(0, -1, 1.0)])
 
 
 def test_non_finite_weight_rejected():
     with pytest.raises(NonFiniteWeight):
-        from_triplets(2, 2, [(0, 0, float("nan"))])
+        SparseMatrix.from_triplets(2, 2, [(0, 0, float("nan"))])
     with pytest.raises(NonFiniteWeight):
-        from_triplets(2, 2, [(0, 0, float("inf"))])
+        SparseMatrix.from_triplets(2, 2, [(0, 0, float("inf"))])
 
 
 def test_from_dense_round_trip(rng):
@@ -86,19 +83,19 @@ def test_matvec_matches_dense(rng):
         n_rows = int(rng.integers(1, 30))
         n_cols = int(rng.integers(1, 30))
         nnz = int(rng.integers(0, n_rows * n_cols + 1))
-        m = from_triplets(n_rows, n_cols, random_triplets(rng, n_rows, n_cols, nnz))
+        m = SparseMatrix.from_triplets(n_rows, n_cols, random_triplets(rng, n_rows, n_cols, nnz))
         v = rng.uniform(-1, 1, n_cols)
-        assert np.max(np.abs(m.matvec(v) - to_dense(m) @ v), initial=0.0) < 1e-12
+        assert np.max(np.abs(m.matvec(v) - m.to_dense() @ v), initial=0.0) < 1e-12
 
 
 def test_matvec_handles_empty_rows():
-    m = from_triplets(4, 4, [(1, 2, 3.0)])
-    out = matvec(m, np.array([1.0, 1.0, 2.0, 1.0]))
+    m = SparseMatrix.from_triplets(4, 4, [(1, 2, 3.0)])
+    out = m.matvec(np.array([1.0, 1.0, 2.0, 1.0]))
     assert np.array_equal(out, [0.0, 6.0, 0.0, 0.0])
 
 
 def test_matvec_dimension_mismatch():
-    m = from_triplets(3, 4, [(0, 0, 1.0)])
+    m = SparseMatrix.from_triplets(3, 4, [(0, 0, 1.0)])
     with pytest.raises(DimensionMismatch):
         m.matvec(np.zeros(3))
 
@@ -111,7 +108,7 @@ def test_matvec_dimension_mismatch():
 )
 def test_matvec_linearity(seed, a, b):
     rng = np.random.default_rng(seed)
-    m = from_triplets(8, 8, random_triplets(rng, 8, 8, 16))
+    m = SparseMatrix.from_triplets(8, 8, random_triplets(rng, 8, 8, 16))
     u = rng.uniform(-1, 1, 8)
     v = rng.uniform(-1, 1, 8)
     lhs = m.matvec(a * u + b * v)
@@ -120,28 +117,28 @@ def test_matvec_linearity(seed, a, b):
 
 
 def test_scaled_and_transpose(rng):
-    m = from_triplets(5, 5, random_triplets(rng, 5, 5, 8))
+    m = SparseMatrix.from_triplets(5, 5, random_triplets(rng, 5, 5, 8))
     assert np.allclose(m.scaled(2.5).to_dense(), 2.5 * m.to_dense())
     assert np.array_equal(m.transpose().to_dense(), m.to_dense().T)
 
 
 def test_is_symmetric():
-    assert is_symmetric(from_triplets(3, 3, [(i, i, 1.0) for i in range(3)]))
-    asym = from_triplets(2, 2, [(0, 1, 1.0), (1, 0, 4.0)])
+    assert is_symmetric(SparseMatrix.from_triplets(3, 3, [(i, i, 1.0) for i in range(3)]))
+    asym = SparseMatrix.from_triplets(2, 2, [(0, 1, 1.0), (1, 0, 4.0)])
     assert not is_symmetric(asym)
     with pytest.raises(NotSquare):
-        is_symmetric(from_triplets(2, 3, []))
+        is_symmetric(SparseMatrix.from_triplets(2, 3, []))
 
 
 def test_power_iteration_identity():
-    m = from_triplets(4, 4, [(i, i, 1.0) for i in range(4)])
+    m = SparseMatrix.from_triplets(4, 4, [(i, i, 1.0) for i in range(4)])
     res = power_iteration(m, max_iters=100, tol=1e-10)
     assert res.converged
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_power_iteration_diagonal():
-    m = from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 0.5)])
+    m = SparseMatrix.from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 0.5)])
     res = power_iteration(m, max_iters=1000, tol=1e-12)
     assert res.converged
     assert res.value == pytest.approx(2.0, abs=1e-9)
@@ -149,32 +146,32 @@ def test_power_iteration_diagonal():
 
 def test_power_iteration_swap_matrix():
     # eigenvalues +1 and -1; the all-ones start is itself the +1 eigenvector
-    m = from_triplets(2, 2, [(0, 1, 1.0), (1, 0, 1.0)])
+    m = SparseMatrix.from_triplets(2, 2, [(0, 1, 1.0), (1, 0, 1.0)])
     res = power_iteration(m, max_iters=100, tol=1e-10)
     assert res.converged
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_power_iteration_zero_matrix():
-    m = from_triplets(3, 3, [])
+    m = SparseMatrix.from_triplets(3, 3, [])
     res = power_iteration(m, max_iters=10, tol=1e-10)
     assert res.value == 0.0
 
 
 def test_power_iteration_restarts_on_orthogonal_start():
     # all-ones start is orthogonal to the dominant direction (+1, -1)
-    m = from_triplets(2, 2, [(0, 0, 3.0), (0, 1, -3.0), (1, 0, -3.0), (1, 1, 3.0)])
+    m = SparseMatrix.from_triplets(2, 2, [(0, 0, 3.0), (0, 1, -3.0), (1, 0, -3.0), (1, 1, 3.0)])
     res = power_iteration(m, max_iters=500, tol=1e-12)
     assert res.value == pytest.approx(6.0, abs=1e-8)
 
 
 def test_spectral_radius_not_square():
     with pytest.raises(NotSquare):
-        spectral_radius(from_triplets(2, 3, []))
+        spectral_radius(SparseMatrix.from_triplets(2, 3, []))
 
 
 def test_spectral_radius_homogeneity(rng):
-    m = from_triplets(12, 12, random_triplets(rng, 12, 12, 30))
+    m = SparseMatrix.from_triplets(12, 12, random_triplets(rng, 12, 12, 30))
     base = spectral_radius(m, max_iters=1000, tol=1e-10)
     for c in (2.0, -0.5, 7.25):
         assert spectral_radius(m.scaled(c), max_iters=1000, tol=1e-10) == pytest.approx(
@@ -183,7 +180,7 @@ def test_spectral_radius_homogeneity(rng):
 
 
 def test_matrix_market_round_trip(tmp_path, rng):
-    m = from_triplets(9, 5, random_triplets(rng, 9, 5, 11))
+    m = SparseMatrix.from_triplets(9, 5, random_triplets(rng, 9, 5, 11))
     path = tmp_path / "m.mtx"
     save_matrix_market(path, m)
     m2 = load_matrix_market(path)
@@ -192,7 +189,7 @@ def test_matrix_market_round_trip(tmp_path, rng):
 
 
 def test_matrix_market_write_is_byte_stable(tmp_path, rng):
-    m = from_triplets(6, 6, random_triplets(rng, 6, 6, 9))
+    m = SparseMatrix.from_triplets(6, 6, random_triplets(rng, 6, 6, 9))
     p1, p2 = tmp_path / "a.mtx", tmp_path / "b.mtx"
     save_matrix_market(p1, m)
     save_matrix_market(p2, load_matrix_market(p1))
@@ -200,7 +197,7 @@ def test_matrix_market_write_is_byte_stable(tmp_path, rng):
 
 
 def test_matrix_market_writer_sorted_one_based(tmp_path):
-    m = from_triplets(3, 3, [(2, 0, 1.5), (0, 1, -2.0)])
+    m = SparseMatrix.from_triplets(3, 3, [(2, 0, 1.5), (0, 1, -2.0)])
     path = tmp_path / "m.mtx"
     save_matrix_market(path, m)
     lines = path.read_text().splitlines()

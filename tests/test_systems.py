@@ -4,7 +4,7 @@ import pytest
 import oracles
 from latflow.analysis import detect_cycle
 from latflow.errors import ArgumentTooSmall, ConfigError
-from latflow.rules import MAP_THEN_MIX, ContinuousMap, PatternLUT
+from latflow.rules import MAP_THEN_MIX, ContinuousMap, TableRule
 from latflow.sparse import spectral_radius
 from latflow.systems import (
     SystemConfig,
@@ -22,7 +22,7 @@ def test_elementary_ca_wiring():
     system = elementary_ca(16, 110)
     assert system.matrix.shape == (16, 16)
     assert system.matrix.row(0) == {15: 4.0, 0: 2.0, 1: 1.0}
-    assert isinstance(system.rule, PatternLUT)
+    assert isinstance(system.rule, TableRule)
     assert np.array_equal(system.state, np.zeros(16))
 
 
@@ -91,7 +91,7 @@ def test_rbn_matches_direct_oracle(rng):
     h = system.run(40, record=True)
     x = init.copy()
     for t in range(40):
-        x = oracles.rbn_step(x, system.node_inputs, system.rule.tables)
+        x = oracles.rbn_step(x, system.node_inputs, system.rule.table)
         assert np.array_equal(h.states[t + 1], x)
 
 
@@ -108,7 +108,7 @@ def test_rbn_deterministic_per_seed():
     a = random_boolean_network(10, 2, seed=6)
     b = random_boolean_network(10, 2, seed=6)
     assert np.array_equal(a.matrix.to_dense(), b.matrix.to_dense())
-    assert all(np.array_equal(x, y) for x, y in zip(a.rule.tables, b.rule.tables))
+    assert all(np.array_equal(x, y) for x, y in zip(a.rule.table, b.rule.table))
     assert a.node_inputs == b.node_inputs
 
 
