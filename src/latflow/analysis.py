@@ -1,7 +1,9 @@
 """Trajectory analysis: PCA projection, exact cycle detection, linear readout.
 
 PCA is deliberately small: power iteration with deflation on the sample
-covariance, which is all a state-transition diagram needs at this scale.
+covariance, which is all a state-transition diagram needs.  The covariance is
+only applied as an operator; when the history has fewer rows than cells it
+is applied through the centred rows and never stored.
 Each component's sign is fixed so its largest-magnitude coordinate is
 positive, making projections stable across runs.
 """
@@ -88,9 +90,13 @@ def principal_components(data, n_components, tol=1e-10, max_iters=10000,
     """Top eigenpairs of the sample covariance of ``data`` rows.
 
     Covariance uses divisor (rows - 1).  Components come from power
-    iteration, each deflated out of the covariance and re-orthogonalized
-    against its predecessors; iteration stops when the vector moves less
-    than ``tol`` between steps.  Returns (components, variances) with
+    iteration on the covariance operator with the components found so far
+    deflated out, v -> Cov v - sum_i var_i c_i (c_i . v), and each iterate
+    re-orthogonalized against them; iteration stops when the vector moves
+    less than ``tol`` between steps.  With fewer rows than columns the
+    covariance is never formed: Cov v is computed as C^T (C v) / (rows - 1)
+    from the centred data C (the snapshot method, Sirovich 1987), so no
+    array is larger than ``data``.  Returns (components, variances) with
     components stacked row-wise in decreasing variance order.
     """
     data = np.asarray(data, dtype=np.float64)
@@ -102,30 +108,36 @@ def principal_components(data, n_components, tol=1e-10, max_iters=10000,
             f"cannot extract {n_components} components from {rows}x{dim} data"
         )
     centered = data - data.mean(axis=0)
-    cov = centered.T @ centered / (rows - 1)
-    components = []
-    variances = []
-    deflated = cov.copy()
+    if rows < dim:
+        def cov_times(v):
+            return centered.T @ (centered @ v) / (rows - 1)
+    else:
+        # a dim x dim matvec is cheaper than two rows x dim ones here
+        cov = centered.T @ centered / (rows - 1)
+        cov_times = cov.__matmul__
+    components = np.empty((0, dim))
+    variances = np.empty(0)
+
+    def deflated(v):
+        return cov_times(v) - components.T @ (variances * (components @ v))
+
     for _ in range(n_components):
         v = _dominant_eigvec(deflated, components, tol, max_iters, restart_seed)
-        lam = max(float(v @ deflated @ v), 0.0)
+        lam = max(float(v @ deflated(v)), 0.0)
         idx = int(np.argmax(np.abs(v)))
         if v[idx] < 0:
             v = -v
-        components.append(v)
-        variances.append(lam)
-        deflated = deflated - lam * np.outer(v, v)
-    return np.array(components), tuple(variances)
+        components = np.vstack([components, v])
+        variances = np.append(variances, lam)
+    return components, tuple(variances.tolist())
 
 
-def _dominant_eigvec(matrix, prev, tol, max_iters, restart_seed):
-    n = matrix.shape[0]
-    basis = np.array(prev) if prev else None
+def _dominant_eigvec(operator, basis, tol, max_iters, restart_seed):
+    """Dominant eigenvector of ``operator`` orthogonal to the rows of ``basis``."""
+    n = basis.shape[1]
 
     def project_out(v):
-        if basis is not None:
-            v = v - basis.T @ (basis @ v)
-        return v
+        return v - basis.T @ (basis @ v)
 
     def seeded_start():
         rng = np.random.default_rng(restart_seed)
@@ -139,7 +151,7 @@ def _dominant_eigvec(matrix, prev, tol, max_iters, restart_seed):
         norm = np.linalg.norm(v)
     v /= norm
     for k in range(max_iters):
-        w = project_out(matrix @ v)
+        w = project_out(operator(v))
         if k == 0 and not restarted and abs(float(v @ w)) < 1e-12:
             # The all-ones start can sit in the null space even when variance
             # remains (e.g. every row sums to the same value), so a flat first

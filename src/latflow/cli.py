@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, FileFormatError, LatflowError
+from .errors import ConfigError, FileFormatError, LatflowError, read_text
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -61,8 +61,7 @@ def parse_stencil_text(text):
 
 
 def load_stencil(path):
-    with open(path) as f:
-        return parse_stencil_text(f.read())
+    return parse_stencil_text(read_text(path))
 
 
 # -- run config file format ------------------------------------------------
@@ -334,8 +333,7 @@ def cmd_gen_esn(args):
 def cmd_run(args):
     from .systems import build_system
 
-    with open(args.config) as f:
-        rc = run_config_from_text(f.read())
+    rc = run_config_from_text(read_text(args.config, ConfigError))
     init = make_initial_state(rc.system, rc.init)
     system = build_system(rc.system, init)
     history = system.run(rc.steps, record=True)

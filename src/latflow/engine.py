@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadStateValue, DimensionMismatch, FileFormatError, NotSquare
+from .errors import BadStateValue, DimensionMismatch, FileFormatError, NotSquare, read_text
 from .rules import MAP_THEN_MIX, apply_rule
 
 
@@ -69,8 +69,7 @@ class StateHistory:
 
     @classmethod
     def load_csv(cls, path):
-        with open(path) as f:
-            return cls.from_csv(f.read())
+        return cls.from_csv(read_text(path))
 
     # -- binary: magic LFST, u32 row count, u32 width, f64 LE row-major ---
 
@@ -105,8 +104,7 @@ def load_history(path):
         magic = f.read(4)
     if magic == b"LFST":
         return StateHistory.load_binary(path)
-    with open(path) as f:
-        return StateHistory.from_csv(f.read())
+    return StateHistory.load_csv(path)
 
 
 class DynamicalSystem:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all latflow modules.
 
 Everything derives from :class:`LatflowError` so callers (and the CLI) can
-catch one base class.  Names describe the violated contract.
+catch one base class.  Names describe the violated contract.  Text files are
+read through :func:`read_text`, so bytes that are not UTF-8 raise one too.
 """
 
 
@@ -91,3 +92,12 @@ class FileFormatError(LatflowError):
 
 class ConfigError(LatflowError):
     pass
+
+
+def read_text(path, error=FileFormatError):
+    """The contents of a UTF-8 text file; undecodable bytes raise ``error``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc

@@ -24,6 +24,7 @@ from .errors import (
     KeyOutOfTable,
     NonIntegerKey,
     RuleOutOfRange,
+    read_text,
 )
 from .sparse import _MAX_READ_BYTES
 from .topology import _words
@@ -358,5 +359,4 @@ def save_rule(path, rule):
 
 
 def load_rule(path):
-    with open(path) as f:
-        return rule_from_text(f.read())
+    return rule_from_text(read_text(path))

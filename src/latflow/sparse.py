@@ -8,6 +8,8 @@ stored as float64, even for integer lookup-table weights, so one matvec path
 serves discrete and continuous systems alike.
 """
 
+import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import (
     IndexOutOfBounds,
     NonFiniteWeight,
     NotSquare,
+    read_text,
 )
 
 
@@ -242,62 +245,69 @@ _MM_HEADER = "%%MatrixMarket matrix coordinate real general"
 # are read: Matrix Market row pointers, and the rule text's count key spans
 # and per-node padding; a file declaring more is refused
 _MAX_READ_BYTES = 1 << 30
+_MM_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
 def save_matrix_market(path, m):
     """Write coordinate-format Matrix Market, 1-based, sorted by (row, col)."""
-    rows = np.repeat(np.arange(m.n_rows), np.diff(m.indptr))
+    rows = np.repeat(np.arange(1, m.n_rows + 1), np.diff(m.indptr))
+    # each distinct weight is formatted once; keyed by its bits so that -0.0
+    # keeps its own repr
+    bits, inverse = np.unique(m.data.view(np.int64), return_inverse=True)
+    reprs = np.array([repr(w) for w in bits.view(np.float64).tolist()], dtype=object)
+    fields = np.empty(3 * m.nnz, dtype=object)
+    fields[0::3] = rows.tolist()
+    fields[1::3] = (m.indices + 1).tolist()
+    fields[2::3] = reprs[inverse]
     with open(path, "w") as f:
-        f.write(_MM_HEADER + "\n")
-        f.write(f"{m.n_rows} {m.n_cols} {m.nnz}\n")
-        for r, c, w in zip(rows, m.indices, m.data):
-            f.write(f"{r + 1} {c + 1} {float(w)!r}\n")
+        f.write(f"{_MM_HEADER}\n{m.n_rows} {m.n_cols} {m.nnz}\n")
+        f.write(("%d %d %s\n" * m.nnz) % tuple(fields))
 
 
 def load_matrix_market(path):
-    """Read a coordinate-format Matrix Market file; entries may be in any order."""
-    with open(path) as f:
-        header = f.readline().strip()
-        parts = header.lower().split()
-        if (
-            len(parts) != 5
-            or parts[0] != "%%matrixmarket"
-            or parts[1] != "matrix"
-            or parts[2] != "coordinate"
-            or parts[3] not in ("real", "integer")
-            or parts[4] != "general"
-        ):
-            raise FileFormatError(f"unsupported Matrix Market header: {header!r}")
-        size_line = None
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            size_line = line
-            break
-        if size_line is None:
-            raise FileFormatError("missing size line")
-        try:
-            n_rows, n_cols, nnz = (int(x) for x in size_line.split())
-        except ValueError as exc:
-            raise FileFormatError(f"bad size line: {size_line!r}") from exc
-        if 8 * (n_rows + 1) > _MAX_READ_BYTES:
-            raise FileFormatError(
-                f"{n_rows} rows need more than {_MAX_READ_BYTES} bytes of row pointers"
-            )
-        triplets = []
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise FileFormatError(f"bad entry line: {line!r}")
-            try:
-                i, j, w = int(fields[0]), int(fields[1]), float(fields[2])
-            except ValueError as exc:
-                raise FileFormatError(f"bad entry line: {line!r}") from exc
-            triplets.append((i - 1, j - 1, w))
-    if len(triplets) != nnz:
-        raise FileFormatError(f"expected {nnz} entries, found {len(triplets)}")
-    return SparseMatrix.from_triplets(n_rows, n_cols, triplets)
+    """Read a coordinate-format Matrix Market file; entries may be in any order.
+
+    After the size line, a ``%`` starts a comment anywhere on a line.
+    """
+    lines = io.StringIO(read_text(path))
+    header = lines.readline().strip()
+    parts = header.lower().split()
+    if (
+        len(parts) != 5
+        or parts[0] != "%%matrixmarket"
+        or parts[1] != "matrix"
+        or parts[2] != "coordinate"
+        or parts[3] not in ("real", "integer")
+        or parts[4] != "general"
+    ):
+        raise FileFormatError(f"unsupported Matrix Market header: {header!r}")
+    size_line = None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("%"):
+            continue
+        size_line = line
+        break
+    if size_line is None:
+        raise FileFormatError("missing size line")
+    try:
+        n_rows, n_cols, nnz = (int(x) for x in size_line.split())
+    except ValueError as exc:
+        raise FileFormatError(f"bad size line: {size_line!r}") from exc
+    if 8 * (n_rows + 1) > _MAX_READ_BYTES:
+        raise FileFormatError(
+            f"{n_rows} rows need more than {_MAX_READ_BYTES} bytes of row pointers"
+        )
+    try:
+        with warnings.catch_warnings():
+            # a file without entries is valid
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            entries = np.loadtxt(lines, dtype=_MM_ENTRY, comments="%", ndmin=1)
+    except ValueError as exc:
+        raise FileFormatError(f"bad entry line: {exc}") from exc
+    if len(entries) != nnz:
+        raise FileFormatError(f"expected {nnz} entries, found {len(entries)}")
+    rows, cols = entries["i"], entries["j"]
+    if len(entries) and min(rows.min(), cols.min()) == np.iinfo(np.int64).min:
+        raise FileFormatError("an entry index lies outside int64")
+    return SparseMatrix.from_coo(n_rows, n_cols, rows - 1, cols - 1, entries["w"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from latflow.errors import (
     SingularSystem,
     TooFewRows,
 )
-from latflow.systems import echo_state_network
+from latflow.systems import echo_state_network, game_of_life
 
 
 # -- principal components --------------------------------------------------
@@ -67,6 +69,54 @@ def test_pca_flat_ones_direction_still_finds_dominant(rng):
     for got, want in zip(variances, w[:2]):
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
     assert np.max(np.abs(comps @ comps.T - np.eye(2))) < 1e-9
+
+
+def _dense_eigenpairs(X):
+    """Eigenpairs of np.cov by LAPACK, decreasing, each vector sign-fixed."""
+    w, V = np.linalg.eigh(np.cov(X, rowvar=False, ddof=1))
+    order = np.argsort(w)[::-1]
+    V = V[:, order].T
+    V *= np.sign(V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)])[:, None]
+    return w[order], V
+
+
+@pytest.mark.parametrize("rows,dim", [(3, 50), (12, 200), (40, 41)])
+def test_pca_fewer_rows_than_cells_matches_dense_eigh(rows, dim):
+    X = np.random.default_rng(rows * dim).normal(size=(rows, dim))
+    w, V = _dense_eigenpairs(X)
+    k = min(rows - 1, 5)
+    comps, variances = principal_components(X, k)
+    assert np.max(np.abs(comps - V[:k])) < 1e-8
+    assert np.max(np.abs(np.array(variances) - w[:k])) < 1e-8
+    # rows points span rows - 1 directions: the last component has no variance
+    comps, variances = principal_components(X, rows)
+    assert np.max(np.abs(comps @ comps.T - np.eye(rows))) < 1e-9
+    assert min(variances) >= 0.0
+    assert variances[-1] < 1e-8
+    assert np.max(np.abs(np.array(variances[:-1]) - w[: rows - 1])) < 1e-8
+
+
+def test_pca_flat_ones_direction_restarts_with_fewer_rows_than_cells(rng):
+    X = rng.normal(size=(8, 30))
+    X -= X.mean(axis=1, keepdims=True)
+    w, V = _dense_eigenpairs(X)
+    comps, variances = principal_components(X, 3)
+    assert variances[2] > 1e-3
+    assert np.max(np.abs(comps - V[:3])) < 1e-8
+    assert np.max(np.abs(np.array(variances) - w[:3])) < 1e-8
+
+
+def test_pca_short_history_allocates_no_cells_by_cells_array():
+    init = (np.random.default_rng(7).random(5000) < 0.3).astype(float)
+    X = game_of_life(100, 50, init=init).run(19, record=True).states
+    tracemalloc.start()
+    try:
+        principal_components(X, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 5000 x 5000 float64 covariance alone would be 200 MB
+    assert peak < 32 * 2**20
 
 
 def test_pca_sign_convention(rng):

@@ -342,3 +342,25 @@ def test_cycle_command_non_finite_lfst_exits_3(tmp_path, capsys):
     StateHistory(np.array([[1.0, np.nan], [np.inf, 0.0]])).save_binary(record)
     assert run_cli("cycle", "--states", record) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pca", "cycle", "render"])
+def test_non_utf8_state_file_exits_3(tmp_path, capsys, command):
+    states = tmp_path / "f"
+    states.write_bytes(b"LFSX\x85\x00\x00\x00\xff\xfe")
+    extra = {"pca": ["--out", tmp_path / "p.csv"], "cycle": [],
+             "render": ["--width", 2, "--height", 1]}[command]
+    assert run_cli(command, "--states", states, *extra) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_config_and_stencil_exit_3(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_bytes(b"system = life\nsteps = 1\n# \xff\n")
+    assert run_cli("run", "--config", conf) == 3
+    stencil = tmp_path / "s.txt"
+    stencil.write_bytes(b"0 1 0\n\xfe\ncenter 1 1\n")
+    code = run_cli("gen", "ca2d", "--width", 4, "--height", 4,
+                   "--stencil-file", stencil, "-o", tmp_path / "m.mtx")
+    assert code == 3
+    assert capsys.readouterr().err.count("not UTF-8") == 2

@@ -228,3 +228,13 @@ def test_binary_non_finite_rejected_naming_the_row(tmp_path):
     StateHistory([[1.0, 0.0], [-np.inf, 0.0]]).save_binary(path)
     with pytest.raises(FileFormatError, match="row 1"):
         load_history(path)
+
+
+def test_non_utf8_state_text_is_a_format_error(tmp_path):
+    # sniffed as text, since the magic is not LFST
+    path = tmp_path / "h.csv"
+    path.write_bytes(b"LFSX\x85\x00\x00\x00\xff\xfe")
+    with pytest.raises(FileFormatError, match="UTF-8"):
+        StateHistory.load_csv(path)
+    with pytest.raises(FileFormatError, match="UTF-8"):
+        load_history(path)

@@ -1,0 +1,142 @@
+"""Fuzz the four file loaders with mutated valid files and raw bytes.
+
+Each loader must either refuse its input with a LatflowError or return a
+value that writes back to a file the loader reads as the same value, whose
+writing is then a fixed point.  Anything else (a raw ValueError, an
+OverflowError, a UnicodeDecodeError, a silent change on the second read)
+is a failure.
+"""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from latflow.engine import StateHistory, load_history
+from latflow.errors import LatflowError
+from latflow.rules import (
+    ContinuousMap,
+    elementary_rule,
+    game_of_life_rule,
+    load_rule,
+    random_boolean_tables,
+    rule_to_text,
+    save_rule,
+)
+from latflow.sparse import load_matrix_market, save_matrix_market
+
+# bytes a mutation inserts or writes over: the tokens of every format, and
+# bytes that are not UTF-8 on their own
+EDIT_BYTES = b"0123456789 .-+eE%:,=#\n\t\rnaifkx\x00\x80\xc3\xff"
+
+_HISTORY = StateHistory([[0.0, 1.0, -0.5], [2.5e-3, -0.0, 1e300]])
+
+
+MM_SEEDS = [
+    "%%MatrixMarket matrix coordinate real general\n3 4 3\n1 4 1.0\n2 2 2.0\n3 1 -0.25\n",
+    "%%MatrixMarket matrix coordinate integer general\n% c\n\n2 2 2\n2 1 7\n1 2 -0\n",
+]
+
+
+def _seed_bytes(kind, tmp_path):
+    """The valid files a mutation starts from, as bytes."""
+    if kind == "mm":
+        return [text.encode() for text in MM_SEEDS]
+    if kind == "rule":
+        rules = [elementary_rule(110), game_of_life_rule(),
+                 random_boolean_tables(3, 2, seed=1), ContinuousMap("logistic", r=3.9)]
+        return [rule_to_text(rule).encode() for rule in rules]
+    if kind == "csv":
+        return [_HISTORY.to_csv().encode(), b"1,2\n\n3,4\n"]
+    _HISTORY.save_binary(tmp_path / "seed")
+    return [(tmp_path / "seed").read_bytes()]
+
+
+@st.composite
+def mutations(draw):
+    """A list of (position fraction, op, byte) edits applied in order."""
+    return draw(st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0),
+            st.sampled_from(["insert", "replace", "delete"]),
+            st.sampled_from(list(EDIT_BYTES)),
+        ),
+        min_size=1,
+        max_size=3,
+    ))
+
+
+def _mutate(raw, edits):
+    raw = bytearray(raw)
+    for frac, op, byte in edits:
+        k = min(int(frac * len(raw)), len(raw))
+        if op == "insert":
+            raw.insert(k, byte)
+        elif k < len(raw):
+            if op == "replace":
+                raw[k] = byte
+            else:
+                del raw[k]
+    return bytes(raw)
+
+
+def _load_save(kind, path, out):
+    """Load ``path`` with the loader of ``kind``, write what it read to ``out``
+    and return a comparable form of the value."""
+    if kind == "mm":
+        m = load_matrix_market(path)
+        save_matrix_market(out, m)
+        return m.shape, m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()
+    if kind == "rule":
+        rule = load_rule(path)
+        save_rule(out, rule)
+        return rule_to_text(rule)
+    history = StateHistory.load_binary(path) if kind == "lfst" else load_history(path)
+    if kind == "lfst":
+        history.save_binary(out)
+    else:
+        history.save_csv(out)
+    return history.states.shape, history.states.tobytes()
+
+
+def _refused_or_round_trips(kind, raw, tmp_path):
+    path, first, second = (tmp_path / name for name in ("in", "out1", "out2"))
+    path.write_bytes(raw)
+    try:
+        value = _load_save(kind, path, first)
+    except LatflowError:
+        return
+    assert _load_save(kind, first, second) == value
+    assert second.read_bytes() == first.read_bytes()
+
+
+FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+KINDS = st.sampled_from(["mm", "rule", "csv", "lfst"])
+
+
+def test_seed_files_round_trip(tmp_path):
+    for kind in ("mm", "rule", "csv", "lfst"):
+        for raw in _seed_bytes(kind, tmp_path):
+            path = tmp_path / "in"
+            path.write_bytes(raw)
+            _load_save(kind, path, tmp_path / "out")  # every seed is valid
+            _refused_or_round_trips(kind, raw, tmp_path)
+
+
+@FUZZ
+@given(kind=KINDS, which=st.integers(0, 3), edits=mutations())
+def test_mutated_files_are_refused_or_round_trip(tmp_path, kind, which, edits):
+    seeds = _seed_bytes(kind, tmp_path)
+    _refused_or_round_trips(kind, _mutate(seeds[which % len(seeds)], edits), tmp_path)
+
+
+@FUZZ
+@given(
+    kind=KINDS,
+    prefix=st.sampled_from([b"", b"LFST", b"%%MatrixMarket matrix coordinate real general\n",
+                            b"# latflow rule v1 tables=index0first\nrule "]),
+    raw=st.binary(max_size=48),
+)
+def test_raw_bytes_are_refused_or_round_trip(tmp_path, kind, prefix, raw):
+    _refused_or_round_trips(kind, prefix + raw, tmp_path)
+

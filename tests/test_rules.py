@@ -289,3 +289,10 @@ def test_pernode_text_padding_bounded_before_allocating():
     text = HEADER + f"rule pernode n=2 nodes={nodes}\n" + "\n".join(lines) + "\n"
     with pytest.raises(FileFormatError, match="padding"):
         rule_from_text(text)
+
+
+def test_non_utf8_rule_file_is_a_format_error(tmp_path):
+    path = tmp_path / "r.txt"
+    path.write_bytes(b"# latflow rule v1 tables=index0first\nrule pattern n=2 table=0\xff\n")
+    with pytest.raises(FileFormatError, match="UTF-8"):
+        load_rule(path)

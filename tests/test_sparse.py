@@ -293,3 +293,57 @@ def test_matrix_market_huge_declared_shape_refused_before_allocating(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate real general\n3000000000 3000000000 0\n")
     with pytest.raises(FileFormatError, match="row pointers"):
         load_matrix_market(path)
+
+
+MM_HEAD = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def test_matrix_market_write_matches_per_entry_formatting(tmp_path, rng):
+    # repeated, signed-zero and full-precision weights, each formatted alone
+    vals = np.concatenate([rng.uniform(-1, 1, 30), [0.0, -0.0, 1.0, 1.0, -0.0, 1e-300, 0.1]])
+    flat = rng.choice(40 * 40, size=len(vals), replace=False)
+    m = SparseMatrix.from_coo(40, 40, flat // 40, flat % 40, vals)
+    path = tmp_path / "m.mtx"
+    save_matrix_market(path, m)
+    expect = MM_HEAD + f"{m.n_rows} {m.n_cols} {m.nnz}\n" + "".join(
+        f"{r + 1} {c + 1} {w!r}\n" for r, c, w in m.triplets()
+    )
+    assert path.read_text() == expect
+
+
+@pytest.mark.parametrize("line", ["99999999999999999999 1 1.0", "1 -9223372036854775808 1.0"])
+def test_matrix_market_index_outside_int64_is_a_format_error(tmp_path, line):
+    path = tmp_path / "m.mtx"
+    path.write_text(MM_HEAD + f"2 2 1\n{line}\n")
+    with pytest.raises(FileFormatError):
+        load_matrix_market(path)
+
+
+def test_matrix_market_percent_after_an_entry_starts_a_comment(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(MM_HEAD + "2 2 2\n1 2 3.5 % first\n2 1 -1%second\n")
+    assert np.array_equal(load_matrix_market(path).to_dense(), [[0.0, 3.5], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("entry", ["1 1", "1 1 1 1", "1.0 1 1", "1 1 x", "1 1 1,", "1_0 1 1"])
+def test_matrix_market_bad_entry_is_a_format_error(tmp_path, entry):
+    path = tmp_path / "m.mtx"
+    path.write_text(MM_HEAD + f"20 20 2\n1 1 1\n{entry}\n")
+    with pytest.raises(FileFormatError):
+        load_matrix_market(path)
+
+
+def test_matrix_market_without_entries(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(MM_HEAD + "3 4 0\n% nothing\n\n")
+    assert load_matrix_market(path).shape == (3, 4)
+    path.write_text(MM_HEAD + "3 4 1\n")
+    with pytest.raises(FileFormatError, match="expected 1 entries, found 0"):
+        load_matrix_market(path)
+
+
+def test_matrix_market_non_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(MM_HEAD.encode() + b"1 1 1\n1 1 \xff\n")
+    with pytest.raises(FileFormatError, match="UTF-8"):
+        load_matrix_market(path)
