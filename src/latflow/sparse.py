@@ -300,6 +300,9 @@ def load_matrix_market(path):
         )
     try:
         with warnings.catch_warnings():
+            # numpy < 2 parses an integer field through a float with only a
+            # DeprecationWarning ("1.5" -> 1); as an error it is a ValueError
+            warnings.simplefilter("error", DeprecationWarning)
             # a file without entries is valid
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             entries = np.loadtxt(lines, dtype=_MM_ENTRY, comments="%", ndmin=1)
@@ -307,7 +310,6 @@ def load_matrix_market(path):
         raise FileFormatError(f"bad entry line: {exc}") from exc
     if len(entries) != nnz:
         raise FileFormatError(f"expected {nnz} entries, found {len(entries)}")
-    rows, cols = entries["i"], entries["j"]
-    if len(entries) and min(rows.min(), cols.min()) == np.iinfo(np.int64).min:
-        raise FileFormatError("an entry index lies outside int64")
-    return SparseMatrix.from_coo(n_rows, n_cols, rows - 1, cols - 1, entries["w"])
+    return SparseMatrix.from_coo(
+        n_rows, n_cols, entries["i"] - 1, entries["j"] - 1, entries["w"]
+    )

@@ -311,11 +311,18 @@ def test_matrix_market_write_matches_per_entry_formatting(tmp_path, rng):
     assert path.read_text() == expect
 
 
-@pytest.mark.parametrize("line", ["99999999999999999999 1 1.0", "1 -9223372036854775808 1.0"])
-def test_matrix_market_index_outside_int64_is_a_format_error(tmp_path, line):
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("99999999999999999999 1 1.0", FileFormatError),
+        # fits int64, but its 0-based index wraps to the largest int64
+        ("1 -9223372036854775808 1.0", IndexOutOfBounds),
+    ],
+)
+def test_matrix_market_index_outside_int64_is_refused(tmp_path, line, error):
     path = tmp_path / "m.mtx"
     path.write_text(MM_HEAD + f"2 2 1\n{line}\n")
-    with pytest.raises(FileFormatError):
+    with pytest.raises(error):
         load_matrix_market(path)
 
 
