@@ -237,47 +237,63 @@ def make_initial_state(sysconf, init_spec):
 # -- rendering -------------------------------------------------------------
 
 def _integer_grid(history, width, height):
+    """The states as an int64 array of frames x height x width."""
     import numpy as np
 
-    if width * height != history.n:
+    if width < 1 or height < 1 or width * height != history.n:
         raise ConfigError(
             f"{width}x{height} grid does not match {history.n} cells"
         )
     vals = history.states
+    if len(vals) == 0:
+        raise FileFormatError("no states to render")
     if np.any(vals != np.rint(vals)) or vals.min() < 0:
         raise FileFormatError("rendering needs non-negative integer states")
-    return vals.astype(np.int64)
+    return vals.astype(np.int64).reshape(-1, height, width)
 
 
 def render_txt(history, width, height):
     """Dots and hashes for binary states, one digit per cell otherwise."""
+    import numpy as np
+
     grids = _integer_grid(history, width, height)
     top = int(grids.max(initial=0))
     if top > 9:
         raise FileFormatError(
             f"txt rendering supports at most 10 states, max value is {top}"
         )
-    if top <= 1:
-        glyph = {0: ".", 1: "#"}.get
-    else:
-        glyph = str
-    frames = []
-    for frame in grids:
-        rows = frame.reshape(height, width)
-        frames.append("\n".join("".join(glyph(int(v)) for v in row) for row in rows))
-    return "\n\n".join(frames) + "\n"
+    glyphs = np.frombuffer(b".#" if top <= 1 else b"0123456789", dtype=np.uint8)
+    rows = np.full(grids.shape[:2] + (width + 1,), ord("\n"), dtype=np.uint8)
+    rows[..., :width] = glyphs[grids]
+    # every row ends in a newline; one more between frames leaves a blank line
+    return b"\n".join(frame.tobytes() for frame in rows).decode("ascii")
 
 
 def render_pgm_files(history, width, height, prefix):
+    import numpy as np
+
     grids = _integer_grid(history, width, height)
     maxval = max(1, int(grids.max(initial=0)))
+    digits = len(str(maxval))
+    # each value right-aligned in ``digits`` bytes, then a space, or a newline
+    # at the end of a row
+    cells = np.empty(grids.shape + (digits + 1,), dtype=np.uint8)
+    rest = grids.copy()
+    for k in range(digits - 1, -1, -1):
+        cells[..., k] = ord("0") + rest % 10
+        rest //= 10
+    cells[..., digits] = ord(" ")
+    cells[..., -1, digits] = ord("\n")
+    # the leading zeros of values shorter than ``digits`` are dropped
+    keep = np.ones(cells.shape, dtype=bool)
+    for k in range(digits - 1):
+        keep[..., k] = grids >= 10 ** (digits - 1 - k)
     paths = []
-    for step, frame in enumerate(grids):
-        rows = frame.reshape(height, width)
-        body = "\n".join(" ".join(str(int(v)) for v in row) for row in rows)
+    for step, (frame, mask) in enumerate(zip(cells, keep)):
         path = f"{prefix}{step:04d}.pgm"
         with open(path, "w") as f:
-            f.write(f"P2\n{width} {height}\n{maxval}\n{body}\n")
+            f.write(f"P2\n{width} {height}\n{maxval}\n")
+            f.write(frame[mask].tobytes().decode("ascii"))
         paths.append(path)
     return paths
 

@@ -38,26 +38,20 @@ class StateHistory:
             f.write(self.to_csv())
 
     def to_csv(self):
-        return "".join(
-            ",".join(repr(float(v)) for v in row) + "\n" for row in self.states
-        )
+        # a row at a time: tolist() of the whole history would hold every
+        # value as a Python float at once
+        return "".join(",".join(map(repr, row.tolist())) + "\n" for row in self.states)
 
     @classmethod
     def from_csv(cls, text):
-        rows = []
-        for ln in text.splitlines():
-            ln = ln.strip()
-            if not ln:
-                continue
-            try:
-                rows.append([float(v) for v in ln.split(",")])
-            except ValueError as exc:
-                raise FileFormatError(f"bad CSV row: {ln!r}") from exc
-        if not rows:
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
             raise FileFormatError("empty state CSV")
-        if len({len(r) for r in rows}) != 1:
-            raise FileFormatError("ragged state CSV")
-        return cls(rows)._finite("state CSV")
+        try:
+            states = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise FileFormatError(f"bad state CSV: {exc}") from exc
+        return cls(states)._finite("state CSV")
 
     def _finite(self, source):
         """Self, or FileFormatError naming the first row holding NaN or inf."""

@@ -197,3 +197,20 @@ def table_lookup(entries, pre, per_node):
             return "KeyOutOfTable"
         out.append(float(table[key]))
     return out
+
+
+def first_cycle_within(states, tol):
+    """(transient, period) of the first pair s < j, in order of j then s,
+    whose rows agree within ``tol`` in every cell and whose repetition holds
+    for every later row; (0, 0) if none.  Plain loops over Python floats."""
+    rows = [list(map(float, row)) for row in states]
+
+    def close(a, b):
+        return all(abs(x - y) <= tol for x, y in zip(a, b))
+
+    for j in range(1, len(rows)):
+        for s in range(j):
+            p = j - s
+            if all(close(rows[m], rows[m + p]) for m in range(s, len(rows) - p)):
+                return s, p
+    return 0, 0

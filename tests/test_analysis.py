@@ -119,6 +119,41 @@ def test_pca_short_history_allocates_no_cells_by_cells_array():
     assert peak < 32 * 2**20
 
 
+def test_pca_near_equal_variances_match_svd():
+    # 19 nearly equal leading variances stalled the old power iteration
+    X = np.random.default_rng(7).normal(size=(20, 5000))
+    comps, variances = principal_components(X, 2)
+    centered = X - X.mean(axis=0)
+    _, sv, Vt = np.linalg.svd(centered, full_matrices=False)
+    assert np.max(np.abs(np.array(variances) - sv[:2] ** 2 / 19)) < 1e-9
+    assert np.max(np.abs(np.abs(np.sum(comps * Vt[:2], axis=1)) - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+def test_pca_sign_takes_the_first_of_tied_magnitudes(dim):
+    # |d[1]| exceeds |d[0]| by 4e-15, within the 1e-12 tie window: d[0],
+    # the first of the tied coordinates, decides the sign
+    d = np.zeros(dim)
+    d[:3] = [-1.0, 1.0 + 4e-15, 0.5]
+    X = np.outer([-2.0, -1.0, 0.0, 1.0, 2.0], d)
+    comps, _ = principal_components(X, 1)
+    assert np.max(np.abs(comps[0] + d / np.linalg.norm(d))) < 1e-12
+    assert comps[0, 0] > 0
+
+
+def test_pca_completes_zero_variance_components_to_an_orthonormal_basis():
+    # 10 rows repeating two states: one direction of variance, nine of none
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(2, 30))
+    X = np.array([a, b] * 5)
+    comps, variances = principal_components(X, 10)
+    assert np.max(np.abs(comps @ comps.T - np.eye(10))) < 1e-9
+    centered = X - X.mean(axis=0)
+    assert variances[0] == pytest.approx(np.sum((a - b) ** 2) * 10 / 4 / 9, rel=1e-12)
+    assert np.max(np.abs(centered @ comps[1:].T)) < 1e-9
+    assert all(0.0 <= v < 1e-12 for v in variances[1:])
+
+
 def test_pca_sign_convention(rng):
     X = rng.normal(size=(30, 5))
     comps, _ = principal_components(X, 3)
@@ -241,6 +276,21 @@ def test_cycle_tail_must_verify():
     # candidate is (0, 4), whose continuation is vacuously consistent
     h = StateHistory(np.array([[0.0], [1.0], [0.0], [5.0], [0.0]]))
     assert detect_cycle(h) == CycleReport(0, 4)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 1.5])
+@pytest.mark.parametrize("tol", [1e-2, 1e-5, 1e-9])
+def test_cycle_with_tolerance_matches_brute_force(rho, tol):
+    for seed in range(4):
+        init = np.random.default_rng(seed).uniform(-1.0, 1.0, 10)
+        system = echo_state_network(10, 0.4, rho, seed, init=init)
+        states = system.run(60, record=True).states
+        # and a copy whose second half repeats its first, within 1e-6
+        repeated = np.vstack([states[:30], states[:30] + 1e-6])
+        for h in (states, repeated):
+            got = detect_cycle(StateHistory(h), tol=tol)
+            expected = oracles.first_cycle_within(h, tol)
+            assert (got.transient_length, got.period) == expected
 
 
 def test_cycle_deterministic_map_property(rng):

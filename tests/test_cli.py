@@ -6,6 +6,7 @@ from latflow.cli import (
     make_initial_state,
     parse_config_text,
     parse_stencil_text,
+    render_pgm_files,
     render_txt,
     run_config_from_text,
     run_config_to_text,
@@ -364,3 +365,82 @@ def test_non_utf8_config_and_stencil_exit_3(tmp_path, capsys):
                    "--stencil-file", stencil, "-o", tmp_path / "m.mtx")
     assert code == 3
     assert capsys.readouterr().err.count("not UTF-8") == 2
+
+
+def _pgm_per_cell(grid, maxval):
+    """A PGM frame formatted one cell at a time."""
+    body = "\n".join(" ".join(str(int(v)) for v in row) for row in grid)
+    return f"P2\n{grid.shape[1]} {grid.shape[0]}\n{maxval}\n{body}\n"
+
+
+@pytest.mark.parametrize("top", [2, 9, 10, 120])
+def test_render_pgm_bytes_match_per_cell_formatting(tmp_path, top):
+    rng = np.random.default_rng(top)
+    states = rng.integers(0, top + 1, size=(4, 15)).astype(float)
+    states[0, 3] = top
+    paths = render_pgm_files(StateHistory(states), 5, 3, str(tmp_path / "f_"))
+    assert len(paths) == 4
+    for path, row in zip(paths, states):
+        with open(path, "rb") as f:
+            assert f.read() == _pgm_per_cell(row.reshape(3, 5), top).encode()
+
+
+def test_render_txt_matches_per_cell_formatting():
+    states = np.random.default_rng(3).integers(0, 3, size=(3, 12)).astype(float)
+    frames = ["\n".join("".join(str(int(v)) for v in row) for row in s.reshape(4, 3))
+              for s in states]
+    assert render_txt(StateHistory(states), 3, 4) == "\n\n".join(frames) + "\n"
+
+
+def test_render_refuses_empty_history_and_non_positive_sides(tmp_path):
+    with pytest.raises(FileFormatError, match="no states"):
+        render_txt(StateHistory(np.zeros((0, 6))), 2, 3)
+    with pytest.raises(ConfigError):
+        render_txt(StateHistory(np.zeros((2, 6))), -2, -3)
+    record = tmp_path / "h.lfst"
+    StateHistory(np.zeros((0, 6))).save_binary(record)
+    assert run_cli("render", "--states", record, "--width", 2, "--height", 3) == 3
+
+
+# SHA-256 of the files and output of a seeded 16 x 16 life run, as the
+# per-value CSV, render and cycle code wrote them
+LIFE_16_DIGESTS = {
+    "history.csv": "b3cc3afee0b5be4783f5be48316c0841d953897aa7dfad31b9cb3716788a4c9b",
+    "render.txt": "f66df3d2e0e5d862c1849b903c889c87f55fbd1c7b6d7fb91ccff49426bea204",
+    "pgm frames": "f2c37e2fec7c18d353bfcc7d880326e9bc17c8479cb4fe3b4232ff6abb685f47",
+    "cycle stdout": "8ae38efddc2fccf6eb4dd1874bfe1549d8c09786551753e69038a9d66d36db38",
+}
+
+
+def test_seeded_life_run_cycle_render_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(
+        "system = life\nwidth = 16\nheight = 16\nwrapped = true\nsteps = 120\n"
+        "init = random\nseed = 2\nrecord = history.csv\n"
+    )
+    assert run_cli("run", "--config", "run.cfg") == 0
+    capsys.readouterr()
+    assert run_cli("cycle", "--states", "history.csv") == 0
+    cycle = capsys.readouterr().out
+    assert cycle == "transient=32 period=2\n"
+    grid = ["--states", "history.csv", "--width", 16, "--height", 16]
+    assert run_cli("render", *grid, "--out", "render.txt") == 0
+    assert run_cli("render", *grid, "--format", "pgm", "--out-prefix", "f_") == 0
+    frames = sorted(tmp_path.glob("f_*.pgm"))
+    assert len(frames) == 121
+    digests = {
+        "history.csv": hashlib.sha256((tmp_path / "history.csv").read_bytes()),
+        "render.txt": hashlib.sha256((tmp_path / "render.txt").read_bytes()),
+        "pgm frames": hashlib.sha256(b"".join(f.read_bytes() for f in frames)),
+        "cycle stdout": hashlib.sha256(cycle.encode()),
+    }
+    assert {name: d.hexdigest() for name, d in digests.items()} == LIFE_16_DIGESTS
+    capsys.readouterr()
+    assert run_cli("pca", "--states", "history.csv", "--out", "pca.csv",
+                   "--components", 3) == 0
+    printed = capsys.readouterr().out.split("explained_variance=")[1]
+    states = load_history(tmp_path / "history.csv").states
+    expected = np.linalg.eigvalsh(np.cov(states, rowvar=False))[::-1][:3]
+    assert np.max(np.abs(np.array(printed.split(","), dtype=float) - expected)) < 1e-10

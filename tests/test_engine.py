@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
 from latflow.engine import DynamicalSystem, StateHistory, load_history
@@ -164,6 +167,28 @@ def test_csv_round_trip_exact(tmp_path, rng):
     h.save_csv(path)
     back = StateHistory.load_csv(path)
     assert np.array_equal(back.states, data)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e16, 1e-5, 0.1, 1.0]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=FINITE))
+def test_csv_is_repr_per_value_and_reads_back_exactly(x):
+    text = StateHistory(x).to_csv()
+    assert text == "".join(",".join(repr(float(v)) for v in row) + "\n" for row in x)
+    back = StateHistory.from_csv(text).states
+    assert back.shape == x.shape
+    assert back.tobytes() == x.tobytes()  # -0.0 keeps its sign
+
+
+@pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff11.5", "\u0661.\u0665", "0x10"])
+def test_csv_accepts_only_ascii_decimal_numbers(field):
+    # float() reads the first four (10.0, 1.0, 1.5, 1.5); the reader does not
+    with pytest.raises(FileFormatError):
+        StateHistory.from_csv(f"1.0,2.0\n3.0,{field}\n")
 
 
 def test_binary_round_trip_exact(tmp_path, rng):
