@@ -274,26 +274,12 @@ def render_pgm_files(history, width, height, prefix):
 
     grids = _integer_grid(history, width, height)
     maxval = max(1, int(grids.max(initial=0)))
-    digits = len(str(maxval))
-    # each value right-aligned in ``digits`` bytes, then a space, or a newline
-    # at the end of a row
-    cells = np.empty(grids.shape + (digits + 1,), dtype=np.uint8)
-    rest = grids.copy()
-    for k in range(digits - 1, -1, -1):
-        cells[..., k] = ord("0") + rest % 10
-        rest //= 10
-    cells[..., digits] = ord(" ")
-    cells[..., -1, digits] = ord("\n")
-    # the leading zeros of values shorter than ``digits`` are dropped
-    keep = np.ones(cells.shape, dtype=bool)
-    for k in range(digits - 1):
-        keep[..., k] = grids >= 10 ** (digits - 1 - k)
     paths = []
-    for step, (frame, mask) in enumerate(zip(cells, keep)):
+    for step, frame in enumerate(grids):
         path = f"{prefix}{step:04d}.pgm"
         with open(path, "w") as f:
             f.write(f"P2\n{width} {height}\n{maxval}\n")
-            f.write(frame[mask].tobytes().decode("ascii"))
+            np.savetxt(f, frame, fmt="%d")
         paths.append(path)
     return paths
 
