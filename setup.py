@@ -7,8 +7,9 @@ setup(
         Extension(
             "latflow._ckernels",
             ["src/latflow/_ckernels.c"],
-            # no -ffast-math: the lookup's key guard needs IEEE rint and NaN
-            extra_compile_args=["-O3"],
+            # no fused multiply-add: each float64 row is summed in order,
+            # with a rounding after every multiply and every add
+            extra_compile_args=["-O3", "-ffp-contract=off"],
             optional=True,
         )
     ]

@@ -19,7 +19,7 @@ from . import _kernels_py
 try:
     from . import _ckernels
 
-    _ckernels.table_lookup  # a build that predates the lookup kernel counts as absent
+    _ckernels.csr_matvec_u8  # a build that predates the integer kernels counts as absent
 except (ImportError, AttributeError):
     _ckernels = None
 
@@ -30,6 +30,9 @@ else:
 
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
+_I32 = np.dtype(np.int32)
+_I8 = np.dtype(np.int8)
+_U8 = np.dtype(np.uint8)
 
 
 def _is_buffer(array, dtype):
@@ -39,6 +42,11 @@ def _is_buffer(array, dtype):
 def _require(array, dtype, name):
     if not _is_buffer(array, dtype):
         raise ValueError(f"{name} must be a C-contiguous 1-d {dtype} array")
+
+
+def _require_span(data, indices, indptr):
+    if len(indptr) == 0 or indptr[0] != 0 or not len(data) == len(indices) == indptr[-1]:
+        raise ValueError("indptr does not span data and indices")
 
 
 def csr_matvec(data, indices, indptr, x):
@@ -61,33 +69,48 @@ def csr_matvec_compiled(data, indices, indptr, x):
     _require(indices, _I64, "indices")
     _require(indptr, _I64, "indptr")
     _require(x, _F64, "x")
-    if len(indptr) == 0 or indptr[0] != 0 or not len(data) == len(indices) == indptr[-1]:
-        raise ValueError("indptr does not span data and indices")
+    _require_span(data, indices, indptr)
     out = np.empty(len(indptr) - 1, dtype=np.float64)
     _ckernels.csr_matvec(data, indices, indptr, x, out)
     return out
 
 
-def table_lookup(pre, table, lo):
-    """``out[i] = table[rint(pre[i]) - lo]`` by the compiled kernel, or
-    ``table[i, rint(pre[i]) - lo]`` when the table has one row per cell.
+def csr_matvec_u8(data, indices, indptr, x):
+    """y = A @ x in int32 for int32 weights and column indices and a uint8
+    vector; the caller guarantees that no row's sum of |weight| * 255
+    reaches 2**31, so the product is exact."""
+    if BACKEND != "c":
+        return _kernels_py.csr_matvec(data, indices, indptr, x, np.int32)
+    _require(data, _I32, "data")
+    _require(indices, _I32, "indices")
+    _require(indptr, _I64, "indptr")
+    _require(x, _U8, "x")
+    _require_span(data, indices, indptr)
+    out = np.empty(len(indptr) - 1, dtype=np.int32)
+    _ckernels.csr_matvec_u8(data, indices, indptr, x, out)
+    return out
 
-    Returns None when the numpy fallback is active, when ``pre`` is not a
-    contiguous 1-d float64 array, when a 2-D table does not have one row per
-    entry of ``pre``, or when some key is not within 1e-6 of an integer,
-    lies outside [lo, lo + row width) or hits a -1 entry: the caller's numpy
-    path then gives the result or the precise error.
+
+def table_lookup(keys, table, lo):
+    """``out[i] = table[keys[i] - lo]`` by the compiled kernel, or
+    ``table[i, keys[i] - lo]`` when the table has one row per cell, as uint8.
+
+    Returns None when the numpy fallback is active, when ``keys`` is not a
+    contiguous 1-d int32 array, when a 2-D table does not have one row per
+    key, or when some key lies outside [lo, lo + row width) or hits a -1
+    entry: the caller's numpy path then gives the result or the precise
+    error.
     """
-    if BACKEND != "c" or not _is_buffer(pre, _F64):
+    if BACKEND != "c" or not _is_buffer(keys, _I32):
         return None
-    if table.ndim == 2 and len(table) != len(pre):
+    if table.ndim == 2 and len(table) != len(keys):
         return None
     flat = table.reshape(-1)
-    _require(flat, _I64, "table")
+    _require(flat, _I8, "table")
     width = table.shape[-1]
-    out = np.empty(len(pre), dtype=np.float64)
+    out = np.empty(len(keys), dtype=np.uint8)
     # the kernel reads row i at i * stride; stride 0 shares one row
-    if _ckernels.table_lookup(pre, flat, lo, width, width if table.ndim == 2 else 0, out) >= 0:
+    if _ckernels.table_lookup(keys, flat, lo, width, width if table.ndim == 2 else 0, out) >= 0:
         return None
     return out
 

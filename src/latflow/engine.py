@@ -5,8 +5,13 @@ The default update mixes first and maps second; continuous maps may declare
 map_then_mix instead, which applies the local map before the matrix so
 diffusively coupled lattices come out right.  There is no bias term and no
 per-step external input.
+
+A lookup-table rule with an int8 table keeps its state as uint8, so each
+step is an integer matvec and an integer-keyed lookup; the state and the
+recorded histories are float64 all the same.
 """
 
+import operator
 import struct
 
 import numpy as np
@@ -109,8 +114,13 @@ class DynamicalSystem:
             raise NotSquare(f"system matrix is {matrix.n_rows}x{matrix.n_cols}")
         self.matrix = matrix
         self.rule = rule
-        self.state = self._checked(state)
+        self._state = self._checked(state)
         self.t = 0
+
+    @property
+    def state(self):
+        """The current state as float64; a copy when the system is discrete."""
+        return self._state.astype(np.float64, copy=False)
 
     @property
     def n(self):
@@ -126,15 +136,17 @@ class DynamicalSystem:
             raise BadStateValue("state contains non-finite values")
         n_states = self.rule.n_states
         if n_states is not None:
-            if np.any(v != np.rint(v)) or v.min() < 0 or v.max() >= n_states:
+            if not np.all((v == np.rint(v)) & (v >= 0) & (v < n_states)):
                 raise BadStateValue(
                     f"discrete state values must be integers in [0, {n_states})"
                 )
+            if self.rule._table8 is not None:
+                return v.astype(np.uint8)
         return v
 
     def set_state(self, values):
         """Replace the state and reset the step counter."""
-        self.state = self._checked(values)
+        self._state = self._checked(values)
         self.t = 0
         return self
 
@@ -142,10 +154,9 @@ class DynamicalSystem:
         """Advance one synchronous step."""
         rule = self.rule
         if rule.n_states is None and rule.order == MAP_THEN_MIX:
-            new_state = self.matrix.matvec(rule.map_values(self.state))
+            self._state = self.matrix.matvec(rule.map_values(self._state))
         else:
-            new_state = apply_rule(rule, self.matrix.matvec(self.state))
-        self.state = new_state
+            self._state = apply_rule(rule, self.matrix.matvec(self._state))
         self.t += 1
         return self
 
@@ -154,6 +165,10 @@ class DynamicalSystem:
 
         The returned history has steps + 1 rows, the initial state included.
         """
+        try:
+            steps = operator.index(steps)
+        except TypeError:
+            raise BadStateValue(f"the step count {steps!r} is not an integer") from None
         if steps < 0:
             raise BadStateValue(f"cannot run {steps} steps")
         if not record:
@@ -161,8 +176,8 @@ class DynamicalSystem:
                 self.step()
             return None
         rows = np.empty((steps + 1, self.n), dtype=np.float64)
-        rows[0] = self.state
+        rows[0] = self._state
         for k in range(steps):
             self.step()
-            rows[k + 1] = self.state
+            rows[k + 1] = self._state
         return StateHistory(rows)

@@ -1,10 +1,10 @@
 """Update rules: the function applied around the adjacency matvec.
 
 Discrete systems use lookup tables keyed by the integer matvec result;
-continuous systems use an elementwise map.  Key recovery rounds to the
-nearest integer with a 1e-6 guard, and a violation is a hard error rather
-than a clamp: a non-integer key always means the stencil and the rule
-disagree about the encoding.
+continuous systems use an elementwise map.  An int32 matvec result is the
+key itself.  A float result is rounded to the nearest integer with a 1e-6
+guard, and a violation is a hard error rather than a clamp: a non-integer
+key always means the stencil and the rule disagree about the encoding.
 
 Own-state dependence is never threaded through the rule itself.  Where a
 rule needs the cell's own state (Conway's life), the matrix carries a
@@ -29,7 +29,10 @@ from .errors import (
 from .sparse import _MAX_READ_BYTES
 from .topology import _words
 
-KEY_TOL = 1e-6  # _ckernels.c repeats this value
+KEY_TOL = 1e-6
+# the most states whose table fits int8, with -1 for a hole, and whose
+# states fit the uint8 state of the integer lane
+LANE_MAX_STATES = 128
 
 MIX_THEN_MAP = "mix_then_map"
 MAP_THEN_MIX = "map_then_mix"
@@ -49,12 +52,16 @@ class TableRule:
     - per-node: 2-D from key 0, -1 only padding the end of a shorter row.
       Input m of a node adds n_states^m to its key, as the digraph
       generator's positional weights do.
+
+    With at most LANE_MAX_STATES states the rule also keeps the table as
+    int8 for the compiled lookup, and its next states are uint8.
     """
 
     table: np.ndarray = field(repr=False)
     n_states: int = 2
     lo: int = 0
     center_weight: int = None
+    _table8: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         t = self.table = np.ascontiguousarray(self.table, dtype=np.int64)
@@ -75,6 +82,8 @@ class TableRule:
             )
         if t.size and (t.min() < -1 or t.max() >= self.n_states):
             raise RuleOutOfRange("table values must lie in [0, n_states), or be -1")
+        if self.n_states <= LANE_MAX_STATES:
+            self._table8 = t.astype(np.int8)
 
 
 @dataclass(eq=False)
@@ -165,20 +174,28 @@ def _integer_keys(preactivation):
 def apply_rule(rule, preactivation):
     """Next-state vector from the matvec result.
 
-    A table rule raises NonIntegerKey, then DimensionMismatch (a per-node
-    table with a row count other than the vector's length), then
-    KeyOutOfTable for a key outside the table or on a -1 entry.
+    A table rule takes an int32 vector as its keys and rounds any other to
+    integer keys.  It raises NonIntegerKey, then DimensionMismatch (a
+    per-node table with a row count other than the vector's length), then
+    KeyOutOfTable for a key outside the table or on a -1 entry.  Its next
+    states are uint8 when the rule has an int8 table, else float64.
     """
-    pre = np.asarray(preactivation, dtype=np.float64)
+    pre = np.asarray(preactivation)
     if rule.n_states is None:
         return rule.map_values(pre)
+    keys = pre
+    if pre.dtype != np.int32:
+        keys = _integer_keys(np.asarray(pre, dtype=np.float64))
+        if keys.size and -(2**31) <= keys.min() and keys.max() < 2**31:
+            keys = keys.astype(np.int32)
     # on any bad key the compiled lookup declines and the numpy code below
     # raises the precise error
-    out = backend.table_lookup(pre, rule.table, rule.lo)
-    if out is not None:
-        return out
+    if rule._table8 is not None:
+        out = backend.table_lookup(keys, rule._table8, rule.lo)
+        if out is not None:
+            return out
     table = rule.table
-    keys = _integer_keys(pre) - rule.lo
+    keys = keys - np.int64(rule.lo)
     if table.ndim == 2 and len(keys) != len(table):
         raise DimensionMismatch(f"{len(keys)} preactivations for {len(table)} node tables")
     bad = (keys < 0) | (keys >= table.shape[-1])
@@ -188,7 +205,7 @@ def apply_rule(rule, preactivation):
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise KeyOutOfTable(f"key {keys[i] + rule.lo} at index {i} is not in the table")
-    return out.astype(np.float64)
+    return out.astype(np.float64 if rule._table8 is None else np.uint8)
 
 
 # -- text serialization ----------------------------------------------------

@@ -3,9 +3,11 @@
 A matrix is built once from coordinate arrays or (row, col, weight)
 triplets and is immutable afterwards: every duplicate coordinate is an error
 because the lattice generators never legitimately produce one, and
-accumulating silently would hide generator bugs.  Weights are always
-stored as float64, even for integer lookup-table weights, so one matvec path
-serves discrete and continuous systems alike.
+accumulating silently would hide generator bugs.  Weights are stored as
+float64.  A matrix of small integer weights, as every lookup-table system
+has, also keeps an int32 copy of its weights and column indices, made on
+its first uint8 matvec, so that discrete states are mixed in exact integer
+arithmetic at a fraction of the memory traffic.
 """
 
 import io
@@ -34,7 +36,7 @@ class SparseMatrix:
     inputs into each row's node.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_int32")
 
     def __init__(self, n_rows, n_cols, indptr, indices, data):
         self.n_rows = int(n_rows)
@@ -42,6 +44,7 @@ class SparseMatrix:
         self.indptr = indptr
         self.indices = indices
         self.data = data
+        self._int32 = None  # (data, indices) as int32, False when exceeded
 
     # -- construction ------------------------------------------------------
 
@@ -143,14 +146,42 @@ class SparseMatrix:
     # -- linear algebra ----------------------------------------------------
 
     def matvec(self, v):
-        """A @ v via the active CSR kernel."""
-        v = np.asarray(v, dtype=np.float64)
+        """A @ v via the active CSR kernel.
+
+        A uint8 vector gives the exact product as int32 when every weight is
+        an integer and no row's sum of |weight| * 255 reaches 2**31; any
+        other vector is taken as float64 and gives a float64 product.
+        """
+        v = np.asarray(v)
+        if v.dtype != np.uint8:
+            v = np.asarray(v, dtype=np.float64)
         if v.ndim != 1 or len(v) != self.n_cols:
             raise DimensionMismatch(
                 f"vector of length {v.shape} against {self.n_rows}x{self.n_cols}"
             )
-        # a strided view is copied, as the compiled kernel reads contiguous memory
-        return backend.csr_matvec(self.data, self.indices, self.indptr, np.ascontiguousarray(v))
+        # a strided view is copied, as the compiled kernels read contiguous memory
+        v = np.ascontiguousarray(v)
+        if v.dtype == np.uint8:
+            if self._int32 is None:
+                self._int32 = self._int32_view()
+            if self._int32:
+                return backend.csr_matvec_u8(*self._int32, self.indptr, v)
+            v = v.astype(np.float64)
+        return backend.csr_matvec(self.data, self.indices, self.indptr, v)
+
+    def _int32_view(self):
+        """(data, indices) as int32 when the int32 product of a uint8 vector
+        is exact, else False."""
+        data = self.data
+        if self.n_cols >= 2**31 or not np.all(np.abs(data) < 2**31 // 255):
+            return False
+        if not np.array_equal(data, np.rint(data)):
+            return False
+        # exact row sums in int64, as each |weight| is below 2**31 / 255
+        sums = np.concatenate(([0], np.cumsum(np.abs(data).astype(np.int64))))
+        if np.any((sums[self.indptr[1:]] - sums[self.indptr[:-1]]) * 255 >= 2**31):
+            return False
+        return data.astype(np.int32), self.indices.astype(np.int32)
 
     def __matmul__(self, v):
         return self.matvec(v)

@@ -46,6 +46,23 @@ def test_backends_agree_exactly(rng):
         assert np.allclose(py, cy, rtol=1e-12, atol=1e-12)
 
 
+def test_compiled_matvec_sums_each_row_in_order(rng):
+    if not backend.compiled_available():
+        pytest.skip("compiled kernel not built")
+    for _ in range(20):
+        n = int(rng.integers(2, 60))
+        m = make_csr(rng, n, int(rng.integers(0, n * n)))
+        v = rng.uniform(-10, 10, n)
+        want = []
+        for i in range(n):
+            acc = 0.0  # a Python float rounds after every multiply and add
+            for j in range(m.indptr[i], m.indptr[i + 1]):
+                acc += float(m.data[j]) * float(v[m.indices[j]])
+            want.append(acc)
+        got = backend.csr_matvec_compiled(m.data, m.indices, m.indptr, v)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_matvec_takes_a_strided_vector_on_both_backends(monkeypatch, rng):
     m = make_csr(rng, 8, 20)
     columns = rng.uniform(-1, 1, (8, 3))
@@ -80,23 +97,24 @@ def test_active_backend_reported():
         assert backend.compiled_available()
 
 
-# -- the compiled table lookup against the numpy rule code -----------------
+# -- the compiled integer-keyed lookup against the numpy rule code ---------
 
 needs_compiled = pytest.mark.skipif(
     not backend.compiled_available(), reason="compiled kernel not built"
 )
 
 
-def outcome(rule, pre):
-    """The output's dtype and bytes, or the class and message of the error."""
+def outcome(rule, pre, dtype=np.float64):
+    """The output's dtype and bytes, or the class and message of the error,
+    for preactivations of the given dtype."""
     try:
-        out = apply_rule(rule, np.asarray(pre, dtype=np.float64))
+        out = apply_rule(rule, np.asarray(pre, dtype=dtype))
     except LatflowError as exc:
         return type(exc), str(exc)
     return out.dtype, out.tobytes()
 
 
-def on_both_backends(monkeypatch, rule, pre):
+def on_both_backends(monkeypatch, rule, pre, dtype=np.float64):
     """outcome() under the numpy and the compiled backend, and how many
     lookups the compiled kernel completed."""
     real = backend._ckernels.table_lookup
@@ -111,7 +129,7 @@ def on_both_backends(monkeypatch, rule, pre):
     results = []
     for name in ("python", "c"):
         monkeypatch.setattr(backend, "BACKEND", name)
-        results.append(outcome(rule, pre))
+        results.append(outcome(rule, pre, dtype))
     return results, sum(completed)
 
 
@@ -123,11 +141,11 @@ def noisy_keys(rng, hi, size=300):
 @needs_compiled
 def test_compiled_lookup_matches_numpy_on_all_elementary_rules(monkeypatch, rng):
     for number in range(256):
-        (py, c), completed = on_both_backends(
-            monkeypatch, elementary_rule(number), noisy_keys(rng, 8)
-        )
-        assert py == c and py[0] == np.float64
+        rule, pre = elementary_rule(number), noisy_keys(rng, 8)
+        (py, c), completed = on_both_backends(monkeypatch, rule, pre)
+        assert py == c and py[0] == np.uint8
         assert completed == 1
+        assert on_both_backends(monkeypatch, rule, np.rint(pre), np.int32)[0] == [py, c]
 
 
 @needs_compiled
@@ -138,16 +156,20 @@ def test_compiled_lookup_matches_numpy_on_count_and_per_node_tables(monkeypatch,
     else:
         rule, pre = random_boolean_tables(300, 3, seed=4), noisy_keys(rng, 8)
     (py, c), completed = on_both_backends(monkeypatch, rule, pre)
-    assert py == c and py[0] == np.float64
+    assert py == c and py[0] == np.uint8
+    assert completed == 1
+    (py32, c32), completed = on_both_backends(monkeypatch, rule, np.rint(pre), np.int32)
+    assert py32 == c32 == py
     assert completed == 1
 
 
 @needs_compiled
 def test_ragged_per_node_tables_take_the_compiled_path(monkeypatch):
     rule = TableRule([[0, 1, -1, -1], [1, 0, 0, 1]])
-    (py, c), completed = on_both_backends(monkeypatch, rule, [1.0, 3.0])
-    assert py == c == (np.float64, np.array([1.0, 1.0]).tobytes())
-    assert completed == 1
+    for dtype in (np.float64, np.int32):
+        (py, c), completed = on_both_backends(monkeypatch, rule, [1.0, 3.0], dtype)
+        assert py == c == (np.uint8, bytes([1, 1]))
+        assert completed == 1
 
 
 JUST_PAST = float(np.nextafter(1e-6, 1.0))
@@ -185,9 +207,12 @@ def test_compiled_lookup_errors_match_numpy(monkeypatch, rule, pre, expected):
     (py, c), _ = on_both_backends(monkeypatch, rule, pre)
     assert py == c
     if expected is None:
-        assert py[0] == np.float64
+        assert py[0] == np.uint8
     else:
         assert issubclass(py[0], expected)
+    if np.all(np.isfinite(pre)) and np.array_equal(pre, np.rint(pre)):
+        # integer keys give int32 preactivations the same outcome
+        assert on_both_backends(monkeypatch, rule, pre, np.int32)[0] == [py, c]
 
 
 def random_table_rule(rng):
@@ -222,14 +247,16 @@ def test_table_lookup_matches_dict_oracle_on_both_backends(monkeypatch, seed):
         pre += rng.uniform(-9e-7, 9e-7, cells)
         if trial % 5 == 4 and cells:
             pre[int(rng.integers(cells))] += 0.5
-        want = oracles.table_lookup(entries, pre, per_node)
-        for name in ("python", "c") if backend.compiled_available() else ("python",):
-            monkeypatch.setattr(backend, "BACKEND", name)
-            got = outcome(rule, pre)
-            if isinstance(want, str):
-                assert got[0].__name__ == want, (name, trial)
-            else:
-                assert got == (np.float64, np.array(want, dtype=np.float64).tobytes()), (name, trial)
+        for dtype in (np.float64, np.int32):
+            keys = pre if dtype == np.float64 else np.rint(pre)
+            want = oracles.table_lookup(entries, keys, per_node)
+            for name in ("python", "c") if backend.compiled_available() else ("python",):
+                monkeypatch.setattr(backend, "BACKEND", name)
+                got = outcome(rule, keys, dtype)
+                if isinstance(want, str):
+                    assert got[0].__name__ == want, (name, trial)
+                else:
+                    assert got == (np.uint8, bytes(int(v) for v in want)), (name, trial)
 
 
 @needs_compiled
@@ -243,5 +270,15 @@ def test_compiled_wrappers_reject_wrong_buffers(monkeypatch, rng):
         backend.csr_matvec_compiled(m.data, m.indices, m.indptr, v[::2])  # strided
     with pytest.raises(ValueError):
         backend.csr_matvec_compiled(m.data[:-1], m.indices[:-1], m.indptr, v[:6])
+    d32, i32 = m.data.astype(np.int32), m.indices.astype(np.int32)
+    x8 = np.zeros(12, dtype=np.uint8)
     with pytest.raises(ValueError):
-        backend.table_lookup(np.zeros(2), np.zeros(8, dtype=np.int32), 0)
+        backend.csr_matvec_u8(m.data, i32, m.indptr, x8[:6])  # float64 weights
+    with pytest.raises(ValueError):
+        backend.csr_matvec_u8(d32, m.indices, m.indptr, x8[:6])  # int64 indices
+    with pytest.raises(ValueError):
+        backend.csr_matvec_u8(d32, i32, m.indptr, x8[::2])  # strided
+    with pytest.raises(ValueError):
+        backend.csr_matvec_u8(d32[:-1], i32[:-1], m.indptr, x8[:6])
+    with pytest.raises(ValueError):
+        backend.table_lookup(np.zeros(2, dtype=np.int32), np.zeros(8, dtype=np.int64), 0)
