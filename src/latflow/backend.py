@@ -7,7 +7,10 @@ the fallback, e.g. to benchmark one against the other.
 
 The C loops trust their buffers, so every call into them goes through a
 wrapper here that checks dtypes, contiguity and lengths first: a wrong
-buffer raises ValueError instead of being read out of bounds.
+buffer raises ValueError instead of being read out of bounds.  The public
+matvec wrappers also check every column index against the length of x, an
+O(nnz) scan; ``SparseMatrix.matvec``, whose indices were checked when it
+was built, calls the private entry points that skip it.
 """
 
 import os
@@ -49,20 +52,37 @@ def _require_span(data, indices, indptr):
         raise ValueError("indptr does not span data and indices")
 
 
+def _require_columns(indices, x):
+    if len(indices) and not (0 <= indices.min() and indices.max() < len(x)):
+        raise ValueError(f"a column index lies outside x of length {len(x)}")
+
+
 def csr_matvec(data, indices, indptr, x):
     """y = A @ x for a CSR matrix given as (data, indices, indptr) arrays."""
+    _require_columns(indices, x)
+    return _csr_matvec(data, indices, indptr, x)
+
+
+def _csr_matvec(data, indices, indptr, x):
+    """csr_matvec for column indices known to lie inside x."""
     if BACKEND == "c":
-        return csr_matvec_compiled(data, indices, indptr, x)
+        return _csr_matvec_compiled(data, indices, indptr, x)
     return _kernels_py.csr_matvec(data, indices, indptr, x)
 
 
 def csr_matvec_python(data, indices, indptr, x):
     """Always the numpy fallback, regardless of the active backend."""
+    _require_columns(indices, x)
     return _kernels_py.csr_matvec(data, indices, indptr, x)
 
 
 def csr_matvec_compiled(data, indices, indptr, x):
     """Always the compiled kernel; raises if the extension is unavailable."""
+    _require_columns(indices, x)
+    return _csr_matvec_compiled(data, indices, indptr, x)
+
+
+def _csr_matvec_compiled(data, indices, indptr, x):
     if _ckernels is None:
         raise RuntimeError("compiled kernel latflow._ckernels is not built")
     _require(data, _F64, "data")
@@ -79,6 +99,12 @@ def csr_matvec_u8(data, indices, indptr, x):
     """y = A @ x in int32 for int32 weights and column indices and a uint8
     vector; the caller guarantees that no row's sum of |weight| * 255
     reaches 2**31, so the product is exact."""
+    _require_columns(indices, x)
+    return _csr_matvec_u8(data, indices, indptr, x)
+
+
+def _csr_matvec_u8(data, indices, indptr, x):
+    """csr_matvec_u8 for column indices known to lie inside x."""
     if BACKEND != "c":
         return _kernels_py.csr_matvec(data, indices, indptr, x, np.int32)
     _require(data, _I32, "data")

@@ -12,6 +12,7 @@ recorded histories are float64 all the same.
 """
 
 import operator
+import os
 import struct
 
 import numpy as np
@@ -76,7 +77,8 @@ class StateHistory:
         rows, n = self.states.shape
         with open(path, "wb") as f:
             f.write(struct.pack("<4sII", b"LFST", rows, n))
-            f.write(np.ascontiguousarray(self.states, dtype="<f8").tobytes())
+            # the array's own buffer: no copy of the payload as bytes
+            f.write(np.ascontiguousarray(self.states, dtype="<f8").data)
 
     @classmethod
     def load_binary(cls, path):
@@ -87,13 +89,16 @@ class StateHistory:
             magic, rows, n = struct.unpack("<4sII", head)
             if magic != b"LFST":
                 raise FileFormatError(f"bad magic {magic!r}")
-            body = f.read()
-        expected = rows * n * 8
-        if len(body) != expected:
-            raise FileFormatError(
-                f"expected {expected} payload bytes, found {len(body)}"
-            )
-        states = np.frombuffer(body, dtype="<f8").reshape(rows, n)
+            # the size is checked before anything of it is allocated, and the
+            # payload is read straight into the one array that keeps it
+            expected = rows * n * 8
+            found = os.fstat(f.fileno()).st_size - 12
+            if found != expected:
+                raise FileFormatError(f"expected {expected} payload bytes, found {found}")
+            states = np.empty((rows, n), dtype="<f8")
+            found = f.readinto(states.reshape(-1).view(np.uint8))
+        if found != expected:
+            raise FileFormatError(f"expected {expected} payload bytes, found {found}")
         return cls(states)._finite("LFST state file")
 
 

@@ -12,11 +12,12 @@ distinguishing self-weight instead, so the update stays a pure function of
 the matvec result.
 """
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend
+from . import _textcodec, backend
 from .errors import (
     ArgumentTooSmall,
     DimensionMismatch,
@@ -211,6 +212,13 @@ def apply_rule(rule, preactivation):
 # -- text serialization ----------------------------------------------------
 
 _HEADER = "# latflow rule v1 tables=index0first"
+# the whitespace of str.split() and the line breaks of str.splitlines()
+# other than space, tab, CR and LF: rule text refuses them rather than guess
+_OTHER_SPACES = (
+    "\v\f\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+    "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+_DECIMAL = re.compile(rb"-?[0-9]+")
 
 
 def _k(width, n_states):
@@ -221,38 +229,104 @@ def _k(width, n_states):
     return k if n_states**k == width else None
 
 
-def _digits(table, n_states):
-    """Each row of a 2-D table as rule text, its -1 padding left out."""
+def _str(raw, start, end):
+    return raw[start:end].decode("utf-8", "surrogatepass")
+
+
+def _row_texts(table, n_states):
+    """The rule text of each row of a 2-D table, its -1 padding left out,
+    as a ``(pool, offsets, lengths)`` field of ``_textcodec.assemble``."""
+    keep = table >= 0
+    values = table[keep]
+    counts = keep.sum(axis=1)
+    ends = np.cumsum(counts)
+    if n_states <= 10:
+        return (values + ord("0")).astype(np.uint8), ends - counts, counts
+    # comma-separated: every entry is written with a comma after it, and
+    # each row's text stops short of its last one
+    pool = _textcodec.assemble(len(values), values, b",")
+    sizes = np.concatenate(([0], np.cumsum(_textcodec.digit_count(values) + 1)))
+    starts = sizes[ends - counts]
+    return pool, starts, np.maximum(sizes[ends] - starts - 1, 0)
+
+
+def _table(raw, starts, ends, n_states):
+    """The rule text tables ``raw[starts[i]:ends[i]]`` as one 2-D table,
+    shorter rows padded with -1."""
     if n_states > 10:
-        return [",".join(str(v) for v in row if v >= 0) for row in table.tolist()]
-    w = table.shape[1]
-    text = (table + ord("0")).astype(np.uint8).tobytes().decode()  # -1 becomes "/"
-    return [text[i * w : (i + 1) * w].rstrip("/") for i in range(len(table))]
-
-
-def _parse_digits(texts, n_states):
-    """Rule text tables as one 2-D table, shorter rows padded with -1."""
-    rows = [t.split(",") for t in texts] if n_states > 10 else texts
-    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+        rows = [_str(raw, s, e).split(",") for s, e in zip(starts.tolist(), ends.tolist())]
+        lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    else:
+        lengths = ends - starts
     width = int(lengths.max(initial=0))
-    if (lengths != width).any() and 8 * len(rows) * width > _MAX_READ_BYTES:
+    if (lengths != width).any() and 8 * len(lengths) * width > _MAX_READ_BYTES:
         raise FileFormatError(f"padding to {width} entries exceeds {_MAX_READ_BYTES} bytes")
+    filled = np.arange(width) < lengths[:, None]
     if n_states > 10:
         values = np.array([int(v) for row in rows for v in row], dtype=np.int64)
         if (values < 0).any():
             raise RuleOutOfRange("table values must lie in [0, n_states)")
     else:
-        values = np.frombuffer("".join(texts).encode(), dtype=np.uint8) - ord("0")
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        positions = starts[:, None] + np.arange(width)
+        values = buf[positions[filled]] - np.uint8(ord("0"))
         if (values > 9).any():  # every byte that is not a digit wraps above 9
             raise FileFormatError("a table entry is not a digit")
-    table = np.full((len(rows), width), -1, dtype=np.int64)
-    table[np.arange(width) < lengths[:, None]] = values
+    table = np.full((len(lengths), width), -1, dtype=np.int64)
+    table[filled] = values
     return table
+
+
+def _node_tables(raw, starts, ends, first, count):
+    """Per node index, the span of its table in the node lines, each line
+    given by the index of its first token and its token count.  The lines
+    are checked as if one at a time, in order: the first bad one raises."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    nodes = len(first)
+    last = len(starts) - 1
+    at_index, at_table = np.minimum(first + 1, last), np.minimum(first + 2, last)
+    shaped = (count == 3) & (ends[first] - starts[first] == 4)
+    shaped &= _textcodec.startswith(buf, starts[first], ends[first], b"node")
+    index, decimal = _textcodec.decimals(buf, starts[at_index], ends[at_index])
+    # an index of more digits than int64 holds is outside unless it has
+    # leading zeros: rare enough for int()
+    for i in np.flatnonzero(shaped & ~decimal).tolist():
+        token = raw[starts[at_index[i]] : ends[at_index[i]]]
+        if not _DECIMAL.fullmatch(token):
+            break
+        index[i] = min(max(int(token), -1), nodes)
+        decimal[i] = True
+    inside = (0 <= index) & (index < nodes)
+    order = np.argsort(index, kind="stable")
+    second = np.zeros(nodes, dtype=bool)
+    second[order[1:]] = index[order[1:]] == index[order[:-1]]
+    keyed = _textcodec.startswith(buf, starts[at_table], ends[at_table], b"table=")
+    ok = shaped & decimal & inside & ~second & keyed
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not shaped[i]:
+            line = _str(raw, starts[first[i]], ends[first[i] + count[i] - 1])
+            raise FileFormatError(f"bad node line: {line!r}")
+        token = _str(raw, starts[at_index[i]], ends[at_index[i]])
+        if not decimal[i]:
+            raise FileFormatError(f"node index {token!r} is not ASCII decimal digits")
+        if not inside[i]:
+            raise FileFormatError(f"node {int(token)} outside [0, {nodes})")
+        if second[i]:
+            raise FileFormatError(f"second table for node {index[i]}")
+        field = _str(raw, starts[at_table[i]], ends[at_table[i]])
+        if "=" not in field:
+            raise FileFormatError(f"expected key=value, got {field!r}")
+        raise KeyError("table")  # a key other than table, as _fields(...)["table"] raised
+    lines = np.empty(nodes, dtype=np.int64)
+    lines[index] = at_table
+    return starts[lines] + len(b"table="), ends[lines]
 
 
 def rule_to_text(rule):
     """Serialize a rule; tables are always listed index-0-first."""
     n = rule.n_states
+    body = ""
     if n is None:
         parts = [f"rule map name={rule.name}"]
         if rule.name == "logistic":
@@ -264,15 +338,18 @@ def rule_to_text(rule):
         k = _k(t.shape[1], n) if len(t) and (t >= 0).all() else None
         head = f"rule pernode n={n} nodes={len(t)}"
         lines = [head if k is None else f"{head} k={k}"]
-        lines += [f"node {i} table={digits}" for i, digits in enumerate(_digits(t, n))]
+        nodes = np.arange(len(t), dtype=np.int64)
+        body = _textcodec.assemble(len(t), b"node ", nodes, b" table=", _row_texts(t, n), b"\n")
+        body = body.tobytes().decode()
     elif rule.center_weight is not None:
         keys = np.flatnonzero(rule.table >= 0).tolist()
         entries = ",".join(f"{key + rule.lo}:{rule.table[key]}" for key in keys)
         lines = [f"rule count center_weight={rule.center_weight} table={entries}"]
     else:
         t = rule.table
-        lines = [f"rule pattern n={n} k={_k(len(t), n)} table={_digits(t[None], n)[0]}"]
-    return "\n".join([_HEADER] + lines) + "\n"
+        digits = _textcodec.assemble(1, _row_texts(t[None], n)).tobytes().decode()
+        lines = [f"rule pattern n={n} k={_k(len(t), n)} table={digits}"]
+    return "\n".join([_HEADER] + lines) + "\n" + body
 
 
 def _fields(tokens):
@@ -312,22 +389,42 @@ def _count_rule(fields):
 
 
 def rule_from_text(text):
-    raw = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Parse rule text.  Tokens are separated by spaces and tabs, lines end
+    at CR, LF or CRLF, and any other whitespace is refused; a blank line or
+    one starting with ``#`` is skipped.  The node lines of a per-node rule
+    are read as one byte array, and checked as if one at a time."""
+    other = [c for c in _OTHER_SPACES if c in text]
+    if other:
+        raise FileFormatError(
+            f"rule text holds {other[0]!r}: only space, tab, CR and LF may separate tokens"
+        )
+    raw = text.encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    starts, ends, line_of = _textcodec.tokenize(buf)
+    # the first token of each non-blank line, and its token count
+    first = np.flatnonzero(np.diff(line_of, prepend=-1))
+    count = np.diff(first, append=len(starts))
+
+    def line(i):
+        return _str(raw, starts[first[i]], ends[first[i] + count[i] - 1])
+
     # the header declares table ordering; refuse to guess without it
-    if not raw or raw[0] != _HEADER:
+    if not len(first) or line(0) != _HEADER:
         raise FileFormatError(f"missing header {_HEADER!r}")
-    lines = [ln for ln in raw[1:] if not ln.startswith("#")]
-    if not lines:
+    kept = 1 + np.flatnonzero(buf[starts[first[1:]]] != ord("#"))
+    if not len(kept):
         raise FileFormatError("empty rule file")
-    head = lines[0].split()
+    rule_line = range(first[kept[0]], first[kept[0]] + count[kept[0]])
+    head = [_str(raw, starts[t], ends[t]) for t in rule_line]
     if len(head) < 2 or head[0] != "rule":
-        raise FileFormatError(f"bad rule line: {lines[0]!r}")
+        raise FileFormatError(f"bad rule line: {line(kept[0])!r}")
     kind = head[1]
     try:
         if kind == "pattern":
             f = _fields(head[2:])
             n = int(f["n"])
-            table = _parse_digits([f["table"]], n)[0]
+            digits = f["table"].encode("utf-8", "surrogatepass")
+            table = _table(digits, np.array([0]), np.array([len(digits)]), n)[0]
             if "k" in f and n ** _text_k(f) != len(table):
                 raise FileFormatError(f"table of {len(table)} does not match k={f['k']}")
             return TableRule(table, n)
@@ -338,21 +435,10 @@ def rule_from_text(text):
             n = int(f["n"])
             nodes = int(f["nodes"])
             k = _text_k(f) if "k" in f else None
-            # one line per node, so the list below is no larger than the text
-            if nodes != len(lines) - 1:
-                raise FileFormatError(f"{len(lines) - 1} node lines for nodes={nodes}")
-            texts = [None] * nodes
-            for ln in lines[1:]:
-                toks = ln.split()
-                if len(toks) != 3 or toks[0] != "node":
-                    raise FileFormatError(f"bad node line: {ln!r}")
-                idx = int(toks[1])
-                if not 0 <= idx < nodes:
-                    raise FileFormatError(f"node {idx} outside [0, {nodes})")
-                if texts[idx] is not None:
-                    raise FileFormatError(f"second table for node {idx}")
-                texts[idx] = _fields(toks[2:])["table"]
-            table = _parse_digits(texts, n)
+            body = kept[1:]
+            if nodes != len(body):
+                raise FileFormatError(f"{len(body)} node lines for nodes={nodes}")
+            table = _table(raw, *_node_tables(raw, starts, ends, first[body], count[body]), n)
             lengths = (table >= 0).sum(axis=1)
             if k is not None and (lengths != n**k).any():
                 idx = int(np.flatnonzero(lengths != n**k)[0])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
+from . import _textcodec, backend
 from .errors import (
     DimensionMismatch,
     DuplicateEntry,
@@ -165,9 +165,9 @@ class SparseMatrix:
             if self._int32 is None:
                 self._int32 = self._int32_view()
             if self._int32:
-                return backend.csr_matvec_u8(*self._int32, self.indptr, v)
+                return backend._csr_matvec_u8(*self._int32, self.indptr, v)
             v = v.astype(np.float64)
-        return backend.csr_matvec(self.data, self.indices, self.indptr, v)
+        return backend._csr_matvec(self.data, self.indices, self.indptr, v)
 
     def _int32_view(self):
         """(data, indices) as int32 when the int32 product of a uint8 vector
@@ -285,14 +285,14 @@ def save_matrix_market(path, m):
     # each distinct weight is formatted once; keyed by its bits so that -0.0
     # keeps its own repr
     bits, inverse = np.unique(m.data.view(np.int64), return_inverse=True)
-    reprs = np.array([repr(w) for w in bits.view(np.float64).tolist()], dtype=object)
-    fields = np.empty(3 * m.nnz, dtype=object)
-    fields[0::3] = rows.tolist()
-    fields[1::3] = (m.indices + 1).tolist()
-    fields[2::3] = reprs[inverse]
+    reprs = [repr(w).encode() for w in bits.view(np.float64).tolist()]
+    lengths = np.array([len(r) for r in reprs], dtype=np.int64)
+    pool = np.frombuffer(b"".join(reprs), dtype=np.uint8)
+    weights = (pool, (np.cumsum(lengths) - lengths)[inverse], lengths[inverse])
+    body = _textcodec.assemble(m.nnz, rows, b" ", m.indices + 1, b" ", weights, b"\n")
     with open(path, "w") as f:
         f.write(f"{_MM_HEADER}\n{m.n_rows} {m.n_cols} {m.nnz}\n")
-        f.write(("%d %d %s\n" * m.nnz) % tuple(fields))
+        f.write(body.tobytes().decode())
 
 
 def load_matrix_market(path):

@@ -214,3 +214,94 @@ def first_cycle_within(states, tol):
             if all(close(rows[m], rows[m + p]) for m in range(s, len(rows) - p)):
                 return s, p
     return 0, 0
+
+
+# -- text formats, as the per-line code that the byte-array codec replaced --
+
+PERNODE_HEADER = "# latflow rule v1 tables=index0first"
+
+
+class Refused(Exception):
+    """The reference reader refuses its input."""
+
+
+def _fields(tokens):
+    out = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise Refused(f"expected key=value, got {tok!r}")
+        k, v = tok.split("=", 1)
+        out[k] = v
+    return out
+
+
+def pernode_table_from_text(text):
+    """(n_states, table) of per-node rule text, read a line at a time with
+    str.splitlines(), str.split() and int(); raises Refused where the
+    reader did, a TableRule's own checks included."""
+    raw = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not raw or raw[0] != PERNODE_HEADER:
+        raise Refused("missing header")
+    lines = [ln for ln in raw[1:] if not ln.startswith("#")]
+    if not lines:
+        raise Refused("empty rule file")
+    head = lines[0].split()
+    if len(head) < 3 or head[:2] != ["rule", "pernode"]:
+        raise Refused("not a per-node rule")
+    try:
+        f = _fields(head[2:])
+        n = int(f["n"])
+        nodes = int(f["nodes"])
+        k = int(f["k"]) if "k" in f else None
+        if k is not None and not 0 <= k < 64:
+            raise Refused("k outside [0, 64)")
+        if nodes != len(lines) - 1:
+            raise Refused("node line count")
+        texts = [None] * nodes
+        for ln in lines[1:]:
+            toks = ln.split()
+            if len(toks) != 3 or toks[0] != "node":
+                raise Refused("bad node line")
+            idx = int(toks[1])
+            if not 0 <= idx < nodes:
+                raise Refused("outside")
+            if texts[idx] is not None:
+                raise Refused("second table")
+            texts[idx] = _fields(toks[2:])["table"]
+        rows = [t.split(",") for t in texts] if n > 10 else texts
+        width = max((len(row) for row in rows), default=0)
+        if any(len(row) != width for row in rows) and 8 * len(rows) * width > 1 << 30:
+            raise Refused("padding")
+        if n > 10:
+            values = [[int(v) for v in row] for row in rows]
+        else:
+            if any(not "0" <= c <= "9" for c in "".join(texts)):
+                raise Refused("not a digit")
+            values = [[int(c) for c in row] for row in texts]
+        if k is not None and any(len(row) != n**k for row in values):
+            raise Refused("does not match k")
+    except (KeyError, ValueError, IndexError, OverflowError) as exc:
+        raise Refused(str(exc)) from exc
+    if n < 2 or any(v < 0 or v >= n for row in values for v in row):
+        raise Refused("TableRule refuses the states")
+    table = np.full((nodes, width), -1, dtype=np.int64)
+    for i, row in enumerate(values):
+        table[i, : len(row)] = row
+    return n, table
+
+
+def matrix_market_text(m):
+    """Coordinate Matrix Market of a SparseMatrix, as one %-format of all
+    its fields; each distinct weight's repr is taken once, keyed by its
+    bits, so that -0.0 keeps its own."""
+    rows = np.repeat(np.arange(1, m.n_rows + 1), np.diff(m.indptr))
+    bits, inverse = np.unique(m.data.view(np.int64), return_inverse=True)
+    reprs = np.array([repr(w) for w in bits.view(np.float64).tolist()], dtype=object)
+    fields = np.empty(3 * m.nnz, dtype=object)
+    fields[0::3] = rows.tolist()
+    fields[1::3] = (m.indices + 1).tolist()
+    fields[2::3] = reprs[inverse]
+    return (
+        f"%%MatrixMarket matrix coordinate real general\n{m.n_rows} {m.n_cols} {m.nnz}\n"
+        + ("%d %d %s\n" * m.nnz) % tuple(fields)
+    )

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +239,41 @@ def test_binary_truncated_rejected(tmp_path, rng):
     path.write_bytes(raw[:-8])
     with pytest.raises(FileFormatError):
         StateHistory.load_binary(path)
+
+
+def test_binary_extra_payload_bytes_rejected(tmp_path, rng):
+    path = tmp_path / "h.lfst"
+    StateHistory(rng.uniform(0, 1, (3, 3))).save_binary(path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FileFormatError, match="expected 72 payload bytes, found 73"):
+        StateHistory.load_binary(path)
+
+
+def test_binary_huge_declared_shape_refused_before_allocating(tmp_path):
+    path = tmp_path / "h.lfst"
+    path.write_bytes(struct.pack("<4sII", b"LFST", 2**32 - 1, 2**32 - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match="found 0"):
+            StateHistory.load_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_binary_load_holds_the_payload_about_once(tmp_path, rng):
+    path = tmp_path / "h.lfst"
+    states = rng.uniform(0, 1, (400, 1000))
+    StateHistory(states).save_binary(path)
+    tracemalloc.start()
+    try:
+        back = StateHistory.load_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.states, states)
+    assert peak < 1.5 * states.nbytes
 
 
 def test_binary_bad_magic_rejected(tmp_path):

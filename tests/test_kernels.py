@@ -282,3 +282,31 @@ def test_compiled_wrappers_reject_wrong_buffers(monkeypatch, rng):
         backend.csr_matvec_u8(d32[:-1], i32[:-1], m.indptr, x8[:6])
     with pytest.raises(ValueError):
         backend.table_lookup(np.zeros(2, dtype=np.int32), np.zeros(8, dtype=np.int64), 0)
+
+
+@needs_compiled
+def test_compiled_wrappers_reject_a_column_outside_x(monkeypatch):
+    # the C loops would read past x: 999 and 500 against an x of length 2
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    m = SparseMatrix.from_coo(2, 1000, [0, 1], [999, 500], [1.0, 1.0])
+    with pytest.raises(ValueError, match="column index"):
+        backend.csr_matvec_compiled(m.data, m.indices, m.indptr, np.ones(2))
+    d32, i32 = m.data.astype(np.int32), m.indices.astype(np.int32)
+    with pytest.raises(ValueError, match="column index"):
+        backend.csr_matvec_u8(d32, i32, m.indptr, np.ones(2, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("column", [-1, 2])
+def test_public_matvec_wrappers_check_columns_on_both_backends(monkeypatch, column):
+    indptr = np.array([0, 1], dtype=np.int64)
+    for name in ("python", "c") if backend.compiled_available() else ("python",):
+        monkeypatch.setattr(backend, "BACKEND", name)
+        calls = [
+            (backend.csr_matvec, np.ones(1), np.array([column]), np.ones(2)),
+            (backend.csr_matvec_python, np.ones(1), np.array([column]), np.ones(2)),
+            (backend.csr_matvec_u8, np.ones(1, dtype=np.int32),
+             np.array([column], dtype=np.int32), np.ones(2, dtype=np.uint8)),
+        ]
+        for wrapper, data, indices, x in calls:
+            with pytest.raises(ValueError, match="column index"):
+                wrapper(data, indices, indptr, x)

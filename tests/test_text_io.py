@@ -1,0 +1,331 @@
+"""The rule text and Matrix Market codecs against the per-line reference
+code in oracles.py, and the bytes they write pinned by SHA-256."""
+
+import hashlib
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from latflow import _textcodec, backend, rules
+from latflow.engine import StateHistory
+from latflow.errors import FileFormatError, LatflowError
+from latflow.rules import TableRule, rule_from_text, rule_to_text, save_rule
+from latflow.sparse import SparseMatrix, save_matrix_market
+from latflow.systems import game_of_life, random_boolean_network, random_sparse_uniform
+
+HEADER = oracles.PERNODE_HEADER + "\n"
+BACKENDS = ("python", "c") if backend.compiled_available() else ("python",)
+FUZZ = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def _buf(text):
+    return np.frombuffer(text.encode(), dtype=np.uint8)
+
+
+# -- the codec -------------------------------------------------------------
+
+def test_tokenize_gives_spans_and_lines():
+    text = "  ab\tc\r\n\n d \re\n"
+    starts, ends, lines = _textcodec.tokenize(_buf(text))
+    assert [text[s:e] for s, e in zip(starts, ends)] == ["ab", "c", "d", "e"]
+    assert lines.tolist() == [0, 0, 1, 2]
+    assert all(len(a) == 0 for a in _textcodec.tokenize(_buf(" \n\t")))
+
+
+@pytest.mark.parametrize("token", [
+    "0", "7", "-0", "-12", "00042", "999999999999999999", "-999999999999999999",
+    "-", "+1", "1_0", "1-", "--1", "1a", "1000000000000000000", "\u0661",
+])
+def test_decimals_take_ascii_digits_within_the_bound(token):
+    buf = _buf(token)
+    values, ok = _textcodec.decimals(buf, np.array([0]), np.array([len(buf)]))
+    want = re.fullmatch("-?[0-9]{1,18}", token) is not None
+    assert ok.tolist() == [want]
+    assert values.tolist() == [int(token) if want else 0]
+
+
+@pytest.mark.parametrize("values", [
+    [0, 9, 10, 99, 100, 2**32 - 1, 2**32, 10**18 - 1, 10**18, 2**63 - 1],
+    [5, 123, 0, 40],
+    [],
+])
+def test_assemble_writes_digits_bytes_and_pooled_fields(values):
+    v = np.array(values, dtype=np.int64)
+    pool = np.frombuffer(b"abcde", dtype=np.uint8)
+    lengths = np.arange(len(v)) % 4
+    offsets = np.arange(len(v)) % 2
+    out = _textcodec.assemble(len(v), b"<", v, b" ", (pool, offsets, lengths), b"\n")
+    want = "".join(
+        f"<{x} {'abcde'[o:o + n]}\n" for x, o, n in zip(values, offsets, lengths)
+    )
+    assert out.tobytes().decode() == want
+
+
+# -- per-node rule text against the per-line reader ------------------------
+
+@st.composite
+def pernode_rules(draw):
+    """(n_states, list of table rows) of a valid per-node rule."""
+    n = draw(st.sampled_from([2, 3, 10, 11, 12, 16]))
+    nodes = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 2))
+        lengths = [n**k] * nodes
+    else:
+        # an n > 10 table is comma-separated, so it cannot be empty
+        lengths = draw(st.lists(st.integers(n > 10, 6), min_size=nodes, max_size=nodes))
+    rows = [draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)) for m in lengths]
+    return n, rows
+
+
+@st.composite
+def pernode_texts(draw):
+    """(n_states, rows, text): the rule written with varied whitespace, CR,
+    LF or CRLF line ends, blank and comment lines, and nodes in any order."""
+    n, rows = draw(pernode_rules())
+    gap = st.text(" \t", min_size=1, max_size=3)
+    pad = st.text(" \t", max_size=2)
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    filler = st.lists(st.sampled_from(["", "#", "# a comment", " \t#x y", "\t"]), max_size=2)
+
+    def line(*tokens, lead=filler):
+        extra = "".join(f + draw(end) for f in draw(lead))
+        return extra + draw(pad) + draw(gap).join(tokens) + draw(pad) + draw(end)
+
+    sep = "," if n > 10 else ""
+    head = ["rule", "pernode", f"n={n}", f"nodes={len(rows)}"]
+    widths = {len(row) for row in rows}
+    if len(widths) == 1 and draw(st.booleans()):
+        (width,) = widths
+        k = next((k for k in range(4) if n**k == width), None)
+        if k is not None:
+            head.append(f"k={k}")
+    # only blank lines come before the header
+    text = line(oracles.PERNODE_HEADER, lead=st.lists(st.just(" "), max_size=1)) + line(*head)
+    for i in draw(st.permutations(range(len(rows)))):
+        text += line("node", str(i), "table=" + sep.join(map(str, rows[i])))
+    return n, rows, text
+
+
+def _padded(rows):
+    width = max((len(row) for row in rows), default=0)
+    table = np.full((len(rows), width), -1, dtype=np.int64)
+    for i, row in enumerate(rows):
+        table[i, : len(row)] = row
+    return table
+
+
+@FUZZ
+@given(pernode_texts())
+def test_pernode_reader_matches_the_per_line_reader(case):
+    n, rows, text = case
+    rule = rule_from_text(text)
+    n_ref, table_ref = oracles.pernode_table_from_text(text)
+    assert rule.n_states == n_ref == n
+    assert np.array_equal(rule.table, table_ref)
+    assert np.array_equal(rule.table, _padded(rows))
+
+
+# what a mutation inserts or writes: the tokens of the format, and what
+# str.split(), str.splitlines() or int() took that the reader refuses
+MUTATION_TEXT = [*"0123456789 \t\r\n#=,-+_x", "node", "table=", "\v", "\f", "\x1c", "\x1f",
+                 "\x85", "\xa0", "\u2028", "\u3000", "\u0661", "\ud800"]
+
+
+@st.composite
+def edits(draw):
+    return draw(st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0),
+            st.sampled_from(["insert", "replace", "delete"]),
+            st.sampled_from(MUTATION_TEXT),
+        ),
+        min_size=1,
+        max_size=3,
+    ))
+
+
+def _mutate(text, edits):
+    for frac, op, piece in edits:
+        k = min(int(frac * len(text)), len(text))
+        if op == "insert":
+            text = text[:k] + piece + text[k:]
+        elif op == "replace":
+            text = text[:k] + piece + text[k + 1 :]
+        else:
+            text = text[:k] + text[k + 1 :]
+    return text
+
+
+def _narrowed(text):
+    """True when the text uses what the per-node reader refuses although
+    the per-line reader took it: whitespace other than space, tab, CR and
+    LF, or a node index other than an optional "-" and ASCII digits."""
+    if any(c.isspace() and c not in " \t\r\n" for c in text):
+        return True
+    for line in text.splitlines():
+        toks = line.split()
+        if len(toks) == 3 and toks[0] == "node" and not re.fullmatch("-?[0-9]+", toks[1]):
+            return True
+    return False
+
+
+@FUZZ
+@given(pernode_texts(), edits())
+def test_mutated_pernode_text_is_read_as_the_per_line_reader_reads_it(case, mutation):
+    text = _mutate(case[2], mutation)
+    try:
+        rule = rule_from_text(text)
+    except LatflowError:
+        rule = None
+    try:
+        want = oracles.pernode_table_from_text(text)
+    except oracles.Refused:
+        want = None
+    if rule is not None:
+        assert want is not None, text
+        assert rule.n_states == want[0] and np.array_equal(rule.table, want[1])
+    elif want is not None:
+        assert _narrowed(text), text
+
+
+@pytest.mark.parametrize("line", [
+    "node +1 table=01", "node 1_0 table=01", "node \u0661 table=01", "node 0x1 table=01",
+])
+def test_node_index_must_be_ascii_decimal(line):
+    # int() takes the first three, the per-node reader does not
+    text = HEADER + "rule pernode n=2 nodes=2\nnode 0 table=10\n" + line + "\n"
+    with pytest.raises(FileFormatError, match="not ASCII decimal digits"):
+        rule_from_text(text)
+
+
+OTHER_SPACES = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in " \t\r\n"]
+
+
+def test_the_refused_whitespace_is_all_that_str_split_took():
+    assert set(rules._OTHER_SPACES) == set(OTHER_SPACES)
+
+
+@pytest.mark.parametrize("space", OTHER_SPACES)
+def test_whitespace_other_than_space_tab_cr_and_lf_is_refused(space):
+    text = HEADER + "# a comment" + space + "rule pernode n=2 nodes=1\nnode 0 table=10\n"
+    with pytest.raises(FileFormatError, match="only space, tab, CR and LF"):
+        rule_from_text(text)
+
+
+def test_node_index_of_many_digits_is_read_as_int():
+    text = HEADER + "rule pernode n=2 nodes=2\nnode 1 table=01\nnode " + "0" * 30 + " table=10\n"
+    assert rule_from_text(text).table.tolist() == [[1, 0], [0, 1]]
+    with pytest.raises(FileFormatError, match="node 10000000000000000000 outside"):
+        rule_from_text(text.replace("0" * 30, "1" + "0" * 19))
+
+
+@pytest.mark.parametrize("line, match", [
+    ("node 1 table=01 x", "bad node line: 'node 1 table=01 x'"),
+    ("nodes 1 table=01", "bad node line"),
+    ("node 3 table=01", r"node 3 outside \[0, 3\)"),
+    ("node 0 table=01", "second table for node 0"),
+    ("node 1 tables", "expected key=value, got 'tables'"),
+    ("node 1 tables=01", "malformed rule text: 'table'"),
+])
+def test_first_bad_node_line_gives_the_message_of_its_first_failed_check(line, match):
+    text = HEADER + "rule pernode n=2 nodes=3\nnode 0 table=10\n" + line + "\nnode 9 table=1\n"
+    with pytest.raises(FileFormatError, match=match):
+        rule_from_text(text)
+
+
+# -- Matrix Market writer against the %-format writer ----------------------
+
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.0, -3.0, 7.0, 1e16, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@FUZZ
+@given(
+    st.integers(1, 10**6),
+    st.one_of(st.integers(1, 10**6), st.integers(1, 10**15)),
+    st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62), WEIGHTS), max_size=30),
+)
+def test_matrix_market_writer_matches_the_percent_format(tmp_path, n_rows, n_cols, entries):
+    coords = {(r % n_rows, c % n_cols): w for r, c, w in entries}
+    m = SparseMatrix.from_coo(
+        n_rows, n_cols, [rc[0] for rc in coords], [rc[1] for rc in coords], list(coords.values())
+    )
+    save_matrix_market(tmp_path / "m.mtx", m)
+    assert (tmp_path / "m.mtx").read_bytes() == oracles.matrix_market_text(m).encode()
+
+
+# -- pinned bytes ----------------------------------------------------------
+
+def _ragged_rule():
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(0, 9, 300)
+    table = np.full((300, 8), -1)
+    for i, m in enumerate(lengths):
+        table[i, :m] = rng.integers(0, 3, m)
+    return TableRule(table, 3)
+
+
+def _n12_rule():
+    return TableRule(np.random.default_rng(6).integers(0, 12, (50, 144)), 12)
+
+
+def _history():
+    init = np.random.default_rng(3).integers(0, 2, 64 * 64)
+    return game_of_life(64, 64, init=init).run(20, record=True)
+
+
+# SHA-256 of the files as the per-line writers wrote them
+PINNED = {
+    "rbn-2000-3.mtx": "b716a2ce4506912883854eb2273368ea89da04e53b7db5691a43b47e1f711030",
+    "rbn-2000-3.rule": "5f47b1f8329706cc74ba3b0432135f09ff48e0481594556eae485581aa459f34",
+    "rbn-1e5-2.mtx": "d82208dd823294a4432b3632822d40be68d5fc42976e173be55442338a719f35",
+    "rbn-1e5-2.rule": "9a1aa0cc21d828dbff72e5055545339cb0d8073ee8eba51668a8113cb7e578b4",
+    "ragged.rule": "0191bb51140c1293cc37195407ffdcfc7834b3767b6f50ef60122e63acb4ddaf",
+    "n12.rule": "7cc4716e22264a2da759a745825d1b6ff8edfbcfaa9b29705afc6832f92a2b0d",
+    "life-256.mtx": "0654cf6713b2529f5e4f73c2a84d14bebfc28c3f5ea04e5bdfcad7ce6478c5de",
+    "uniform-2000.mtx": "4b44e92a281ba4d22d4a2a2e65348ca09e2d57dde071b9c69d93f2103a1c382c",
+    "life-64.lfst": "f99173f973d7fb751c06a96d83b94159a494148512361593457358cc5993a132",
+}
+WRITERS = {
+    "rbn-2000-3.mtx": lambda p: save_matrix_market(p, random_boolean_network(2000, 3, 1).matrix),
+    "rbn-2000-3.rule": lambda p: save_rule(p, random_boolean_network(2000, 3, 1).rule),
+    "rbn-1e5-2.mtx": lambda p: save_matrix_market(p, random_boolean_network(100000, 2, 1).matrix),
+    "rbn-1e5-2.rule": lambda p: save_rule(p, random_boolean_network(100000, 2, 1).rule),
+    "ragged.rule": lambda p: save_rule(p, _ragged_rule()),
+    "n12.rule": lambda p: save_rule(p, _n12_rule()),
+    "life-256.mtx": lambda p: save_matrix_market(p, game_of_life(256, 256).matrix),
+    "uniform-2000.mtx": lambda p: save_matrix_market(p, random_sparse_uniform(2000, 0.01, 3)),
+    "life-64.lfst": lambda p: _history().save_binary(p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_written_bytes_are_pinned(monkeypatch, tmp_path, backend_name, name):
+    monkeypatch.setattr(backend, "BACKEND", backend_name)
+    path = tmp_path / name
+    WRITERS[name](path)
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == PINNED[name]
+    if name.endswith(".rule"):
+        text = raw.decode()
+        assert rule_to_text(rule_from_text(text)) == text
+    if name.endswith(".lfst"):
+        assert np.array_equal(StateHistory.load_binary(path).states, _history().states)
+
+
+def test_pinned_writers_cover_the_reference_reader():
+    # the per-line reader reads the pinned ragged and n = 12 rules alike
+    for rule in (_ragged_rule(), _n12_rule()):
+        text = rule_to_text(rule)
+        n, table = oracles.pernode_table_from_text(text)
+        assert n == rule.n_states and np.array_equal(table, rule.table)
