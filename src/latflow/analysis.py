@@ -131,23 +131,24 @@ def pca_project(history, n_components=2):
 def detect_cycle(history, tol=0.0):
     """Smallest (transient, period) closing the recorded trajectory.
 
-    Finds the earliest pair of equal rows (exactly for tol=0, elementwise
-    within tol otherwise) and verifies the repetition over the whole
-    remaining record.  tol > 0 is for continuous systems and is inherently
-    approximate.
+    Takes the pairs of equal rows s < j (equal bytes for tol=0, elementwise
+    within tol otherwise) in order of j, then s, and reports the first whose
+    repetition holds over the whole remaining record.  tol > 0 is for
+    continuous systems and is inherently approximate.
     """
     states = history.states
     rows = len(states)
     if tol == 0.0:
-        first_seen = {}
+        # rows by a 64-bit hash of their bytes, so no row is copied for
+        # longer than it is hashed; equal bytes are confirmed per candidate
+        seen = {}
         for j in range(rows):
-            key = states[j].tobytes()
-            if key in first_seen:
-                s, p = first_seen[key], j - first_seen[key]
-                if _verify_cycle(states, s, p, tol):
-                    return CycleReport(s, p)
-            else:
-                first_seen[key] = j
+            row = states[j].tobytes()
+            earlier = seen.setdefault(hash(row), [])
+            for s in earlier:
+                if states[s].tobytes() == row and _verify_cycle(states, s, j - s, tol):
+                    return CycleReport(s, j - s)
+            earlier.append(j)
         return CycleReport(0, 0)
     for j in range(1, rows):
         close = np.all(np.abs(states[:j] - states[j]) <= tol, axis=1)

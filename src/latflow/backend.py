@@ -1,9 +1,10 @@
 """Kernel backend selection, done once at import.
 
 The compiled extension (``latflow._ckernels``, plain C) is used when it
-imported successfully; otherwise the numpy fallback takes over
-transparently.  Set ``LATFLOW_PURE_PYTHON=1`` in the environment to force
-the fallback, e.g. to benchmark one against the other.
+imported successfully and its ``VERSION`` is the one this module calls;
+otherwise the numpy fallback takes over transparently.  Set
+``LATFLOW_PURE_PYTHON=1`` in the environment to force the fallback, e.g. to
+benchmark one against the other.
 
 The C loops trust their buffers, so every call into them goes through a
 wrapper here that checks dtypes, contiguity and lengths first: a wrong
@@ -11,20 +12,37 @@ buffer raises ValueError instead of being read out of bounds.  The public
 matvec wrappers also check every column index against the length of x, an
 O(nnz) scan; ``SparseMatrix.matvec``, whose indices were checked when it
 was built, calls the private entry points that skip it.
+
+The integer matvec runs a fully unrolled loop when every row has the same
+number of entries, from 1 to 9, as lattice automata and random Boolean
+networks do.  That width is found from the row pointers: once per matrix
+by ``SparseMatrix``, on every call by the public ``csr_matvec_u8``, so no
+caller hands the kernel a width.
 """
 
+import importlib
 import os
 
 import numpy as np
 
 from . import _kernels_py
 
-try:
-    from . import _ckernels
+# the interface of _ckernels.c that this module calls
+_KERNELS_VERSION = 2
 
-    _ckernels.csr_matvec_u8  # a build that predates the integer kernels counts as absent
-except (ImportError, AttributeError):
-    _ckernels = None
+
+def _import_compiled():
+    """latflow._ckernels when it is built from the current source, else None:
+    a build of older source, whose functions take other arguments, counts
+    as absent."""
+    try:
+        module = importlib.import_module(f"{__package__}._ckernels")
+    except ImportError:
+        return None
+    return module if getattr(module, "VERSION", None) == _KERNELS_VERSION else None
+
+
+_ckernels = _import_compiled()
 
 if _ckernels is None or os.environ.get("LATFLOW_PURE_PYTHON"):
     BACKEND = "python"
@@ -100,11 +118,21 @@ def csr_matvec_u8(data, indices, indptr, x):
     vector; the caller guarantees that no row's sum of |weight| * 255
     reaches 2**31, so the product is exact."""
     _require_columns(indices, x)
-    return _csr_matvec_u8(data, indices, indptr, x)
+    return _csr_matvec_u8(data, indices, indptr, x, _row_width(indptr))
 
 
-def _csr_matvec_u8(data, indices, indptr, x):
-    """csr_matvec_u8 for column indices known to lie inside x."""
+def _row_width(indptr):
+    """The number of entries in every row of a CSR matrix, or 0 when the
+    rows differ in length or there are none."""
+    lengths = np.diff(indptr)
+    if len(lengths) == 0 or np.any(lengths != lengths[0]):
+        return 0
+    return int(lengths[0])
+
+
+def _csr_matvec_u8(data, indices, indptr, x, width):
+    """csr_matvec_u8 for column indices known to lie inside x and the
+    ``width`` that ``_row_width(indptr)`` gives."""
     if BACKEND != "c":
         return _kernels_py.csr_matvec(data, indices, indptr, x, np.int32)
     _require(data, _I32, "data")
@@ -112,8 +140,10 @@ def _csr_matvec_u8(data, indices, indptr, x):
     _require(indptr, _I64, "indptr")
     _require(x, _U8, "x")
     _require_span(data, indices, indptr)
+    if width and width * (len(indptr) - 1) != len(data):
+        raise ValueError(f"rows of width {width} do not span data")
     out = np.empty(len(indptr) - 1, dtype=np.int32)
-    _ckernels.csr_matvec_u8(data, indices, indptr, x, out)
+    _ckernels.csr_matvec_u8(data, indices, indptr, x, out, width)
     return out
 
 

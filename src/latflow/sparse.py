@@ -7,7 +7,9 @@ accumulating silently would hide generator bugs.  Weights are stored as
 float64.  A matrix of small integer weights, as every lookup-table system
 has, also keeps an int32 copy of its weights and column indices, made on
 its first uint8 matvec, so that discrete states are mixed in exact integer
-arithmetic at a fraction of the memory traffic.
+arithmetic at a fraction of the memory traffic.  With the copy it keeps the
+common length of its rows, which lets the compiled kernel run a fully
+unrolled loop without row pointers.
 """
 
 import io
@@ -44,7 +46,7 @@ class SparseMatrix:
         self.indptr = indptr
         self.indices = indices
         self.data = data
-        self._int32 = None  # (data, indices) as int32, False when exceeded
+        self._int32 = None  # (data, indices, row width), False when exceeded
 
     # -- construction ------------------------------------------------------
 
@@ -165,13 +167,15 @@ class SparseMatrix:
             if self._int32 is None:
                 self._int32 = self._int32_view()
             if self._int32:
-                return backend._csr_matvec_u8(*self._int32, self.indptr, v)
+                data, indices, width = self._int32
+                return backend._csr_matvec_u8(data, indices, self.indptr, v, width)
             v = v.astype(np.float64)
         return backend._csr_matvec(self.data, self.indices, self.indptr, v)
 
     def _int32_view(self):
-        """(data, indices) as int32 when the int32 product of a uint8 vector
-        is exact, else False."""
+        """(data, indices, width), the weights and column indices as int32
+        and the length of every row (0 when rows differ), when the int32
+        product of a uint8 vector is exact, else False."""
         data = self.data
         if self.n_cols >= 2**31 or not np.all(np.abs(data) < 2**31 // 255):
             return False
@@ -181,7 +185,8 @@ class SparseMatrix:
         sums = np.concatenate(([0], np.cumsum(np.abs(data).astype(np.int64))))
         if np.any((sums[self.indptr[1:]] - sums[self.indptr[:-1]]) * 255 >= 2**31):
             return False
-        return data.astype(np.int32), self.indices.astype(np.int32)
+        width = backend._row_width(self.indptr)
+        return data.astype(np.int32), self.indices.astype(np.int32), width
 
     def __matmul__(self, v):
         return self.matvec(v)

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from latflow.analysis import (
@@ -276,6 +279,30 @@ def test_cycle_tail_must_verify():
     # candidate is (0, 4), whose continuation is vacuously consistent
     h = StateHistory(np.array([[0.0], [1.0], [0.0], [5.0], [0.0]]))
     assert detect_cycle(h) == CycleReport(0, 4)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # rows 0 and 2 match but fail to verify; rows 2 and 3 close the cycle
+        ([[0.0], [1.0], [0.0], [0.0], [0.0]], (2, 1)),
+        # rows 0 and 2 fail; 2 and 4 are the next equal pair, before 3 and 5
+        ([[1.0], [0.0], [1.0], [2.0], [1.0], [2.0]], (2, 2)),
+    ],
+)
+def test_cycle_exact_tries_every_earlier_equal_row(rows, expected):
+    h = np.array(rows)
+    report = detect_cycle(StateHistory(h))
+    assert (report.transient_length, report.period) == expected
+    assert oracles.first_cycle_within(h, 0.0) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(1, 12), st.integers(1, 3)),
+              elements=st.integers(0, 2)))
+def test_cycle_exact_matches_brute_force(h):
+    report = detect_cycle(StateHistory(h))
+    assert (report.transient_length, report.period) == oracles.first_cycle_within(h, 0.0)
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.9, 1.5])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from latflow.rules import (
     random_boolean_tables,
 )
 from latflow.sparse import SparseMatrix
+from latflow.systems import game_of_life
 
 
 def make_csr(rng, n, nnz):
@@ -77,6 +79,21 @@ def test_kernel_handles_leading_and_trailing_empty_rows():
     v = np.array([1.0, 4.0, 9.0, 16.0, 25.0])
     out = backend.csr_matvec(m.data, m.indices, m.indptr, v)
     assert np.array_equal(out, [0.0, 0.0, -8.0, 0.0, 0.0])
+
+
+def test_a_build_of_another_kernel_version_counts_as_absent(monkeypatch):
+    # a build of older source has csr_matvec_u8 but not its width argument
+    stale = types.ModuleType("latflow._ckernels")
+    stale.csr_matvec_u8 = lambda data, indices, indptr, x, out: None
+    monkeypatch.setitem(sys.modules, "latflow._ckernels", stale)
+    assert backend._import_compiled() is None
+    stale.VERSION = backend._KERNELS_VERSION - 1
+    assert backend._import_compiled() is None
+    stale.VERSION = backend._KERNELS_VERSION
+    assert backend._import_compiled() is stale
+    if backend.compiled_available():
+        monkeypatch.delitem(sys.modules, "latflow._ckernels")
+        assert backend._import_compiled().VERSION == backend._KERNELS_VERSION
 
 
 def test_env_override_forces_python_backend():
@@ -310,3 +327,100 @@ def test_public_matvec_wrappers_check_columns_on_both_backends(monkeypatch, colu
         for wrapper, data, indices, x in calls:
             with pytest.raises(ValueError, match="column index"):
                 wrapper(data, indices, indptr, x)
+
+
+# -- the integer matvec: fixed-width unrolled rows and the CSR loop ---------
+
+
+def rows_of_lengths(rng, lengths, n_cols=40):
+    """A matrix whose row i holds lengths[i] entries in distinct random
+    columns, with integer weights in [-99, 99]."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    cols = np.concatenate(
+        [rng.choice(n_cols, k, replace=False) for k in lengths] + [np.zeros(0, np.int64)])
+    vals = rng.integers(-99, 100, len(rows))
+    return SparseMatrix.from_coo(len(lengths), n_cols, rows, cols, vals)
+
+
+def widths_passed(monkeypatch):
+    """The width of every call into the compiled integer kernel."""
+    real, widths = backend._ckernels.csr_matvec_u8, []
+
+    def recording(*args):
+        widths.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(backend._ckernels, "csr_matvec_u8", recording)
+    return widths
+
+
+def u8_products_agree(monkeypatch, m, x):
+    """SparseMatrix.matvec and the public csr_matvec_u8 give the float
+    product exactly, on every backend; returns the matrix's row width."""
+    want = m.to_dense() @ x.astype(np.float64)
+    m._int32 = None
+    for name in ("python", "c") if backend.compiled_available() else ("python",):
+        monkeypatch.setattr(backend, "BACKEND", name)
+        data, indices, _ = m._int32_view()
+        for y in (m.matvec(x), backend.csr_matvec_u8(data, indices, m.indptr, x)):
+            assert y.dtype == np.int32
+            assert np.array_equal(y, want), name
+            assert np.array_equal(y, backend.csr_matvec_python(data, indices, m.indptr, x))
+    return m._int32[2]
+
+
+LENGTH_CASES = {
+    **{f"uniform {w}": [w] * 23 for w in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16)},
+    "every row empty": [0] * 7,
+    "no rows": [],
+    "ragged": [3, 0, 9, 1, 4, 4, 2],
+    "uniform 3 but the last row": [3] * 10 + [2],
+    "uniform 9 but the last row": [9] * 10 + [10],
+}
+
+
+@pytest.mark.parametrize("case", LENGTH_CASES)
+def test_u8_matvec_matches_the_float_product_on_every_row_shape(monkeypatch, rng, case):
+    lengths = LENGTH_CASES[case]
+    m = rows_of_lengths(rng, lengths)
+    x = rng.integers(0, 256, m.n_cols).astype(np.uint8)
+    widths = widths_passed(monkeypatch) if backend.compiled_available() else []
+    width = lengths[0] if len(set(lengths)) == 1 else 0
+    assert u8_products_agree(monkeypatch, m, x) == width
+    # the private and the public entry point hand the kernel the same width
+    assert set(widths) == ({width} if backend.compiled_available() else set())
+
+
+def test_u8_matvec_on_life_wrapped_and_unwrapped(monkeypatch, rng):
+    for wrapped, width in ((True, 9), (False, 0)):
+        m = game_of_life(13, 11, wrapped).matrix
+        x = rng.integers(0, 2, m.n_cols).astype(np.uint8)
+        assert u8_products_agree(monkeypatch, m, x) == width
+
+
+def test_public_u8_matvec_finds_the_width_itself(monkeypatch, rng):
+    m = rows_of_lengths(rng, [4] * 30)
+    data, indices, width = m._int32_view()
+    assert width == 4
+    x = rng.integers(0, 256, m.n_cols).astype(np.uint8)
+    want = m.to_dense() @ x
+    if backend.compiled_available():
+        monkeypatch.setattr(backend, "BACKEND", "c")
+        widths = widths_passed(monkeypatch)
+        assert np.array_equal(backend.csr_matvec_u8(data, indices, m.indptr, x), want)
+        assert widths == [4]
+    monkeypatch.setattr(backend, "BACKEND", "python")
+    assert np.array_equal(backend.csr_matvec_u8(data, indices, m.indptr, x), want)
+
+
+@needs_compiled
+def test_a_width_that_does_not_span_the_entries_is_refused(monkeypatch, rng):
+    # the unrolled loop would read past the entries
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    m = rows_of_lengths(rng, [3, 0, 9, 1, 4])
+    data, indices, _ = m._int32_view()
+    x = rng.integers(0, 256, m.n_cols).astype(np.uint8)
+    for width in (2, 5, 9, -1):
+        with pytest.raises(ValueError, match="do not span"):
+            backend._csr_matvec_u8(data, indices, m.indptr, x, width)

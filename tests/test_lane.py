@@ -189,8 +189,9 @@ def test_int32_view_is_built_on_the_first_uint8_matvec():
     system.matrix.matvec(system.state)
     assert system.matrix._int32 is None
     system.step()
-    data, indices = system.matrix._int32
+    data, indices, width = system.matrix._int32
     assert data.dtype == indices.dtype == np.int32
+    assert width == 9
     assert np.array_equal(data, system.matrix.data)
     assert np.array_equal(indices, system.matrix.indices)
 
