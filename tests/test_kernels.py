@@ -388,7 +388,8 @@ def test_u8_matvec_matches_the_float_product_on_every_row_shape(monkeypatch, rng
     widths = widths_passed(monkeypatch) if backend.compiled_available() else []
     width = lengths[0] if len(set(lengths)) == 1 else 0
     assert u8_products_agree(monkeypatch, m, x) == width
-    # the private and the public entry point hand the kernel the same width
+    # SparseMatrix.matvec passes its cached width, the public wrapper finds
+    # the width from indptr: the kernel gets the same one from both
     assert set(widths) == ({width} if backend.compiled_available() else set())
 
 
@@ -397,21 +398,6 @@ def test_u8_matvec_on_life_wrapped_and_unwrapped(monkeypatch, rng):
         m = game_of_life(13, 11, wrapped).matrix
         x = rng.integers(0, 2, m.n_cols).astype(np.uint8)
         assert u8_products_agree(monkeypatch, m, x) == width
-
-
-def test_public_u8_matvec_finds_the_width_itself(monkeypatch, rng):
-    m = rows_of_lengths(rng, [4] * 30)
-    data, indices, width = m._int32_view()
-    assert width == 4
-    x = rng.integers(0, 256, m.n_cols).astype(np.uint8)
-    want = m.to_dense() @ x
-    if backend.compiled_available():
-        monkeypatch.setattr(backend, "BACKEND", "c")
-        widths = widths_passed(monkeypatch)
-        assert np.array_equal(backend.csr_matvec_u8(data, indices, m.indptr, x), want)
-        assert widths == [4]
-    monkeypatch.setattr(backend, "BACKEND", "python")
-    assert np.array_equal(backend.csr_matvec_u8(data, indices, m.indptr, x), want)
 
 
 @needs_compiled
