@@ -18,6 +18,12 @@ number of entries, from 1 to 9, as lattice automata and random Boolean
 networks do.  That width is found from the row pointers: once per matrix
 by ``SparseMatrix``, on every call by the public ``csr_matvec_u8``, so no
 caller hands the kernel a width.
+
+The matrix of a lattice automaton, one stencil shifted to every cell of a
+grid, has a third integer kernel that reads no column indices and no
+per-entry weights: ``SparseMatrix`` hands it the stencil's taps once
+``_stencil_check`` has found its CSR arrays to be exactly their expansion.
+Both are private, with ``SparseMatrix`` their only caller.
 """
 
 import importlib
@@ -28,7 +34,7 @@ import numpy as np
 from . import _kernels_py
 
 # the interface of _ckernels.c that this module calls
-_KERNELS_VERSION = 2
+_KERNELS_VERSION = 4
 
 
 def _import_compiled():
@@ -52,7 +58,7 @@ else:
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
 _I32 = np.dtype(np.int32)
-_I8 = np.dtype(np.int8)
+_I16 = np.dtype(np.int16)
 _U8 = np.dtype(np.uint8)
 
 
@@ -147,22 +153,64 @@ def _csr_matvec_u8(data, indices, indptr, x, width):
     return out
 
 
+def _stencil_check(data, indices, indptr, height, width, wrapped, dr, dc, w):
+    """Whether a float64 CSR matrix is exactly the expansion of the stencil
+    whose tap t reads cell (r + dr[t], c + dc[t]) of a height x width grid
+    with weight w[t], by the compiled kernel, in one pass over its entries."""
+    _require(data, _F64, "data")
+    _require(indices, _I64, "indices")
+    _require(indptr, _I64, "indptr")
+    _require_span(data, indices, indptr)
+    _require_taps(dr, dc, w)
+    if len(indptr) != height * width + 1:
+        raise ValueError(f"{len(indptr) - 1} rows for a {height}x{width} grid")
+    # the kernel matches each tap to one entry: no two taps may land on one
+    # cell, as a repeated tap or, wrapped, taps a whole grid apart would
+    if len(set(zip(dr.tolist(), dc.tolist()))) < len(dr):
+        return False
+    if len(dr) and (np.ptp(dr) >= height or np.ptp(dc) >= width):
+        return False
+    return _ckernels.stencil_check(data, indices, indptr, height, width, wrapped, dr, dc, w)
+
+
+def _stencil_matvec_u8(x, height, width, wrapped, dr, dc, w):
+    """y = A @ x in int32 for a uint8 vector and the matrix of a stencil on
+    a height x width grid, by the compiled kernel, which accumulates each
+    grid row in int16: the caller guarantees that the sum of |w| times 255
+    stays below 2**15, so the product is exact."""
+    _require(x, _U8, "x")
+    _require_taps(dr, dc, w)
+    if len(x) != height * width:
+        raise ValueError(f"x of length {len(x)} for a {height}x{width} grid")
+    out = np.empty(len(x), dtype=np.int32)
+    _ckernels.stencil_matvec_u8(x, out, height, width, wrapped, dr, dc, w)
+    return out
+
+
+def _require_taps(dr, dc, w):
+    _require(dr, _I32, "dr")
+    _require(dc, _I32, "dc")
+    _require(w, _I16, "w")
+    if not len(dr) == len(dc) == len(w):
+        raise ValueError("dr, dc and w differ in length")
+
+
 def table_lookup(keys, table, lo):
     """``out[i] = table[keys[i] - lo]`` by the compiled kernel, or
     ``table[i, keys[i] - lo]`` when the table has one row per cell, as uint8.
 
     Returns None when the numpy fallback is active, when ``keys`` is not a
     contiguous 1-d int32 array, when a 2-D table does not have one row per
-    key, or when some key lies outside [lo, lo + row width) or hits a -1
-    entry: the caller's numpy path then gives the result or the precise
-    error.
+    key, or when some key lies outside [lo, lo + row width) or hits a 255
+    entry, a hole: the caller's numpy path then gives the result or the
+    precise error.
     """
     if BACKEND != "c" or not _is_buffer(keys, _I32):
         return None
     if table.ndim == 2 and len(table) != len(keys):
         return None
     flat = table.reshape(-1)
-    _require(flat, _I8, "table")
+    _require(flat, _U8, "table")
     width = table.shape[-1]
     out = np.empty(len(keys), dtype=np.uint8)
     # the kernel reads row i at i * stride; stride 0 shares one row

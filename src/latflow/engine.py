@@ -6,7 +6,7 @@ map_then_mix instead, which applies the local map before the matrix so
 diffusively coupled lattices come out right.  There is no bias term and no
 per-step external input.
 
-A lookup-table rule with an int8 table keeps its state as uint8, so each
+A lookup-table rule with a uint8 table keeps its state as uint8, so each
 step is an integer matvec and an integer-keyed lookup; the state and the
 recorded histories are float64 all the same.
 """

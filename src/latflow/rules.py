@@ -31,9 +31,9 @@ from .sparse import _MAX_READ_BYTES
 from .topology import _words
 
 KEY_TOL = 1e-6
-# the most states whose table fits int8, with -1 for a hole, and whose
+# the most states whose table fits uint8 with 255 for a hole, and whose
 # states fit the uint8 state of the integer lane
-LANE_MAX_STATES = 128
+LANE_MAX_STATES = 255
 
 MIX_THEN_MAP = "mix_then_map"
 MAP_THEN_MIX = "map_then_mix"
@@ -55,7 +55,8 @@ class TableRule:
       generator's positional weights do.
 
     With at most LANE_MAX_STATES states the rule also keeps the table as
-    int8 for the compiled lookup, and its next states are uint8.
+    uint8, 255 for a hole, for the compiled lookup, and its next states are
+    uint8.
     """
 
     table: np.ndarray = field(repr=False)
@@ -84,7 +85,7 @@ class TableRule:
         if t.size and (t.min() < -1 or t.max() >= self.n_states):
             raise RuleOutOfRange("table values must lie in [0, n_states), or be -1")
         if self.n_states <= LANE_MAX_STATES:
-            self._table8 = t.astype(np.int8)
+            self._table8 = t.astype(np.uint8)  # a hole, -1, wraps to 255
 
 
 @dataclass(eq=False)
@@ -179,7 +180,7 @@ def apply_rule(rule, preactivation):
     integer keys.  It raises NonIntegerKey, then DimensionMismatch (a
     per-node table with a row count other than the vector's length), then
     KeyOutOfTable for a key outside the table or on a -1 entry.  Its next
-    states are uint8 when the rule has an int8 table, else float64.
+    states are uint8 when the rule has a uint8 table, else float64.
     """
     pre = np.asarray(preactivation)
     if rule.n_states is None:

@@ -10,6 +10,15 @@ its first uint8 matvec, so that discrete states are mixed in exact integer
 arithmetic at a fraction of the memory traffic.  With the copy it keeps the
 common length of its rows, which lets the compiled kernel run a fully
 unrolled loop without row pointers.
+
+A matrix that a lattice generator built from a stencil carries the
+stencil's taps, and on its first uint8 matvec under the compiled backend it
+checks once, in one pass over its entries, that its CSR arrays are exactly
+their expansion.  It then keeps the taps as its stencil view and never
+makes the int32 copy: the stencil kernel reads each source row once per
+tap and no column index at all.  Any other matrix, including one derived
+from such a matrix by ``scaled`` or ``transpose`` or read back from Matrix
+Market, has no taps and keeps the CSR kernels.
 """
 
 import io
@@ -38,7 +47,9 @@ class SparseMatrix:
     inputs into each row's node.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_int32")
+    __slots__ = (
+        "n_rows", "n_cols", "indptr", "indices", "data", "_int32", "_taps", "_stencil"
+    )
 
     def __init__(self, n_rows, n_cols, indptr, indices, data):
         self.n_rows = int(n_rows)
@@ -47,6 +58,10 @@ class SparseMatrix:
         self.indices = indices
         self.data = data
         self._int32 = None  # (data, indices, row width), False when exceeded
+        # (height, width, wrapped, dr, dc, w) of the generating stencil: its
+        # tap t reads cell (r + dr[t], c + dc[t]) of the grid with weight w[t]
+        self._taps = None
+        self._stencil = None  # the checked taps as int32 and int16, or False
 
     # -- construction ------------------------------------------------------
 
@@ -152,7 +167,9 @@ class SparseMatrix:
 
         A uint8 vector gives the exact product as int32 when every weight is
         an integer and no row's sum of |weight| * 255 reaches 2**31; any
-        other vector is taken as float64 and gives a float64 product.
+        other vector is taken as float64 and gives a float64 product.  The
+        compiled backend computes the int32 product of a stencil matrix
+        whose |weights| sum to less than 2**15 / 255 by the stencil kernel.
         """
         v = np.asarray(v)
         if v.dtype != np.uint8:
@@ -164,6 +181,11 @@ class SparseMatrix:
         # a strided view is copied, as the compiled kernels read contiguous memory
         v = np.ascontiguousarray(v)
         if v.dtype == np.uint8:
+            if backend.BACKEND == "c":
+                if self._stencil is None:
+                    self._stencil = self._stencil_view()
+                if self._stencil:
+                    return backend._stencil_matvec_u8(v, *self._stencil)
             if self._int32 is None:
                 self._int32 = self._int32_view()
             if self._int32:
@@ -187,6 +209,21 @@ class SparseMatrix:
             return False
         width = backend._row_width(self.indptr)
         return data.astype(np.int32), self.indices.astype(np.int32), width
+
+    def _stencil_view(self):
+        """The matrix's taps as (height, width, wrapped, dr, dc, w) with
+        int32 offsets and int16 weights, when its CSR arrays are exactly
+        their expansion and int16 sums of uint8 states are exact, else
+        False."""
+        if self._taps is None:
+            return False
+        height, width, wrapped, dr, dc, w = self._taps
+        if not (np.array_equal(w, np.rint(w)) and np.abs(w).sum() * 255 < 2**15):
+            return False
+        view = (height, width, wrapped, dr.astype(np.int32), dc.astype(np.int32),
+                w.astype(np.int16))
+        exact = backend._stencil_check(self.data, self.indices, self.indptr, *view)
+        return view if exact else False
 
     def __matmul__(self, v):
         return self.matvec(v)

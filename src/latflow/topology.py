@@ -117,27 +117,34 @@ def generate_ca_2d(grid, nb):
 
 
 def _stencil_matrix(grid, weights, center):
-    """One block of entries per nonzero weight of a 2D stencil that fits
-    the grid, so no two blocks share a (row, col) even when wrapped."""
+    """One block of entries per nonzero weight, a tap, of a 2D stencil that
+    fits the grid, so no two blocks share a (row, col) even when wrapped.
+
+    The matrix carries its taps, each as the offset (dr, dc) from a cell to
+    the cell it reads and its weight, with the grid.  From them its first
+    uint8 matvec under the compiled backend builds a stencil view, once a
+    check of the CSR arrays against the taps passes (see SparseMatrix)."""
     height, width = grid.height, grid.width
     cells = np.arange(grid.n_cells)
     r, c = np.divmod(cells, width)
+    sr, sc = np.nonzero(weights)
+    dr, dc, w = sr - center[0], sc - center[1], weights[sr, sc]
     rows, cols, vals = [], [], []
-    for (sr, sc), w in np.ndenumerate(weights):
-        if w == 0.0:
-            continue
-        tr, tc = r + (sr - center[0]), c + (sc - center[1])
+    for tap_dr, tap_dc, tap_w in zip(dr, dc, w):
+        tr, tc = r + tap_dr, c + tap_dc
         if grid.wrapped:
             tr, tc, keep = tr % height, tc % width, slice(None)
         else:
             keep = (tr >= 0) & (tr < height) & (tc >= 0) & (tc < width)
         rows.append(cells[keep])
         cols.append((tr * width + tc)[keep])
-        vals.append(np.full(len(rows[-1]), w))
-    return SparseMatrix.from_coo(
+        vals.append(np.full(len(rows[-1]), tap_w))
+    m = SparseMatrix.from_coo(
         grid.n_cells, grid.n_cells, np.concatenate(rows), np.concatenate(cols),
         np.concatenate(vals),
     )
+    m._taps = (height, width, grid.wrapped, dr, dc, w)
+    return m
 
 
 @dataclass(frozen=True)

@@ -157,22 +157,29 @@ def distinct_positions(total, nnz, seed):
 
 
 def stencil_dense(height, width, weights, center, wrapped):
-    """Dense adjacency of a 2D stencil: column j is the sum over offsets of
-    weight * (unit grid j shifted so that each cell reads its offset)."""
-    weights = np.atleast_2d(weights)
+    """Dense adjacency of a 2D stencil: column j is the stencil applied to
+    unit grid j."""
     n = height * width
-    basis = np.eye(n).reshape(height, width, n)
+    return stencil_apply(height, width, weights, center, wrapped, np.eye(n)).reshape(n, n)
+
+
+def stencil_apply(height, width, weights, center, wrapped, x):
+    """A 2D stencil applied to each column of x (cells by vectors, or one
+    vector of cells), in float64: the sum over offsets of weight * (the grid
+    shifted so that each cell reads its offset)."""
+    weights = np.atleast_2d(weights)
+    basis = np.asarray(x, dtype=np.float64).reshape(height, width, -1)
     if not wrapped:
         pad = max(weights.shape)
         basis = np.pad(basis, ((pad, pad), (pad, pad), (0, 0)))
-    out = np.zeros((height, width, n))
+    out = np.zeros((height, width, basis.shape[2]))
     for (sr, sc), w in np.ndenumerate(weights):
         dr, dc = sr - center[0], sc - center[1]
         if wrapped:
             out += w * np.roll(basis, (-dr, -dc), axis=(0, 1))
         else:
             out += w * basis[pad + dr:pad + dr + height, pad + dc:pad + dc + width]
-    return out.reshape(n, n)
+    return out.reshape(np.shape(x))
 
 
 def table_lookup(entries, pre, per_node):

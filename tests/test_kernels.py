@@ -16,8 +16,9 @@ from latflow.rules import (
     game_of_life_rule,
     random_boolean_tables,
 )
-from latflow.sparse import SparseMatrix
-from latflow.systems import game_of_life
+from latflow.sparse import SparseMatrix, load_matrix_market, save_matrix_market
+from latflow.systems import MOORE_COUNT_SELF, elementary_ca, game_of_life
+from latflow.topology import GridSpec, NeighborhoodSpec2D, generate_ca_2d
 
 
 def make_csr(rng, n, nnz):
@@ -87,9 +88,12 @@ def test_a_build_of_another_kernel_version_counts_as_absent(monkeypatch):
     stale.csr_matvec_u8 = lambda data, indices, indptr, x, out: None
     monkeypatch.setitem(sys.modules, "latflow._ckernels", stale)
     assert backend._import_compiled() is None
-    stale.VERSION = backend._KERNELS_VERSION - 1
-    assert backend._import_compiled() is None
-    stale.VERSION = backend._KERNELS_VERSION
+    # builds of version 3 exist with another interface, so the stencil
+    # kernels came with version 4
+    for version in (2, 3):
+        stale.VERSION = version
+        assert backend._import_compiled() is None
+    stale.VERSION = 4
     assert backend._import_compiled() is stale
     if backend.compiled_available():
         monkeypatch.delitem(sys.modules, "latflow._ckernels")
@@ -410,3 +414,193 @@ def test_a_width_that_does_not_span_the_entries_is_refused(monkeypatch, rng):
     for width in (2, 5, 9, -1):
         with pytest.raises(ValueError, match="do not span"):
             backend._csr_matvec_u8(data, indices, m.indptr, x, width)
+
+
+# -- the stencil matvec of lattice matrices ----------------------------------
+
+BACKENDS = ("python", "c") if backend.compiled_available() else ("python",)
+WIDE = [[1, 0, -2, 3, 0], [0, 4, 0, 0, -1], [2, 0, 0, 0, 0], [0, -3, 1, 0, 5]]
+# |weights| summing to 128, the most whose int16 sums of 255s are exact
+AT_BOUND = [[64, 32], [16, 16]]
+OVER_BOUND = [[64, 32], [16, 17]]
+
+# name: (height, width, weights, center, wrapped, builder), the builder
+# giving the matrix a preset or generate_ca_2d makes of that stencil
+STENCIL_CASES = {
+    "life 256x256 wrapped": (256, 256, MOORE_COUNT_SELF, (1, 1), True,
+                             lambda: game_of_life(256, 256, True).matrix),
+    "life 20x13 wrapped": (13, 20, MOORE_COUNT_SELF, (1, 1), True,
+                           lambda: game_of_life(20, 13, True).matrix),
+    "life 20x13 unwrapped": (13, 20, MOORE_COUNT_SELF, (1, 1), False,
+                             lambda: game_of_life(20, 13, False).matrix),
+    "eca 30": (1, 101, [[4, 2, 1]], (0, 1), True, lambda: elementary_ca(101, 30).matrix),
+    "eca 110 unwrapped": (1, 101, [[4, 2, 1]], (0, 1), False,
+                          lambda: elementary_ca(101, 110, False).matrix),
+    **{
+        f"{name} {'wrapped' if wrapped else 'unwrapped'}": (h, w, weights, center, wrapped, None)
+        for name, h, w, weights, center in (
+            ("as wide as the grid", 4, 5, WIDE, (1, 2)),
+            ("one row", 1, 9, [[1, 2, 3]], (0, 0)),
+            ("one column", 9, 1, [[1], [2], [3]], (2, 0)),
+            ("one cell", 1, 1, [[3]], (0, 0)),
+            ("negative weights", 6, 7, [[-3, 0, 2], [5, -1, 0], [0, 4, -6]], (1, 1)),
+            ("at the int16 bound", 5, 6, AT_BOUND, (1, 0)),
+            ("at the negative int16 bound", 5, 6, np.negative(AT_BOUND), (0, 1)),
+            ("over the int16 bound", 5, 6, OVER_BOUND, (1, 0)),
+        )
+        for wrapped in (True, False)
+    },
+}
+
+
+def stencil_case(name):
+    height, width, weights, center, wrapped, build = STENCIL_CASES[name]
+    weights = np.array(weights, dtype=np.float64)
+    if build is None:
+        grid = GridSpec(width, height, wrapped)
+        m = generate_ca_2d(grid, NeighborhoodSpec2D(weights, center))
+    else:
+        m = build()
+    return m, (height, width, weights, center, wrapped)
+
+
+def uint8_products(monkeypatch, m, x):
+    """m.matvec(x) under each backend, from a matrix without cached views."""
+    out = {}
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        m._stencil = m._int32 = None
+        out[which] = m.matvec(x)
+        assert out[which].dtype == np.int32
+        if which == "python":
+            assert m._stencil is None and isinstance(m._int32, tuple)
+    return out
+
+
+@pytest.mark.parametrize("name", STENCIL_CASES)
+def test_uint8_matvec_of_a_lattice_matches_the_shifted_grid(monkeypatch, rng, name):
+    m, stencil = stencil_case(name)
+    over = name.startswith("over")
+    for x in (rng.integers(0, 256, m.n_cols), np.full(m.n_cols, 255)):
+        x = x.astype(np.uint8)
+        want = oracles.stencil_apply(*stencil, x)
+        for which, y in uint8_products(monkeypatch, m, x).items():
+            assert np.array_equal(y, want), which
+        if "c" in BACKENDS:
+            # the int16 sums hold 128 * 255 but not 129 * 255: over the bound
+            # the product is the int32 CSR kernel's
+            assert (m._stencil is False) == over
+            assert isinstance(m._int32, tuple) == over
+    if m.n_rows <= 400:
+        assert np.array_equal(m.to_dense(), oracles.stencil_dense(*stencil))
+
+
+def moved(m, mutation, k):
+    """m with entry k changed by the mutation, still sorted and free of
+    duplicates, and m's taps."""
+    n = m.n_rows
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    cols, vals = m.indices.copy(), m.data.copy()
+    free = np.setdiff1d(np.arange(n), cols[rows == rows[k]])[0]
+    if mutation == "weight off the stencil":
+        vals[k] += 1
+    elif mutation == "column moved":
+        cols[k] = free
+    elif mutation == "entry dropped":
+        rows, cols, vals = (np.delete(a, k) for a in (rows, cols, vals))
+    else:
+        rows, cols, vals = (np.append(a, v) for a, v in ((rows, rows[k]), (cols, free), (vals, 1)))
+    bad = SparseMatrix.from_coo(n, n, rows, cols, vals)
+    bad._taps = m._taps
+    return bad
+
+
+@needs_compiled
+@pytest.mark.parametrize("mutation", ["weight off the stencil", "column moved",
+                                      "entry dropped", "entry added"])
+def test_a_matrix_off_its_stencil_gets_no_view(monkeypatch, rng, mutation):
+    for wrapped in (True, False):
+        m = game_of_life(20, 13, wrapped).matrix
+        # a corner that wraps, an interior cell, the last cell
+        for k in (0, m.nnz // 2 + 4, m.nnz - 1):
+            bad = moved(m, mutation, k)
+            x = rng.integers(0, 256, m.n_cols).astype(np.uint8)
+            products = uint8_products(monkeypatch, bad, x)
+            assert bad._stencil is False and isinstance(bad._int32, tuple)
+            want = bad.to_dense() @ x.astype(np.float64)
+            assert all(np.array_equal(y, want) for y in products.values())
+
+
+@needs_compiled
+def test_derived_and_loaded_lattice_matrices_keep_the_csr_kernel(monkeypatch, rng, tmp_path):
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    m = game_of_life(20, 13, True).matrix
+    save_matrix_market(tmp_path / "life.mtx", m)
+    x = rng.integers(0, 256, m.n_cols).astype(np.uint8)
+    want = m.to_dense() @ x.astype(np.float64)
+    # life's stencil is symmetric, so its transpose is the same matrix
+    for derived in (m.scaled(1.0), m.transpose(), load_matrix_market(tmp_path / "life.mtx"),
+                    SparseMatrix(m.n_rows, m.n_cols, m.indptr, m.indices, m.data)):
+        assert np.array_equal(derived.matvec(x), want)
+        assert derived._stencil is False and isinstance(derived._int32, tuple)
+
+
+def test_the_stencil_view_is_checked_once_on_the_first_uint8_step(monkeypatch):
+    real, checks = backend._stencil_check, []
+
+    def counting(*args):
+        checks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(backend, "_stencil_check", counting)
+    init = np.random.default_rng(3).integers(0, 2, 16 * 16).astype(np.float64)
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        checks.clear()
+        system = game_of_life(16, 16, True, init)
+        system.matrix.matvec(init)  # a float64 product builds no view
+        assert checks == []
+        assert system.matrix._stencil is None and system.matrix._int32 is None
+        system.run(3)
+        if which == "c":
+            assert len(checks) == 1
+            assert isinstance(system.matrix._stencil, tuple) and system.matrix._int32 is None
+        else:
+            assert checks == [] and system.matrix._stencil is None
+
+
+@needs_compiled
+def test_stencil_wrappers_reject_wrong_buffers():
+    m = game_of_life(8, 8, True).matrix
+    view = m._stencil_view()
+    height, width, wrapped, dr, dc, w = view
+    x = np.zeros(64, dtype=np.uint8)
+    for args in (
+        (x[:63], *view),
+        (x.astype(np.int32), *view),
+        (np.zeros(128, dtype=np.uint8)[::2], *view),
+        (x, height, width, wrapped, dr.astype(np.int64), dc, w),
+        (x, height, width, wrapped, dr, dc, w.astype(np.int32)),
+        (x, height, width, wrapped, dr[:-1], dc, w),
+    ):
+        with pytest.raises(ValueError):
+            backend._stencil_matvec_u8(*args)
+    # an offset of a whole grid row would read past x
+    far = dr.copy()
+    far[0] = height
+    with pytest.raises(ValueError, match="past the grid"):
+        backend._stencil_matvec_u8(x, height, width, wrapped, far, dc, w)
+    assert not backend._stencil_check(m.data, m.indices, m.indptr, height, width, wrapped,
+                                      far, dc, w)
+    with pytest.raises(ValueError, match="rows for a"):
+        backend._stencil_check(m.data, m.indices, m.indptr, height, width + 1, wrapped, dr, dc, w)
+    # two taps on one cell could stand for an entry of another column: a
+    # tap listed twice, or on a wrapped ring two taps a whole ring apart
+    twice = (np.append(dr, dr[0]), np.append(dc, dc[0]), np.append(w, w[0]))
+    assert not backend._stencil_check(m.data, m.indices, m.indptr, height, width, wrapped, *twice)
+    cells = np.arange(8)
+    ring = SparseMatrix.from_coo(8, 8, np.repeat(cells, 2),
+                                 np.ravel([(cells + 1) % 8, (cells + 4) % 8], order="F"),
+                                 np.ones(16))
+    apart = (np.zeros(2, np.int32), np.array([-4, 4], np.int32), np.ones(2, np.int16))
+    assert not backend._stencil_check(ring.data, ring.indices, ring.indptr, 1, 8, True, *apart)

@@ -1,5 +1,6 @@
 """The integer lane of discrete systems: uint8 state, an int32 matvec over a
-cached int32 view of the matrix and one integer-keyed table lookup.
+cached int32 view of the matrix, or over the stencil view of a lattice
+matrix, and one integer-keyed table lookup.
 
 The lane must give the histories of the float64 engine bit for bit, raise
 the same errors with the same messages, and leave every system it cannot
@@ -101,7 +102,12 @@ def test_pinned_histories_on_both_backends(monkeypatch, name):
         system = make()
         history = system.run(steps, record=True)
         assert system._state.dtype == np.uint8
-        assert isinstance(system.matrix._int32, tuple)
+        if which == "c" and system.matrix._taps is not None:
+            # a lattice matrix takes the stencil kernel and needs no int32 copy
+            assert isinstance(system.matrix._stencil, tuple)
+            assert system.matrix._int32 is None
+        else:
+            assert isinstance(system.matrix._int32, tuple)
         assert hashlib.sha256(history.states.tobytes()).hexdigest() == digest, which
 
 
@@ -170,21 +176,58 @@ def test_columns_beyond_int32_stay_on_the_float_path():
     assert SparseMatrix.from_coo(1, 2**31, [0], [5], [1.0])._int32_view() is False
 
 
-def test_more_than_128_states_stay_on_the_float_path(monkeypatch):
-    rule = TableRule(np.arange(200)[::-1], n_states=200)  # key k -> 199 - k
-    init = np.arange(0, 200, 7).astype(np.float64)
+def reversing(n_states):
+    """A pattern rule of n_states states, key k -> n_states - 1 - k, and a
+    state holding every seventh state and the last."""
+    rule = TableRule(np.arange(n_states)[::-1], n_states=n_states)
+    return rule, np.append(np.arange(0, n_states - 1, 7), n_states - 1).astype(np.float64)
+
+
+def test_more_than_255_states_stay_on_the_float_path(monkeypatch):
+    rule, init = reversing(256)
     for which in BACKENDS:
         monkeypatch.setattr(backend, "BACKEND", which)
         system = DynamicalSystem(SparseMatrix.from_dense(np.eye(len(init))), rule, init)
         assert system._state.dtype == np.float64
         history = system.run(2, record=True)
-        assert np.array_equal(history.states, [init, 199 - init, init])
+        assert np.array_equal(history.states, [init, 255 - init, init])
         assert apply_rule(rule, np.array([3.0])).dtype == np.float64
         assert system.matrix._int32 is None  # never asked for
 
 
+@pytest.mark.parametrize("n_states", [128, 129, 200, 254, 255])
+def test_up_to_255_states_run_on_the_lane(monkeypatch, n_states):
+    rule, init = reversing(n_states)
+    top = n_states - 1
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        system = DynamicalSystem(SparseMatrix.from_dense(np.eye(len(init))), rule, init)
+        assert system._state.dtype == np.uint8
+        history = system.run(2, record=True)
+        assert history.states.dtype == np.float64
+        assert np.array_equal(history.states, [init, top - init, init])
+        assert isinstance(system.matrix._int32, tuple)
+        assert apply_rule(rule, np.array([3.0])).tolist() == [top - 3]
+        assert apply_rule(rule, np.array([3.0])).dtype == np.uint8
+
+
+def test_a_hole_in_a_255_state_table_is_not_a_state(monkeypatch):
+    # the uint8 table marks a hole with 255, one above the largest state
+    rule = TableRule([254, -1, 0], n_states=255, center_weight=1)
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        assert apply_rule(rule, np.array([0, 2, 0], dtype=np.int32)).tolist() == [254, 0, 254]
+        with pytest.raises(KeyOutOfTable) as info:
+            apply_rule(rule, np.array([0, 1], dtype=np.int32))
+        assert str(info.value) == "key 1 at index 1 is not in the table"
+
+
 def test_int32_view_is_built_on_the_first_uint8_matvec():
-    system = game_of_life(8, 8, True, init_bits(64, 3))
+    # life's matrix without the taps of its stencil, which would take the
+    # stencil kernel instead (tests/test_kernels.py)
+    life = game_of_life(8, 8, True)
+    matrix = SparseMatrix.from_dense(life.matrix.to_dense())
+    system = DynamicalSystem(matrix, life.rule, init_bits(64, 3))
     assert system.matrix._int32 is None
     system.matrix.matvec(system.state)
     assert system.matrix._int32 is None
