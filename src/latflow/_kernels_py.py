@@ -1,8 +1,11 @@
 """Pure-numpy CSR matvec, the fallback for the compiled kernels.
 
-Row sums are taken with ``np.add.reduceat`` over the non-empty rows; a
-cumsum-difference trick would be shorter but loses accuracy to cancellation,
-which matters because sparse and dense products must agree to 1e-12.
+A float64 row is summed in entry order from +0.0, one rounded add per
+entry, as the compiled loop sums it, so both backends give the same bits:
+one vector pass per entry position adds the p-th product of every row that
+has one.  Rows of one length are columns of the reshaped products; ragged
+rows are visited longest first, so the rows with a p-th entry are a prefix.
+The int32 product is exact in any order and is summed by ``np.add.reduceat``.
 """
 
 import numpy as np
@@ -16,8 +19,21 @@ def csr_matvec(data, indices, indptr, x, dtype=np.float64):
     if len(data) == 0:
         return out
     products = data * x[indices]
-    nonempty = indptr[:-1] != indptr[1:]
-    starts = indptr[:-1][nonempty]
-    if len(starts):
-        out[nonempty] = np.add.reduceat(products, starts)
+    lengths = np.diff(indptr)
+    if out.dtype == np.int32:
+        nonempty = lengths != 0
+        out[nonempty] = np.add.reduceat(products, indptr[:-1][nonempty])
+        return out
+    if np.all(lengths == lengths[0]):
+        for column in products.reshape(n_rows, -1).T:
+            out += column
+        return out
+    order = np.argsort(-lengths, kind="stable")
+    starts = indptr[:-1][order]
+    # rows[p] rows have a p-th entry
+    rows = np.bincount(lengths)[:0:-1].cumsum()[::-1]
+    acc = np.zeros(n_rows)
+    for p, m in enumerate(rows):
+        acc[:m] += products[starts[:m] + p]
+    out[order] = acc
     return out

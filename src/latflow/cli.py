@@ -3,27 +3,13 @@ project trajectories, detect cycles, benchmark the matvec.
 
 Exit codes: 0 success, 2 usage error (argparse), 3 data error.  Every
 randomized command takes an explicit --seed; there is no time-based default.
-Heavy imports happen inside the handlers so --threads can pin BLAS thread
-counts before numpy loads.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, FileFormatError, LatflowError, read_text
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _pin_threads(argv):
-    # Must run before numpy is first imported to take effect.
-    if "--threads" in argv:
-        k = argv.index("--threads")
-        if k + 1 < len(argv):
-            for var in _THREAD_VARS:
-                os.environ.setdefault(var, argv[k + 1])
 
 
 # -- stencil text format ---------------------------------------------------
@@ -175,28 +161,6 @@ def run_config_from_text(text):
         render=render,
         render_out=pairs.get("render_out"),
     )
-
-
-def run_config_to_text(rc):
-    """Inverse of run_config_from_text, for round-tripping configs."""
-    s = rc.system
-    lines = [f"system = {s.kind}"]
-    for key, attr in (
-        ("width", "width"), ("height", "height"), ("rule", "rule_number"),
-        ("nodes", "nodes"), ("in_degree", "in_degree"), ("eps", "eps"),
-        ("r", "r"), ("density", "density"), ("rho", "rho"), ("seed", "seed"),
-    ):
-        value = getattr(s, attr)
-        if value is not None:
-            lines.append(f"{key} = {value}")
-    lines.append(f"wrapped = {'true' if s.wrapped else 'false'}")
-    lines.append(f"steps = {rc.steps}")
-    lines.append(f"init = {rc.init}")
-    for key in ("record", "format", "render", "render_out"):
-        value = getattr(rc, key)
-        if value is not None:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def make_initial_state(sysconf, init_spec):
@@ -552,16 +516,12 @@ def build_parser():
     bench.add_argument("--density", type=float, required=True)
     bench.add_argument("--repeats", type=int, default=100)
     bench.add_argument("--seed", type=int, required=True)
-    bench.add_argument("--threads", type=int,
-                       help="pin BLAS thread count (set before numpy loads)")
     bench.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _pin_threads(argv)
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

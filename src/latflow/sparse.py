@@ -245,18 +245,6 @@ class SparseMatrix:
         return SparseMatrix.from_coo(self.n_cols, self.n_rows, self.indices, rows, self.data)
 
 
-def is_symmetric(m):
-    """True iff m[i, j] == m[j, i] for every entry (exact comparison)."""
-    if not m.is_square:
-        raise NotSquare(f"symmetry is undefined for {m.n_rows}x{m.n_cols}")
-    t = m.transpose()
-    return (
-        np.array_equal(m.indptr, t.indptr)
-        and np.array_equal(m.indices, t.indices)
-        and np.array_equal(m.data, t.data)
-    )
-
-
 @dataclass
 class PowerIterationResult:
     value: float

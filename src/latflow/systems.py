@@ -68,8 +68,9 @@ def game_of_life(width, height, wrapped=True, init=None):
 def random_boolean_network(n, k, seed, init=None):
     """Boolean network with k random distinct inputs and a random table per node.
 
-    The returned system carries ``node_inputs``, each node's ordered input
-    list; input m contributes 2^m to the node's table key.
+    The returned system carries ``node_inputs``, a read-only (n, k) int64
+    array whose row i holds node i's inputs in order: input m contributes
+    2^m to the node's table key.
     """
     s_topology, s_tables = _child_seeds(seed, 2)
     matrix, inputs = generate_random_digraph(

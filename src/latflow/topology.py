@@ -167,8 +167,9 @@ def generate_random_digraph(n_nodes, in_degree, weight_scheme, allow_self, seed)
 
     Inputs are distinct, drawn uniformly by a PCG64 generator seeded with
     ``seed``; the whole construction is a pure function of its arguments.
-    Returns (matrix, input_lists) where input_lists[i] is node i's inputs in
-    draw order, the order the positional weights follow.
+    Returns (matrix, inputs): inputs is a read-only (n_nodes, in_degree)
+    int64 array whose row i holds node i's inputs in draw order, the order
+    the positional weights follow.
 
     Stream contract: node i's inputs are ``rng.choice(limit, in_degree,
     replace=False)`` drawn for i = 0, 1, ... in turn from
@@ -212,7 +213,8 @@ def generate_random_digraph(n_nodes, in_degree, weight_scheme, allow_self, seed)
     matrix = SparseMatrix.from_coo(
         n_nodes, n_nodes, np.repeat(node, k), picks.ravel(), weights.ravel()
     )
-    return matrix, picks.tolist()
+    picks.flags.writeable = False
+    return matrix, picks
 
 
 def _words(rng, count):

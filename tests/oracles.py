@@ -10,6 +10,8 @@ by shifting the grid.
 
 import numpy as np
 
+from latflow.errors import NotSquare
+
 
 def eca_step(state, rule_number, wrapped=True):
     """One elementary-CA step by direct neighborhood scanning."""
@@ -133,6 +135,15 @@ def choice_digraph(n, k, allow_self, seed, uniform=None):
         if uniform is not None:
             weights[i] = rng.uniform(uniform[0], uniform[1], size=k)
     return inputs, weights
+
+
+def is_symmetric(m):
+    """True iff m[i, j] == m[j, i] for every stored entry, exactly, and the
+    transposed position of each stored entry is stored too."""
+    if m.n_rows != m.n_cols:
+        raise NotSquare(f"symmetry is undefined for {m.n_rows}x{m.n_cols}")
+    entries = {(i, j): w for i, j, w in m.triplets()}
+    return all(entries.get((j, i)) == w for (i, j), w in entries.items())
 
 
 def boolean_tables(n, k, seed):

@@ -14,7 +14,7 @@ import pytest
 import oracles
 from latflow.analysis import detect_cycle, pca_project, principal_components, train_linear_readout
 from latflow.engine import StateHistory
-from latflow.sparse import is_symmetric, spectral_radius
+from latflow.sparse import spectral_radius
 from latflow.systems import (
     echo_state_network,
     elementary_ca,
@@ -76,7 +76,7 @@ def test_c02_ca2d_generator_known_rows():
         assert m.row(5) == {1: 1.0, 4: 1.0, 6: 1.0, 9: 1.0}
         assert m.row(0) == {1: 1.0, 3: 1.0, 4: 1.0, 12: 1.0}
         assert all(w == 1.0 for _, _, w in m.triplets())
-        assert is_symmetric(m)
+        assert oracles.is_symmetric(m)
 
 
 def test_c03_all_elementary_rules_match_direct_simulation():

@@ -45,8 +45,54 @@ def test_backends_agree_exactly(rng):
         v = rng.uniform(-10, 10, n)
         py = backend.csr_matvec_python(m.data, m.indices, m.indptr, v)
         cy = backend.csr_matvec_compiled(m.data, m.indices, m.indptr, v)
-        # summation order differs (pairwise vs sequential), so ulp-level slack
-        assert np.allclose(py, cy, rtol=1e-12, atol=1e-12)
+        assert py.tobytes() == cy.tobytes()
+
+
+def _float_csr(rng, n, ragged):
+    """Raw float CSR arrays and an x whose first rows are the edge cases of
+    summing in order: a lone -0.0 product, products all -0.0, a pair that
+    cancels, and 1, 1e16, -1e16, whose sum in order is 0 (padded to three
+    entries with 0.0 * -0.0 unless ``ragged``); then n random rows, empty
+    ones among them when ``ragged``."""
+    special = [([-1.0], [0]), ([-1.0, 2.0], [0, 2]), ([3.0, -3.0], [1, 1]),
+               ([1.0, 1e16, -1e16], [1, 1, 1])]
+    width = 3
+    if not ragged:
+        special = [(d + [0.0] * (width - len(d)), c + [2] * (width - len(c)))
+                   for d, c in special]
+    lengths = (rng.choice([0, 1, 2, 5, 8, 9, 17, 40], size=n) if ragged
+               else np.full(n, width))
+    n_cols = max(n, 3)
+    data = [np.array(d, dtype=float) for d, _ in special]
+    cols = [np.array(c) for _, c in special]
+    for length in lengths:
+        data.append(rng.uniform(-1, 1, length) * 10.0 ** rng.integers(-8, 9, length))
+        cols.append(rng.integers(0, n_cols, length))
+    indptr = np.concatenate([[0], np.cumsum([len(d) for d in data])]).astype(np.int64)
+    x = rng.uniform(-10, 10, n_cols)
+    x[:3] = 0.0, 1.0, -0.0
+    return np.concatenate(data), np.concatenate(cols).astype(np.int64), indptr, x
+
+
+def _sequential_rows(data, indices, indptr, x):
+    out = []
+    for i in range(len(indptr) - 1):
+        acc = 0.0  # a Python float rounds after every multiply and add
+        for j in range(indptr[i], indptr[i + 1]):
+            acc += float(data[j]) * float(x[indices[j]])
+        out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("ragged", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 7, 300])
+def test_fallback_matvec_sums_each_row_in_order(rng, n, ragged):
+    args = _float_csr(rng, n, ragged)
+    want = _sequential_rows(*args)
+    assert not np.signbit(want[:4]).any() and not want[:4].any()
+    assert backend.csr_matvec_python(*args).tobytes() == want.tobytes()
+    if backend.compiled_available():
+        assert backend.csr_matvec_compiled(*args).tobytes() == want.tobytes()
 
 
 def test_compiled_matvec_sums_each_row_in_order(rng):

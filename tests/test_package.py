@@ -10,4 +10,4 @@ def test_all_lists_exactly_the_exported_names():
     }
     assert all(hasattr(latflow, name) for name in latflow.__all__)
     assert sorted(latflow.__all__) == sorted(exported)
-    assert len(latflow.__all__) == len(set(latflow.__all__)) == 66
+    assert len(latflow.__all__) == len(set(latflow.__all__)) == 65

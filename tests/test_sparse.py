@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_symmetric
 from latflow.errors import (
     DimensionMismatch,
     DuplicateEntry,
@@ -13,7 +14,6 @@ from latflow.errors import (
 )
 from latflow.sparse import (
     SparseMatrix,
-    is_symmetric,
     load_matrix_market,
     power_iteration,
     save_matrix_market,

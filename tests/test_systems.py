@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import oracles
+from latflow import backend
 from latflow.analysis import detect_cycle
 from latflow.errors import ArgumentTooSmall, ConfigError
 from latflow.rules import MAP_THEN_MIX, ContinuousMap, TableRule
@@ -109,7 +112,33 @@ def test_rbn_deterministic_per_seed():
     b = random_boolean_network(10, 2, seed=6)
     assert np.array_equal(a.matrix.to_dense(), b.matrix.to_dense())
     assert all(np.array_equal(x, y) for x, y in zip(a.rule.table, b.rule.table))
-    assert a.node_inputs == b.node_inputs
+    assert a.node_inputs.dtype == b.node_inputs.dtype == np.int64
+    assert a.node_inputs.shape == b.node_inputs.shape == (10, 2)
+    assert np.array_equal(a.node_inputs, b.node_inputs)
+
+
+def test_rbn_node_inputs_are_read_only():
+    inputs = random_boolean_network(10, 2, seed=6).node_inputs
+    assert not inputs.flags.writeable
+    with pytest.raises(ValueError):
+        inputs[0, 0] = 1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_rbn_node_inputs_name_the_columns_of_each_digit(k):
+    # read off the CSR arrays: in row i the entry of weight 2^m sits in
+    # column node_inputs[i, m]
+    n = 100000
+    system = random_boolean_network(n, k, seed=7)
+    m = system.matrix
+    assert np.array_equal(m.indptr, np.arange(n + 1) * k)
+    data, columns = m.data.reshape(n, k), m.indices.reshape(n, k)
+    inputs = system.node_inputs
+    assert inputs.dtype == np.int64 and inputs.shape == (n, k)
+    for digit in range(k):
+        at = data == 2.0 ** digit
+        assert np.all(at.sum(axis=1) == 1)
+        assert np.array_equal(columns[at], inputs[:, digit])
 
 
 def test_cml_row_sums_are_one():
@@ -153,6 +182,20 @@ def test_cml_uses_map_then_mix():
     system = coupled_map_lattice(8, 0.2, 3.0)
     assert isinstance(system.rule, ContinuousMap)
     assert system.rule.order == MAP_THEN_MIX
+
+
+@pytest.mark.parametrize("args", [(200, 0.05, 0.9, 1), (2000, 0.01, 0.9, 3)])
+def test_esn_weights_are_the_same_bits_on_both_backends(monkeypatch, args):
+    if not backend.compiled_available():
+        pytest.skip("compiled kernel not built")
+    digests = []
+    for name in ("c", "python"):
+        monkeypatch.setattr(backend, "BACKEND", name)
+        m = echo_state_network(*args).matrix
+        digests.append(hashlib.sha256(
+            m.indptr.tobytes() + m.indices.tobytes() + m.data.tobytes()
+        ).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_esn_radius_hits_target():

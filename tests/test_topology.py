@@ -8,7 +8,6 @@ from latflow.errors import (
     DegreeTooLarge,
     StencilWiderThanGrid,
 )
-from latflow.sparse import is_symmetric
 from latflow.topology import (
     GridSpec,
     NeighborhoodSpec1D,
@@ -113,7 +112,7 @@ def test_ca2d_von_neumann_known_rows():
     assert m.nnz == 64
     assert m.row(5) == {1: 1.0, 4: 1.0, 6: 1.0, 9: 1.0}
     assert m.row(0) == {1: 1.0, 3: 1.0, 4: 1.0, 12: 1.0}
-    assert is_symmetric(m)
+    assert oracles.is_symmetric(m)
 
 
 def test_ca2d_cell_above_stencil():
@@ -151,11 +150,17 @@ def test_ca2d_row_major_shift_equivariance(rng):
     assert np.allclose(m.matvec(rolled), np.roll(m.matvec(grid.ravel()).reshape(4, 5), 1, axis=1).ravel())
 
 
+def _assert_inputs_equal(inputs, want):
+    assert inputs.dtype == np.int64
+    assert inputs.shape == want.shape
+    assert np.array_equal(inputs, want)
+
+
 def test_digraph_trivial_empty():
     m, inputs = generate_random_digraph(1, 0, PositionalBase(2), False, 0)
     assert m.shape == (1, 1)
     assert m.nnz == 0
-    assert inputs == [[]]
+    _assert_inputs_equal(inputs, np.empty((1, 0), dtype=np.int64))
 
 
 def test_digraph_positional_weights_no_self():
@@ -188,9 +193,23 @@ def test_digraph_deterministic_per_seed():
     a, ia = generate_random_digraph(12, 3, UniformWeights(0, 1), False, 9)
     b, ib = generate_random_digraph(12, 3, UniformWeights(0, 1), False, 9)
     assert np.array_equal(a.to_dense(), b.to_dense())
-    assert ia == ib
+    _assert_inputs_equal(ia, ib)
     c, _ = generate_random_digraph(12, 3, UniformWeights(0, 1), False, 10)
     assert not np.array_equal(a.to_dense(), c.to_dense())
+
+
+@pytest.mark.parametrize("n,k,scheme", [
+    (50, 3, PositionalBase(2)),  # decoded from the raw stream
+    (50, 3, UniformWeights(-1.0, 1.0)),  # drawn node by node
+    (6, 0, PositionalBase(2)),
+])
+def test_digraph_inputs_are_a_read_only_int64_array(n, k, scheme):
+    _, inputs = generate_random_digraph(n, k, scheme, False, 1)
+    assert inputs.dtype == np.int64 and inputs.shape == (n, k)
+    assert not inputs.flags.writeable
+    if k:
+        with pytest.raises(ValueError):
+            inputs[0, 0] = 0
 
 
 def test_digraph_degree_too_large():
@@ -243,7 +262,7 @@ def _csr_from_rows(inputs, weights):
 def _assert_matches_choice_oracle(n, k, allow_self, seed, scheme=PositionalBase(2), uniform=None):
     m, inputs = generate_random_digraph(n, k, scheme, allow_self, seed)
     want_inputs, want_weights = oracles.choice_digraph(n, k, allow_self, seed, uniform)
-    assert inputs == want_inputs.tolist()
+    _assert_inputs_equal(inputs, want_inputs)
     indptr, indices, data = _csr_from_rows(want_inputs, want_weights)
     assert m.indptr.tobytes() == indptr.tobytes()
     assert m.indices.tobytes() == indices.tobytes()
