@@ -8,16 +8,16 @@ benchmark one against the other.
 
 The C loops trust their buffers, so every call into them goes through a
 wrapper here that checks dtypes, contiguity and lengths first: a wrong
-buffer raises ValueError instead of being read out of bounds.  The public
-matvec wrappers also check every column index against the length of x, an
-O(nnz) scan; ``SparseMatrix.matvec``, whose indices were checked when it
-was built, calls the private entry points that skip it.
+buffer raises ValueError instead of being read out of bounds.  The two
+public float64 matvec wrappers, one per backend, also check every column
+index against the length of x, an O(nnz) scan; ``SparseMatrix.matvec``,
+whose indices were checked when it was built, calls the private entry
+points that skip it.
 
 The integer matvec runs a fully unrolled loop when every row has the same
 number of entries, from 1 to 9, as lattice automata and random Boolean
-networks do.  That width is found from the row pointers: once per matrix
-by ``SparseMatrix``, on every call by the public ``csr_matvec_u8``, so no
-caller hands the kernel a width.
+networks do.  ``SparseMatrix`` finds that width from the row pointers once
+per matrix.
 
 The matrix of a lattice automaton, one stencil shifted to every cell of a
 grid, has a third integer kernel that reads no column indices and no
@@ -81,14 +81,9 @@ def _require_columns(indices, x):
         raise ValueError(f"a column index lies outside x of length {len(x)}")
 
 
-def csr_matvec(data, indices, indptr, x):
-    """y = A @ x for a CSR matrix given as (data, indices, indptr) arrays."""
-    _require_columns(indices, x)
-    return _csr_matvec(data, indices, indptr, x)
-
-
 def _csr_matvec(data, indices, indptr, x):
-    """csr_matvec for column indices known to lie inside x."""
+    """y = A @ x for a CSR matrix given as (data, indices, indptr) arrays
+    whose column indices lie inside x, by the active backend."""
     if BACKEND == "c":
         return _csr_matvec_compiled(data, indices, indptr, x)
     return _kernels_py.csr_matvec(data, indices, indptr, x)
@@ -119,14 +114,6 @@ def _csr_matvec_compiled(data, indices, indptr, x):
     return out
 
 
-def csr_matvec_u8(data, indices, indptr, x):
-    """y = A @ x in int32 for int32 weights and column indices and a uint8
-    vector; the caller guarantees that no row's sum of |weight| * 255
-    reaches 2**31, so the product is exact."""
-    _require_columns(indices, x)
-    return _csr_matvec_u8(data, indices, indptr, x, _row_width(indptr))
-
-
 def _row_width(indptr):
     """The number of entries in every row of a CSR matrix, or 0 when the
     rows differ in length or there are none."""
@@ -137,8 +124,10 @@ def _row_width(indptr):
 
 
 def _csr_matvec_u8(data, indices, indptr, x, width):
-    """csr_matvec_u8 for column indices known to lie inside x and the
-    ``width`` that ``_row_width(indptr)`` gives."""
+    """y = A @ x in int32 for int32 weights, int32 column indices that lie
+    inside x, a uint8 vector and the ``width`` that ``_row_width(indptr)``
+    gives; the caller guarantees that no row's sum of |weight| * 255
+    reaches 2**31, so the product is exact."""
     if BACKEND != "c":
         return _kernels_py.csr_matvec(data, indices, indptr, x, np.int32)
     _require(data, _I32, "data")

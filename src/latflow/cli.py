@@ -7,17 +7,40 @@ randomized command takes an explicit --seed; there is no time-based default.
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, fields
 
+import numpy as np
+
+from . import backend
+from .analysis import detect_cycle, pca_project
+from .engine import load_history
 from .errors import ConfigError, FileFormatError, LatflowError, read_text
+from .sparse import save_matrix_market
+from .systems import (
+    PRESETS,
+    SystemConfig,
+    _child_seeds,
+    build_system,
+    echo_state_network,
+    random_sparse_uniform,
+)
+from .topology import (
+    GridSpec,
+    NeighborhoodSpec1D,
+    NeighborhoodSpec2D,
+    PositionalBase,
+    UniformWeights,
+    generate_ca_1d,
+    generate_ca_2d,
+    generate_random_digraph,
+)
 
 
 # -- stencil text format ---------------------------------------------------
 
 def parse_stencil_text(text):
     """Stencil grid: rows of space-separated reals plus a ``center R C`` line."""
-    from .topology import NeighborhoodSpec2D
-
     rows = []
     center = None
     for ln in text.splitlines():
@@ -52,22 +75,9 @@ def load_stencil(path):
 
 # -- run config file format ------------------------------------------------
 
-_SYSTEM_KEYS = {
-    "system": str,
-    "width": int,
-    "height": int,
-    "wrapped": None,  # boolean, parsed specially
-    "rule": int,
-    "nodes": int,
-    "in_degree": int,
-    "eps": float,
-    "r": float,
-    "density": float,
-    "rho": float,
-    "seed": int,
-}
-_RUN_KEYS = {"steps": int, "init": str, "record": str, "format": str,
-             "render": str, "render_out": str}
+# the config key of each SystemConfig field not set by the key of its name
+_RENAMED = {"kind": "system", "rule_number": "rule"}
+_SYSTEM_KEYS = {_RENAMED.get(f.name, f.name): f for f in fields(SystemConfig)}
 
 
 @dataclass
@@ -81,7 +91,9 @@ class RunConfig:
     format: str = None
     render: str = None
     render_out: str = None
-    extras: dict = field(default_factory=dict)
+
+
+_RUN_KEYS = {f.name: f for f in fields(RunConfig) if f.name != "system"}
 
 
 def parse_config_text(text):
@@ -101,17 +113,21 @@ def parse_config_text(text):
     return pairs
 
 
-def _parse_bool(value, key):
-    if value.lower() in ("true", "yes", "1"):
-        return True
-    if value.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {value!r}")
+def _cast(key, value, type_):
+    """A config value as the type of the field its key sets."""
+    if type_ is bool:
+        if value.lower() in ("true", "yes", "1"):
+            return True
+        if value.lower() in ("false", "no", "0"):
+            return False
+        raise ConfigError(f"{key} must be a boolean, got {value!r}")
+    try:
+        return type_(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
 def run_config_from_text(text):
-    from .systems import SystemConfig
-
     pairs = parse_config_text(text)
     unknown = set(pairs) - set(_SYSTEM_KEYS) - set(_RUN_KEYS)
     if unknown:
@@ -121,53 +137,22 @@ def run_config_from_text(text):
     if "steps" not in pairs:
         raise ConfigError("config requires 'steps'")
 
-    def grab(key, cast):
-        if key not in pairs:
-            return None
-        try:
-            return cast(pairs[key])
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {pairs[key]!r}") from exc
+    def values(keys):
+        return {f.name: _cast(key, pairs[key], f.type)
+                for key, f in keys.items() if key in pairs}
 
-    sysconf = SystemConfig(
-        kind=pairs["system"],
-        width=grab("width", int),
-        height=grab("height", int),
-        wrapped=_parse_bool(pairs["wrapped"], "wrapped") if "wrapped" in pairs else True,
-        rule_number=grab("rule", int),
-        nodes=grab("nodes", int),
-        in_degree=grab("in_degree", int),
-        eps=grab("eps", float),
-        r=grab("r", float),
-        density=grab("density", float),
-        rho=grab("rho", float),
-        seed=grab("seed", int),
-    ).validate()
-    steps = grab("steps", int)
-    if steps < 0:
-        raise ConfigError(f"steps must be non-negative, got {steps}")
-    fmt = pairs.get("format")
-    if fmt is not None and fmt not in ("csv", "bin"):
-        raise ConfigError(f"format must be csv or bin, got {fmt!r}")
-    render = pairs.get("render")
-    if render is not None and render not in ("txt", "pgm"):
-        raise ConfigError(f"render must be txt or pgm, got {render!r}")
-    return RunConfig(
-        system=sysconf,
-        steps=steps,
-        init=pairs.get("init", "zeros"),
-        record=pairs.get("record"),
-        format=fmt,
-        render=render,
-        render_out=pairs.get("render_out"),
-    )
+    sysconf = SystemConfig(**values(_SYSTEM_KEYS)).validate()
+    rc = RunConfig(sysconf, **values(_RUN_KEYS))
+    if rc.steps < 0:
+        raise ConfigError(f"steps must be non-negative, got {rc.steps}")
+    if rc.format not in (None, "csv", "bin"):
+        raise ConfigError(f"format must be csv or bin, got {rc.format!r}")
+    if rc.render not in (None, "txt", "pgm"):
+        raise ConfigError(f"render must be txt or pgm, got {rc.render!r}")
+    return rc
 
 
 def make_initial_state(sysconf, init_spec):
-    import numpy as np
-
-    from .systems import _child_seeds
-
     n = sysconf.n_cells
     if init_spec == "zeros":
         return np.zeros(n)
@@ -175,35 +160,39 @@ def make_initial_state(sysconf, init_spec):
         if sysconf.seed is None:
             raise ConfigError("init = random requires a seed")
         rng = np.random.default_rng(_child_seeds(sysconf.seed, 3)[2])
-        if sysconf.kind in ("elementary_ca", "life", "rbn"):
+        uniform = PRESETS[sysconf.kind].uniform
+        if uniform is None:
             return rng.integers(0, 2, size=n).astype(float)
-        if sysconf.kind == "cml":
-            return rng.uniform(0.0, 1.0, size=n)
-        return rng.uniform(-1.0, 1.0, size=n)
+        return rng.uniform(*uniform, size=n)
     if init_spec.startswith("onehot:"):
-        idx = int(init_spec.split(":", 1)[1])
+        cells = _cell_list(init_spec, n, "onehot")
+        if len(cells) != 1:
+            raise ConfigError(f"init {init_spec!r} names more than one cell")
+    elif init_spec.startswith("cells:"):
+        cells = _cell_list(init_spec, n, "cell")
+    else:
+        raise ConfigError(f"unknown init {init_spec!r}")
+    state = np.zeros(n)
+    state[cells] = 1.0
+    return state
+
+
+def _cell_list(init_spec, n, name):
+    """The cell indices an init spec lists after its colon, each in [0, n)."""
+    try:
+        cells = [int(token) for token in init_spec.split(":", 1)[1].split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"init {init_spec!r} is not a list of cell indices") from exc
+    for idx in cells:
         if not 0 <= idx < n:
-            raise ConfigError(f"onehot index {idx} outside [0, {n})")
-        state = np.zeros(n)
-        state[idx] = 1.0
-        return state
-    if init_spec.startswith("cells:"):
-        state = np.zeros(n)
-        for token in init_spec.split(":", 1)[1].split(","):
-            idx = int(token)
-            if not 0 <= idx < n:
-                raise ConfigError(f"cell index {idx} outside [0, {n})")
-            state[idx] = 1.0
-        return state
-    raise ConfigError(f"unknown init {init_spec!r}")
+            raise ConfigError(f"{name} index {idx} outside [0, {n})")
+    return cells
 
 
 # -- rendering -------------------------------------------------------------
 
 def _integer_grid(history, width, height):
     """The states as an int64 array of frames x height x width."""
-    import numpy as np
-
     if width < 1 or height < 1 or width * height != history.n:
         raise ConfigError(
             f"{width}x{height} grid does not match {history.n} cells"
@@ -218,8 +207,6 @@ def _integer_grid(history, width, height):
 
 def render_txt(history, width, height):
     """Dots and hashes for binary states, one digit per cell otherwise."""
-    import numpy as np
-
     grids = _integer_grid(history, width, height)
     top = int(grids.max(initial=0))
     if top > 9:
@@ -234,8 +221,6 @@ def render_txt(history, width, height):
 
 
 def render_pgm_files(history, width, height, prefix):
-    import numpy as np
-
     grids = _integer_grid(history, width, height)
     maxval = max(1, int(grids.max(initial=0)))
     paths = []
@@ -251,15 +236,11 @@ def render_pgm_files(history, width, height, prefix):
 # -- command handlers ------------------------------------------------------
 
 def _write_matrix(matrix, out):
-    from .sparse import save_matrix_market
-
     save_matrix_market(out, matrix)
     print(f"rows={matrix.n_rows} cols={matrix.n_cols} nnz={matrix.nnz}")
 
 
 def cmd_gen_ca1d(args):
-    from .topology import GridSpec, NeighborhoodSpec1D, generate_ca_1d
-
     weights = [float(v) for v in args.stencil.split(",")]
     matrix = generate_ca_1d(
         GridSpec(args.width, 1, args.wrapped),
@@ -269,16 +250,12 @@ def cmd_gen_ca1d(args):
 
 
 def cmd_gen_ca2d(args):
-    from .topology import GridSpec, generate_ca_2d
-
     nb = load_stencil(args.stencil_file)
     matrix = generate_ca_2d(GridSpec(args.width, args.height, args.wrapped), nb)
     _write_matrix(matrix, args.out)
 
 
 def cmd_gen_rbn(args):
-    from .topology import PositionalBase, UniformWeights, generate_random_digraph
-
     if args.uniform is not None:
         scheme = UniformWeights(args.uniform[0], args.uniform[1])
     else:
@@ -290,15 +267,11 @@ def cmd_gen_rbn(args):
 
 
 def cmd_gen_esn(args):
-    from .systems import echo_state_network
-
     system = echo_state_network(args.nodes, args.density, args.rho, args.seed)
     _write_matrix(system.matrix, args.out)
 
 
 def cmd_run(args):
-    from .systems import build_system
-
     rc = run_config_from_text(read_text(args.config, ConfigError))
     init = make_initial_state(rc.system, rc.init)
     system = build_system(rc.system, init)
@@ -314,49 +287,40 @@ def cmd_run(args):
         print(f"recorded {len(history)} states of {history.n} cells to {rc.record}")
     else:
         sys.stdout.write(history.to_csv())
-    if rc.render == "txt":
-        text = render_txt(history, _render_width(rc), _render_height(rc))
-        if rc.render_out:
-            with open(rc.render_out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
-    elif rc.render == "pgm":
-        if not rc.render_out:
-            raise ConfigError("render = pgm requires render_out prefix")
-        render_pgm_files(history, _render_width(rc), _render_height(rc), rc.render_out)
-
-
-def _render_width(rc):
-    return rc.system.width if rc.system.width is not None else rc.system.n_cells
-
-
-def _render_height(rc):
-    return rc.system.height if rc.system.height is not None else 1
+    if rc.render:
+        width = rc.system.width if rc.system.width is not None else rc.system.n_cells
+        height = rc.system.height if rc.system.height is not None else 1
+        _render(history, rc.render, width, height, rc.render_out,
+                "render = pgm requires render_out prefix")
 
 
 def cmd_render(args):
-    from .engine import load_history
-
     history = load_history(args.states)
-    if args.format == "txt":
-        text = render_txt(history, args.width, args.height)
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        if not args.out_prefix:
-            raise ConfigError("pgm rendering requires --out-prefix")
-        paths = render_pgm_files(history, args.width, args.height, args.out_prefix)
+    out = args.out if args.format == "txt" else args.out_prefix
+    paths = _render(history, args.format, args.width, args.height, out,
+                    "pgm rendering requires --out-prefix")
+    if args.format == "pgm":
         print(f"wrote {len(paths)} pgm files")
 
 
-def cmd_pca(args):
-    from .analysis import pca_project
-    from .engine import load_history
+def _render(history, fmt, width, height, out, no_prefix):
+    """Renders txt to the file ``out``, or to stdout without one, or pgm
+    files named from the prefix ``out``, whose absence raises ConfigError
+    with the message ``no_prefix``.  Returns the pgm files' paths."""
+    if fmt == "txt":
+        text = render_txt(history, width, height)
+        if out:
+            with open(out, "w") as f:
+                f.write(text)
+        else:
+            sys.stdout.write(text)
+        return []
+    if not out:
+        raise ConfigError(no_prefix)
+    return render_pgm_files(history, width, height, out)
 
+
+def cmd_pca(args):
     history = load_history(args.states)
     trajectory = pca_project(history, args.components)
     trajectory.save_csv(args.out)
@@ -367,9 +331,6 @@ def cmd_pca(args):
 
 
 def cmd_cycle(args):
-    from .analysis import detect_cycle
-    from .engine import load_history
-
     history = load_history(args.states)
     report = detect_cycle(history, tol=args.tol)
     if report.period > 0:
@@ -384,13 +345,6 @@ _DENSE_BENCH_MAX_BYTES = 2**30
 
 
 def cmd_bench(args):
-    import time
-
-    import numpy as np
-
-    from . import backend
-    from .systems import _child_seeds, random_sparse_uniform
-
     matrix = random_sparse_uniform(args.n, args.density, args.seed)
     dense_bytes = 8 * args.n * args.n
     dense = matrix.to_dense() if dense_bytes <= _DENSE_BENCH_MAX_BYTES else None

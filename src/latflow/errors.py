@@ -2,8 +2,11 @@
 
 Everything derives from :class:`LatflowError` so callers (and the CLI) can
 catch one base class.  Names describe the violated contract.  Text files are
-read through :func:`read_text`, so bytes that are not UTF-8 raise one too.
+read through :func:`read_text`, so bytes that are not UTF-8 raise one too,
+and seeds pass through :func:`check_seed`, so a negative one does.
 """
+
+import numbers
 
 
 class LatflowError(Exception):
@@ -52,6 +55,14 @@ class ArgumentTooSmall(LatflowError):
 
 class DegreeTooLarge(LatflowError):
     pass
+
+
+def check_seed(seed):
+    """``seed``, unless it is a negative integer, which numpy would refuse
+    with a bare ValueError."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ArgumentTooSmall(f"seed {seed} is negative")
+    return seed
 
 
 # -- rules ----------------------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import (
     KeyOutOfTable,
     NonIntegerKey,
     RuleOutOfRange,
+    check_seed,
     read_text,
 )
 from .sparse import _MAX_READ_BYTES
@@ -151,7 +152,7 @@ def random_boolean_tables(n_nodes, in_degree, seed):
     ``rng = np.random.default_rng(seed)``."""
     if in_degree < 0:
         raise ArgumentTooSmall(f"in-degree {in_degree} is negative")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     size = 2**in_degree
     count = n_nodes * size
     # the same entries as rng.integers(0, 2, size) per node in turn: each

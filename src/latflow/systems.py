@@ -7,12 +7,14 @@ their random ingredients (topology, tables, weights) from the one seed they
 take, so the ingredients never share a stream.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .engine import DynamicalSystem
-from .errors import ArgumentTooSmall, ConfigError
+from .errors import ArgumentTooSmall, ConfigError, check_seed
 from .rules import (
     MAP_THEN_MIX,
     ContinuousMap,
@@ -37,7 +39,8 @@ VON_NEUMANN_COUNT = ((0, 1, 0), (1, 0, 1), (0, 1, 0))
 
 
 def _child_seeds(seed, count):
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(count, np.uint64)]
+    sequence = np.random.SeedSequence(check_seed(seed))
+    return [int(s) for s in sequence.generate_state(count, np.uint64)]
 
 
 def elementary_ca(width, rule_number, wrapped=True, init=None):
@@ -108,7 +111,7 @@ def random_sparse_uniform(n, density, seed, low=-1.0, high=1.0):
     positions and uniform [low, high) weights.  Pure function of the seed."""
     if not 0.0 < density <= 1.0:
         raise ArgumentTooSmall(f"density {density} outside (0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     total = n * n
     nnz = max(1, int(round(density * total)))
     if nnz > total // 2:
@@ -151,7 +154,25 @@ def echo_state_network(n, density, rho_target, seed, init=None):
     return DynamicalSystem(matrix, ContinuousMap("tanh"), init)
 
 
-KINDS = ("elementary_ca", "life", "rbn", "cml", "esn")
+class Preset(NamedTuple):
+    """A preset kind: its constructor, the SystemConfig fields that
+    constructor takes, in its positional order, and the interval a random
+    initial state is drawn from uniformly, None for cells drawn 0 or 1."""
+
+    build: object
+    fields: tuple
+    uniform: tuple = None
+
+
+PRESETS = {
+    "elementary_ca": Preset(elementary_ca, ("width", "rule_number", "wrapped")),
+    "life": Preset(game_of_life, ("width", "height", "wrapped")),
+    "rbn": Preset(random_boolean_network, ("nodes", "in_degree", "seed")),
+    "cml": Preset(coupled_map_lattice, ("width", "eps", "r", "wrapped"), (0.0, 1.0)),
+    "esn": Preset(echo_state_network, ("nodes", "density", "rho", "seed"), (-1.0, 1.0)),
+}
+# the fields whose product is a preset's number of cells
+_SIZES = ("width", "height", "nodes")
 
 
 @dataclass
@@ -172,64 +193,34 @@ class SystemConfig:
     seed: int = None
 
     def validate(self):
-        k = self.kind
-        if k not in KINDS:
-            raise ConfigError(f"unknown system kind {k!r}")
-        def need(name):
+        if self.kind not in PRESETS:
+            raise ConfigError(f"unknown system kind {self.kind!r}")
+        taken = PRESETS[self.kind].fields
+        for name in taken:
             if getattr(self, name) is None:
-                raise ConfigError(f"{k} requires {name}")
-        if k == "elementary_ca":
-            need("width")
-            need("rule_number")
-            if not 0 <= self.rule_number <= 255:
-                raise ConfigError(f"rule {self.rule_number} outside [0, 255]")
-        elif k == "life":
-            need("width")
-            need("height")
-        elif k == "rbn":
-            need("nodes")
-            need("in_degree")
-            need("seed")
-        elif k == "cml":
-            need("width")
-            need("eps")
-            need("r")
-            if not 0.0 <= self.eps <= 1.0:
-                raise ConfigError(f"eps {self.eps} outside [0, 1]")
-            if not 0.0 <= self.r <= 4.0:
-                raise ConfigError(f"r {self.r} outside [0, 4]")
-        elif k == "esn":
-            need("nodes")
-            need("density")
-            need("rho")
-            need("seed")
-            if not 0.0 < self.density <= 1.0:
-                raise ConfigError(f"density {self.density} outside (0, 1]")
-            if self.rho <= 0.0:
-                raise ConfigError(f"rho {self.rho} must be positive")
+                raise ConfigError(f"{self.kind} requires {name}")
+        for name in _SIZES:
+            if name in taken and getattr(self, name) < 0:
+                raise ConfigError(f"{name} {getattr(self, name)} is negative")
+        if "rule_number" in taken and not 0 <= self.rule_number <= 255:
+            raise ConfigError(f"rule {self.rule_number} outside [0, 255]")
+        if "eps" in taken and not 0.0 <= self.eps <= 1.0:
+            raise ConfigError(f"eps {self.eps} outside [0, 1]")
+        if "r" in taken and not 0.0 <= self.r <= 4.0:
+            raise ConfigError(f"r {self.r} outside [0, 4]")
+        if "density" in taken and not 0.0 < self.density <= 1.0:
+            raise ConfigError(f"density {self.density} outside (0, 1]")
+        if "rho" in taken and self.rho <= 0.0:
+            raise ConfigError(f"rho {self.rho} must be positive")
         return self
 
     @property
     def n_cells(self):
-        if self.kind in ("elementary_ca", "cml"):
-            return self.width
-        if self.kind == "life":
-            return self.width * self.height
-        return self.nodes
+        return math.prod(getattr(self, name) for name in PRESETS[self.kind].fields
+                         if name in _SIZES)
 
 
 def build_system(config, init=None):
-    """Instantiate the preset a validated SystemConfig describes."""
-    config.validate()
-    k = config.kind
-    if k == "elementary_ca":
-        return elementary_ca(config.width, config.rule_number, config.wrapped, init)
-    if k == "life":
-        return game_of_life(config.width, config.height, config.wrapped, init)
-    if k == "rbn":
-        return random_boolean_network(config.nodes, config.in_degree, config.seed, init)
-    if k == "cml":
-        return coupled_map_lattice(config.width, config.eps, config.r, config.wrapped, init)
-    return echo_state_network(
-        config.nodes, config.density, config.rho, config.seed, init
-    )
+    """Instantiate the preset a SystemConfig describes, once it validates."""
+    preset = PRESETS[config.validate().kind]
+    return preset.build(*(getattr(config, name) for name in preset.fields), init=init)

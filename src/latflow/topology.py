@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentTooSmall, DegreeTooLarge, StencilWiderThanGrid
+from .errors import ArgumentTooSmall, DegreeTooLarge, StencilWiderThanGrid, check_seed
 from .sparse import SparseMatrix
 
 
@@ -181,12 +181,14 @@ def generate_random_digraph(n_nodes, in_degree, weight_scheme, allow_self, seed)
     output (see :func:`_choice_rows`) wherever numpy's sampler allows it, so
     building a large network makes no Python call per node.
     """
+    if in_degree < 0:
+        raise ArgumentTooSmall(f"in-degree {in_degree} is negative")
     limit = n_nodes if allow_self else n_nodes - 1
     if in_degree > limit:
         raise DegreeTooLarge(
             f"in-degree {in_degree} with {n_nodes} nodes (allow_self={allow_self})"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     k = in_degree
     positional = isinstance(weight_scheme, PositionalBase)
     if positional:

@@ -127,10 +127,40 @@ def test_run_byte_identical_repeats(tmp_path):
 
 
 def test_run_unknown_config_key_exits_3(tmp_path, capsys):
+    # kind and rule_number name SystemConfig fields, whose keys are system and rule
+    for key in ("bogus", "kind", "rule_number"):
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"system = life\nwidth = 4\nheight = 4\nsteps = 1\n{key} = 1\n")
+        assert run_cli("run", "--config", conf) == 3
+        assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+
+
+ECA_CONF = "system = elementary_ca\nwidth = 8\nrule = 30\nsteps = 2\n"
+RBN_CONF = "system = rbn\nnodes = 8\nsteps = 2\n"
+MALFORMED_CONFIGS = {
+    "onehot:abc": ECA_CONF + "init = onehot:abc\n",
+    "onehot:": ECA_CONF + "init = onehot:\n",
+    "onehot:1,2": ECA_CONF + "init = onehot:1,2\n",
+    "cells:": ECA_CONF + "init = cells:\n",
+    "cells:1,,2": ECA_CONF + "init = cells:1,,2\n",
+    "cells:x": ECA_CONF + "init = cells:x\n",
+    "seed = -1": RBN_CONF + "in_degree = 2\nseed = -1\n",
+    "seed = -1, init = random": RBN_CONF + "in_degree = 2\nseed = -1\ninit = random\n",
+    "esn seed = -1": "system = esn\nnodes = 8\ndensity = 0.5\nrho = 0.9\nseed = -1\nsteps = 1\n",
+    "in_degree = -1": RBN_CONF + "in_degree = -1\nseed = 1\n",
+    "width = -3": ECA_CONF.replace("width = 8", "width = -3"),
+    "life width = -3": "system = life\nwidth = -3\nheight = 4\nsteps = 1\n",
+    "nodes = -2": RBN_CONF.replace("nodes = 8", "nodes = -2") + "in_degree = 1\nseed = 1\n",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+def test_malformed_run_config_exits_3(tmp_path, capsys, case):
     conf = tmp_path / "c.conf"
-    conf.write_text("system = life\nwidth = 4\nheight = 4\nsteps = 1\nbogus = 1\n")
+    conf.write_text(MALFORMED_CONFIGS[case])
     assert run_cli("run", "--config", conf) == 3
-    assert "bogus" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_run_missing_file_exits_3(tmp_path, capsys):
@@ -172,8 +202,10 @@ def test_initial_state_specs():
     assert one[3] == 1.0 and one.sum() == 1.0
     cells = make_initial_state(conf, "cells:1,2,5")
     assert np.array_equal(np.flatnonzero(cells), [1, 2, 5])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^onehot index 9 outside \[0, 8\)$"):
         make_initial_state(conf, "onehot:9")
+    with pytest.raises(ConfigError, match=r"^cell index -1 outside \[0, 8\)$"):
+        make_initial_state(conf, "cells:2,-1")
     with pytest.raises(ConfigError):
         make_initial_state(conf, "random")  # no seed in config
     with pytest.raises(ConfigError):
@@ -188,6 +220,13 @@ def test_initial_state_random_is_seeded():
     b = make_initial_state(conf, "random")
     assert np.array_equal(a, b)
     assert set(np.unique(a)).issubset({0.0, 1.0})
+    # continuous kinds draw from their map's interval: cml's [0, 1), esn's [-1, 1)
+    for system, low in (("cml\nwidth = 50\neps = 0.3\nr = 3.9", 0.0),
+                        ("esn\nnodes = 50\ndensity = 0.1\nrho = 0.9", -1.0)):
+        conf = run_config_from_text(f"system = {system}\nseed = 4\nsteps = 1\n").system
+        a = make_initial_state(conf, "random")
+        assert np.array_equal(a, make_initial_state(conf, "random"))
+        assert low <= a.min() < low + 0.1 and 0.9 < a.max() < 1.0
 
 
 def test_stencil_parse():

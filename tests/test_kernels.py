@@ -124,8 +124,7 @@ def test_matvec_takes_a_strided_vector_on_both_backends(monkeypatch, rng):
 def test_kernel_handles_leading_and_trailing_empty_rows():
     m = SparseMatrix.from_triplets(5, 5, [(2, 1, 2.0), (2, 3, -1.0)])
     v = np.array([1.0, 4.0, 9.0, 16.0, 25.0])
-    out = backend.csr_matvec(m.data, m.indices, m.indptr, v)
-    assert np.array_equal(out, [0.0, 0.0, -8.0, 0.0, 0.0])
+    assert np.array_equal(m.matvec(v), [0.0, 0.0, -8.0, 0.0, 0.0])
 
 
 def test_a_build_of_another_kernel_version_counts_as_absent(monkeypatch):
@@ -340,13 +339,13 @@ def test_compiled_wrappers_reject_wrong_buffers(monkeypatch, rng):
     d32, i32 = m.data.astype(np.int32), m.indices.astype(np.int32)
     x8 = np.zeros(12, dtype=np.uint8)
     with pytest.raises(ValueError):
-        backend.csr_matvec_u8(m.data, i32, m.indptr, x8[:6])  # float64 weights
+        backend._csr_matvec_u8(m.data, i32, m.indptr, x8[:6], 0)  # float64 weights
     with pytest.raises(ValueError):
-        backend.csr_matvec_u8(d32, m.indices, m.indptr, x8[:6])  # int64 indices
+        backend._csr_matvec_u8(d32, m.indices, m.indptr, x8[:6], 0)  # int64 indices
     with pytest.raises(ValueError):
-        backend.csr_matvec_u8(d32, i32, m.indptr, x8[::2])  # strided
+        backend._csr_matvec_u8(d32, i32, m.indptr, x8[::2], 0)  # strided
     with pytest.raises(ValueError):
-        backend.csr_matvec_u8(d32[:-1], i32[:-1], m.indptr, x8[:6])
+        backend._csr_matvec_u8(d32[:-1], i32[:-1], m.indptr, x8[:6], 0)
     with pytest.raises(ValueError):
         backend.table_lookup(np.zeros(2, dtype=np.int32), np.zeros(8, dtype=np.int64), 0)
 
@@ -358,25 +357,17 @@ def test_compiled_wrappers_reject_a_column_outside_x(monkeypatch):
     m = SparseMatrix.from_coo(2, 1000, [0, 1], [999, 500], [1.0, 1.0])
     with pytest.raises(ValueError, match="column index"):
         backend.csr_matvec_compiled(m.data, m.indices, m.indptr, np.ones(2))
-    d32, i32 = m.data.astype(np.int32), m.indices.astype(np.int32)
-    with pytest.raises(ValueError, match="column index"):
-        backend.csr_matvec_u8(d32, i32, m.indptr, np.ones(2, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("column", [-1, 2])
-def test_public_matvec_wrappers_check_columns_on_both_backends(monkeypatch, column):
+def test_public_matvec_wrappers_check_columns_on_both_backends(column):
     indptr = np.array([0, 1], dtype=np.int64)
-    for name in ("python", "c") if backend.compiled_available() else ("python",):
-        monkeypatch.setattr(backend, "BACKEND", name)
-        calls = [
-            (backend.csr_matvec, np.ones(1), np.array([column]), np.ones(2)),
-            (backend.csr_matvec_python, np.ones(1), np.array([column]), np.ones(2)),
-            (backend.csr_matvec_u8, np.ones(1, dtype=np.int32),
-             np.array([column], dtype=np.int32), np.ones(2, dtype=np.uint8)),
-        ]
-        for wrapper, data, indices, x in calls:
-            with pytest.raises(ValueError, match="column index"):
-                wrapper(data, indices, indptr, x)
+    wrappers = [backend.csr_matvec_python]
+    if backend.compiled_available():
+        wrappers.append(backend.csr_matvec_compiled)
+    for wrapper in wrappers:
+        with pytest.raises(ValueError, match="column index"):
+            wrapper(np.ones(1), np.array([column]), indptr, np.ones(2))
 
 
 # -- the integer matvec: fixed-width unrolled rows and the CSR loop ---------
@@ -406,17 +397,17 @@ def widths_passed(monkeypatch):
 
 
 def u8_products_agree(monkeypatch, m, x):
-    """SparseMatrix.matvec and the public csr_matvec_u8 give the float
-    product exactly, on every backend; returns the matrix's row width."""
+    """SparseMatrix.matvec gives the float product exactly, on every
+    backend; returns the matrix's row width."""
     want = m.to_dense() @ x.astype(np.float64)
     m._int32 = None
     for name in ("python", "c") if backend.compiled_available() else ("python",):
         monkeypatch.setattr(backend, "BACKEND", name)
         data, indices, _ = m._int32_view()
-        for y in (m.matvec(x), backend.csr_matvec_u8(data, indices, m.indptr, x)):
-            assert y.dtype == np.int32
-            assert np.array_equal(y, want), name
-            assert np.array_equal(y, backend.csr_matvec_python(data, indices, m.indptr, x))
+        y = m.matvec(x)
+        assert y.dtype == np.int32
+        assert np.array_equal(y, want), name
+        assert np.array_equal(y, backend.csr_matvec_python(data, indices, m.indptr, x))
     return m._int32[2]
 
 
@@ -438,8 +429,7 @@ def test_u8_matvec_matches_the_float_product_on_every_row_shape(monkeypatch, rng
     widths = widths_passed(monkeypatch) if backend.compiled_available() else []
     width = lengths[0] if len(set(lengths)) == 1 else 0
     assert u8_products_agree(monkeypatch, m, x) == width
-    # SparseMatrix.matvec passes its cached width, the public wrapper finds
-    # the width from indptr: the kernel gets the same one from both
+    # SparseMatrix.matvec passes the kernel the width it found once
     assert set(widths) == ({width} if backend.compiled_available() else set())
 
 

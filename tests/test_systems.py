@@ -7,7 +7,7 @@ import oracles
 from latflow import backend
 from latflow.analysis import detect_cycle
 from latflow.errors import ArgumentTooSmall, ConfigError
-from latflow.rules import MAP_THEN_MIX, ContinuousMap, TableRule
+from latflow.rules import MAP_THEN_MIX, ContinuousMap, TableRule, random_boolean_tables
 from latflow.sparse import spectral_radius
 from latflow.systems import (
     SystemConfig,
@@ -19,6 +19,7 @@ from latflow.systems import (
     random_boolean_network,
     random_sparse_uniform,
 )
+from latflow.topology import PositionalBase, generate_random_digraph
 
 
 def test_elementary_ca_wiring():
@@ -284,6 +285,34 @@ def test_config_builds_every_kind():
         assert system.matrix.n_rows == config.n_cells
 
 
+BUILD_CASES = {
+    "elementary_ca": (SystemConfig(kind="elementary_ca", width=9, rule_number=110,
+                                   wrapped=False), elementary_ca, (9, 110, False)),
+    "life": (SystemConfig(kind="life", width=5, height=4, wrapped=False),
+             game_of_life, (5, 4, False)),
+    "rbn": (SystemConfig(kind="rbn", nodes=10, in_degree=2, seed=3),
+            random_boolean_network, (10, 2, 3)),
+    "cml": (SystemConfig(kind="cml", width=8, eps=0.2, r=3.5, wrapped=False),
+            coupled_map_lattice, (8, 0.2, 3.5, False)),
+    "esn": (SystemConfig(kind="esn", nodes=30, density=0.1, rho=0.8, seed=3),
+            echo_state_network, (30, 0.1, 0.8, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", BUILD_CASES)
+def test_config_builds_what_the_preset_call_builds(kind):
+    config, preset, args = BUILD_CASES[kind]
+    init = np.arange(config.n_cells) % 2
+    for built, direct in ((build_system(config), preset(*args)),
+                          (build_system(config, init), preset(*args, init=init))):
+        for name in ("data", "indices", "indptr"):
+            assert getattr(built.matrix, name).tobytes() == getattr(direct.matrix, name).tobytes()
+        assert repr(built.rule) == repr(direct.rule)
+        if isinstance(direct.rule, TableRule):
+            assert np.array_equal(built.rule.table, direct.rule.table)
+        assert built.state.tobytes() == direct.state.tobytes()
+
+
 def test_config_rejects_unknown_kind():
     with pytest.raises(ConfigError):
         SystemConfig(kind="turing_machine", width=8).validate()
@@ -298,6 +327,24 @@ def test_config_rejects_missing_fields():
         SystemConfig(kind="cml", width=8, eps=1.5, r=3.0).validate()
     with pytest.raises(ConfigError):
         SystemConfig(kind="esn", nodes=10, density=2.0, rho=0.9, seed=1).validate()
+    for config in (SystemConfig(kind="elementary_ca", width=-3, rule_number=30),
+                   SystemConfig(kind="life", width=4, height=-1),
+                   SystemConfig(kind="esn", nodes=-1, density=0.5, rho=0.9, seed=1)):
+        with pytest.raises(ConfigError, match="is negative"):
+            config.validate()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: random_boolean_network(5, 2, -1),
+    lambda: echo_state_network(5, 0.5, 0.9, -1),
+    lambda: random_sparse_uniform(5, 0.5, -1),
+    lambda: random_boolean_tables(5, 2, -1),
+    lambda: generate_random_digraph(5, -1, PositionalBase(2), False, 1),
+    lambda: random_boolean_network(5, -1, 1),
+], ids=["rbn seed", "esn seed", "sparse seed", "tables seed", "digraph degree", "rbn degree"])
+def test_negative_seeds_and_degrees_are_refused(call):
+    with pytest.raises(ArgumentTooSmall, match="is negative"):
+        call()
 
 
 def test_config_n_cells():
