@@ -9,18 +9,27 @@
  *
  * A lattice automaton's matrix is one stencil shifted to every cell of a
  * grid, the DIA format of the same paper: stencil_matvec_u8 reads no
- * column indices and no per-entry weights.  For each grid row and each tap
- * it adds weight * source row, shifted by the tap's column offset, to an
- * int16 accumulator row: a straight loop over uint8 bytes that the compiler
- * vectorises.  The columns that wrap are the same loop over the other end
- * of the source row, so no index is reduced with %.  stencil_check tells,
- * once per matrix, whether its CSR arrays are exactly such a stencil.
+ * column indices and no per-entry weights.  It first copies the grid into
+ * rows padded on each side with the columns that wrap, or with zeros, so
+ * that for each grid row and each tap it adds weight * the padded source
+ * row, shifted by the tap's column offset, to an int16 accumulator row in
+ * one straight loop over uint8 bytes that the compiler vectorises.
+ * stencil_check tells, once per matrix, whether its CSR arrays are exactly
+ * such a stencil.
  *
  * Plain C over the buffer protocol, so the extension builds with nothing
  * but a C compiler.  The loops trust their buffers: latflow.backend checks
  * dtypes, contiguity and lengths, and that a row width spans the entries,
  * before every call, and SparseMatrix validates its column indices when it
  * is built.
+ *
+ * The build names no -march, so on x86 with GCC or Clang two kernels have
+ * a second version that module init selects once from the CPU's features:
+ * the stencil's row loop compiled for AVX2, and, for a table shared by all
+ * cells with at most 32 entries, a lookup of 16 keys at a time by SSE4.1
+ * byte shuffles.  Both give the same bytes as the plain loops, which every
+ * other compiler and CPU runs.  target_clones would pick by ifunc, which
+ * musl lacks, so the choice is made here by __builtin_cpu_supports.
  *
  * Build with -ffp-contract=off: each float64 row is summed in order, one
  * rounded multiply and one rounded add per entry, never a fused
@@ -29,6 +38,14 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define X86_DISPATCH 1
+#include <immintrin.h>
+/* set once by PyInit__ckernels */
+static int have_avx2, have_sse41;
+#endif
 
 /* The interface version: latflow.backend uses the extension only when its
    VERSION equals the one it was written for, so a build of older source,
@@ -143,13 +160,61 @@ taps_fit(Py_ssize_t height, Py_ssize_t width, Py_ssize_t n_taps,
     return 1;
 }
 
+/* Bodies that the AVX2 version inlines, so that they are compiled for it. */
+#ifdef X86_DISPATCH
+#define INLINED static inline __attribute__((always_inline))
+#else
+#define INLINED static inline
+#endif
+
 /* acc[c] += w * src[c] for c < n, in int16 */
-static void
+INLINED void
 add_tap(int16_t *restrict acc, const uint8_t *restrict src, int16_t w, Py_ssize_t n)
 {
     for (Py_ssize_t c = 0; c < n; c++)
         acc[c] = (int16_t)(acc[c] + w * src[c]);
 }
+
+/* A stencil and its grid, copied into rows padded by halo >= max |dc|
+   bytes on each side, which hold the columns that wrap or zeros. */
+struct padded_grid {
+    const uint8_t *pad; /* height rows of width + 2 * halo bytes */
+    Py_ssize_t height, width, halo, n_taps;
+    int wrapped;
+    const int32_t *dr, *dc;
+    const int16_t *w;
+};
+
+/* Row r of y sums w[t] * padded row r + dr[t], shifted by dc[t], over the
+   taps whose row lands in the grid or, wrapped, wraps back into it. */
+INLINED void
+stencil_rows(int32_t *restrict y, int16_t *restrict acc, struct padded_grid g)
+{
+    Py_ssize_t stride = g.width + 2 * g.halo;
+    for (Py_ssize_t r = 0; r < g.height; r++) {
+        memset(acc, 0, g.width * sizeof(int16_t));
+        for (Py_ssize_t t = 0; t < g.n_taps; t++) {
+            Py_ssize_t sr = r + g.dr[t];
+            if (sr < 0 || sr >= g.height) {
+                if (!g.wrapped)
+                    continue;
+                sr += sr < 0 ? g.height : -g.height;
+            }
+            add_tap(acc, g.pad + sr * stride + g.halo + g.dc[t], g.w[t], g.width);
+        }
+        int32_t *yr = y + r * g.width;
+        for (Py_ssize_t c = 0; c < g.width; c++)
+            yr[c] = acc[c];
+    }
+}
+
+#ifdef X86_DISPATCH
+__attribute__((target("avx2"))) static void
+stencil_rows_avx2(int32_t *y, int16_t *acc, struct padded_grid g)
+{
+    stencil_rows(y, acc, g);
+}
+#endif
 
 /* Cell (r, c) of a height x width grid, flattened row-major, sums
    w[t] * x[r + dr[t], c + dc[t]] over the taps t; on a wrapped grid the
@@ -166,51 +231,53 @@ stencil_matvec_u8(PyObject *self, PyObject *args)
                           &height, &width, &wrapped, &rows, &cols, &weights))
         return NULL;
     const uint8_t *xv = x.buf;
-    int32_t *y = out.buf;
     const int32_t *dr = rows.buf, *dc = cols.buf;
-    const int16_t *w = weights.buf;
-    Py_ssize_t n_taps = weights.len / (Py_ssize_t)sizeof(int16_t);
+    Py_ssize_t n_taps = weights.len / (Py_ssize_t)sizeof(int16_t), halo = 0;
     int16_t *acc = NULL;
+    uint8_t *pad = NULL;
     PyObject *result = NULL;
 
     if (!taps_fit(height, width, n_taps, dr, dc)) {
         PyErr_SetString(PyExc_ValueError, "a stencil offset reaches past the grid");
         goto done;
     }
+    for (Py_ssize_t t = 0; t < n_taps; t++)
+        halo = Py_MAX(halo, Py_ABS(dc[t]));
+    /* taps_fit puts halo below width, so each side's halo lies in the row */
+    Py_ssize_t stride = width + 2 * halo;
     acc = PyMem_Malloc((width > 0 ? width : 1) * sizeof(int16_t));
-    if (acc == NULL) {
+    pad = PyMem_Malloc(height * stride > 0 ? height * stride : 1);
+    if (acc == NULL || pad == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t r = 0; r < height; r++) {
-        memset(acc, 0, width * sizeof(int16_t));
-        for (Py_ssize_t t = 0; t < n_taps; t++) {
-            Py_ssize_t sr = r + dr[t], d = dc[t];
-            if (sr < 0 || sr >= height) {
-                if (!wrapped)
-                    continue;
-                sr += sr < 0 ? height : -height;
-            }
-            const uint8_t *src = xv + sr * width;
-            /* columns c with c + d inside the grid */
-            Py_ssize_t lo = d < 0 ? -d : 0, hi = d > 0 ? width - d : width;
-            add_tap(acc + lo, src + lo + d, w[t], hi - lo);
-            if (wrapped) {
-                add_tap(acc, src + width + d, w[t], lo);
-                add_tap(acc + hi, src + hi + d - width, w[t], width - hi);
-            }
+        const uint8_t *src = xv + r * width;
+        uint8_t *row = pad + r * stride;
+        memcpy(row + halo, src, width);
+        if (wrapped) {
+            memcpy(row, src + width - halo, halo);
+            memcpy(row + halo + width, src, halo);
+        } else {
+            memset(row, 0, halo);
+            memset(row + halo + width, 0, halo);
         }
-        int32_t *yr = y + r * width;
-        for (Py_ssize_t c = 0; c < width; c++)
-            yr[c] = acc[c];
     }
+    struct padded_grid g = {pad, height, width, halo, n_taps, wrapped, dr, dc, weights.buf};
+#ifdef X86_DISPATCH
+    if (have_avx2)
+        stencil_rows_avx2(out.buf, acc, g);
+    else
+#endif
+        stencil_rows(out.buf, acc, g);
     Py_END_ALLOW_THREADS
     result = Py_None;
     Py_INCREF(result);
 
 done:
     PyMem_Free(acc);
+    PyMem_Free(pad);
     PyBuffer_Release(&x);
     PyBuffer_Release(&out);
     PyBuffer_Release(&rows);
@@ -288,6 +355,64 @@ stencil_check(PyObject *self, PyObject *args)
     return PyBool_FromLong(exact);
 }
 
+/* out[i] = t[i * stride + k[i] - lo] for i from start on; returns the
+   first index whose key lies outside [lo, lo + width) or hits a 255 entry,
+   else -1.  Arguments by value, so the uint8 stores cannot alias them. */
+static Py_ssize_t
+lookup_scalar(const int32_t *restrict k, const uint8_t *restrict t, uint8_t *restrict y,
+              Py_ssize_t start, Py_ssize_t n, uint64_t lo, uint64_t width, Py_ssize_t stride)
+{
+    for (Py_ssize_t i = start; i < n; i++) {
+        /* modulo 2^64 a key below lo wraps above every width, so one
+           unsigned compare checks both ends of the range */
+        uint64_t j = (uint64_t)(int64_t)k[i] - lo;
+        if (j >= width)
+            return i;
+        uint8_t v = t[i * stride + (Py_ssize_t)j];
+        if (v == 255)
+            return i;
+        y[i] = v;
+    }
+    return -1;
+}
+
+#ifdef X86_DISPATCH
+/* The lookup in one table of 1 to 32 entries, 16 keys at a time, while
+   every key of the 16 finds an entry; returns how many keys it looked up.
+   The caller guarantees that lo and lo + width - 1 are int32, so that
+   modulo 2^32 a key below lo wraps above width - 1: one unsigned compare of
+   k - lo in int32 lanes then checks the range as lookup_scalar's does. */
+__attribute__((target("sse4.1"))) static Py_ssize_t
+lookup_shuffle(const int32_t *k, const uint8_t *t, uint8_t *y, Py_ssize_t n,
+               int32_t lo, int width)
+{
+    uint8_t padded[32];
+    memset(padded, 255, sizeof padded);
+    memcpy(padded, t, width);
+    const __m128i low = _mm_loadu_si128((const __m128i *)padded);
+    const __m128i high = _mm_loadu_si128((const __m128i *)(padded + 16));
+    const __m128i base = _mm_set1_epi32(lo), top = _mm_set1_epi32(width - 1);
+    const __m128i fifteen = _mm_set1_epi8(15), hole = _mm_set1_epi8((char)255);
+    Py_ssize_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        __m128i j[4], ok = _mm_set1_epi32(-1);
+        for (int q = 0; q < 4; q++) {
+            j[q] = _mm_sub_epi32(_mm_loadu_si128((const __m128i *)(k + i + 4 * q)), base);
+            ok = _mm_and_si128(ok, _mm_cmpeq_epi32(_mm_max_epu32(j[q], top), top));
+        }
+        /* in range, each j is below 32 and survives the saturating packs */
+        __m128i idx = _mm_packus_epi16(_mm_packs_epi32(j[0], j[1]),
+                                       _mm_packs_epi32(j[2], j[3]));
+        __m128i v = _mm_blendv_epi8(_mm_shuffle_epi8(low, idx), _mm_shuffle_epi8(high, idx),
+                                    _mm_cmpgt_epi8(idx, fifteen));
+        if (!_mm_test_all_ones(ok) || _mm_movemask_epi8(_mm_cmpeq_epi8(v, hole)))
+            break;
+        _mm_storeu_si128((__m128i *)(y + i), v);
+    }
+    return i;
+}
+#endif
+
 static PyObject *
 table_lookup(PyObject *self, PyObject *args)
 {
@@ -297,27 +422,18 @@ table_lookup(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "y*y*Lnnw*:table_lookup",
                           &keys, &table, &lo, &width, &stride, &out))
         return NULL;
-    const int32_t *k = keys.buf;
-    const uint8_t *t = table.buf;
-    uint8_t *y = out.buf;
-    Py_ssize_t n = keys.len / (Py_ssize_t)sizeof(int32_t), bad = -1;
+    Py_ssize_t n = keys.len / (Py_ssize_t)sizeof(int32_t), done = 0, bad;
 
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t i = 0; i < n; i++) {
-        /* modulo 2^64 a key below lo wraps above every width, so one
-           unsigned compare checks both ends of the range */
-        uint64_t j = (uint64_t)(int64_t)k[i] - (uint64_t)lo;
-        if (j >= (uint64_t)width) {
-            bad = i;
-            break;
-        }
-        uint8_t v = t[i * stride + (Py_ssize_t)j];
-        if (v == 255) {
-            bad = i;
-            break;
-        }
-        y[i] = (uint8_t)v;
-    }
+#ifdef X86_DISPATCH
+    if (have_sse41 && stride == 0 && 1 <= width && width <= 32 && lo >= INT32_MIN
+        && lo <= INT32_MAX - (width - 1))
+        done = lookup_shuffle(keys.buf, table.buf, out.buf, n, (int32_t)lo, (int)width);
+#endif
+    /* the keys after the last full block, or a block with a miss, rescanned
+       for the first bad index */
+    bad = lookup_scalar(keys.buf, table.buf, out.buf, done, n, (uint64_t)lo,
+                        (uint64_t)width, stride);
     Py_END_ALLOW_THREADS
 
     PyBuffer_Release(&keys);
@@ -360,6 +476,11 @@ PyMODINIT_FUNC
 PyInit__ckernels(void)
 {
     PyObject *m = PyModule_Create(&module);
+#ifdef X86_DISPATCH
+    __builtin_cpu_init();
+    have_avx2 = __builtin_cpu_supports("avx2");
+    have_sse41 = __builtin_cpu_supports("sse4.1");
+#endif
     if (m != NULL && PyModule_AddIntConstant(m, "VERSION", KERNELS_VERSION) < 0) {
         Py_DECREF(m);
         return NULL;

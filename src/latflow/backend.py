@@ -14,16 +14,11 @@ index against the length of x, an O(nnz) scan; ``SparseMatrix.matvec``,
 whose indices were checked when it was built, calls the private entry
 points that skip it.
 
-The integer matvec runs a fully unrolled loop when every row has the same
-number of entries, from 1 to 9, as lattice automata and random Boolean
-networks do.  ``SparseMatrix`` finds that width from the row pointers once
-per matrix.
-
-The matrix of a lattice automaton, one stencil shifted to every cell of a
-grid, has a third integer kernel that reads no column indices and no
-per-entry weights: ``SparseMatrix`` hands it the stencil's taps once
-``_stencil_check`` has found its CSR arrays to be exactly their expansion.
-Both are private, with ``SparseMatrix`` their only caller.
+A lattice automaton's matrix, once ``_stencil_check`` finds it to be
+exactly its stencil's expansion, runs a kernel over the taps that reads no
+column index.  On x86 the extension picks, once at import from the CPU's
+features, an AVX2 build of that kernel and an SSE4.1 lookup for tables of
+at most 32 entries shared by every cell: the same bytes, faster.
 """
 
 import importlib

@@ -142,6 +142,11 @@ def run_config_from_text(text):
                 for key, f in keys.items() if key in pairs}
 
     sysconf = SystemConfig(**values(_SYSTEM_KEYS)).validate()
+    # every kind takes seed, which init = random draws from
+    taken = {"kind", "seed", *PRESETS[sysconf.kind].fields}
+    stray = sorted(key for key, f in _SYSTEM_KEYS.items() if key in pairs and f.name not in taken)
+    if stray:
+        raise ConfigError(f"{sysconf.kind} does not take {', '.join(stray)}")
     rc = RunConfig(sysconf, **values(_RUN_KEYS))
     if rc.steps < 0:
         raise ConfigError(f"steps must be non-negative, got {rc.steps}")
@@ -241,7 +246,7 @@ def _write_matrix(matrix, out):
 
 
 def cmd_gen_ca1d(args):
-    weights = [float(v) for v in args.stencil.split(",")]
+    weights = [_cast("stencil weight", v, float) for v in args.stencil.split(",")]
     matrix = generate_ca_1d(
         GridSpec(args.width, 1, args.wrapped),
         NeighborhoodSpec1D(weights, args.center),
@@ -256,10 +261,7 @@ def cmd_gen_ca2d(args):
 
 
 def cmd_gen_rbn(args):
-    if args.uniform is not None:
-        scheme = UniformWeights(args.uniform[0], args.uniform[1])
-    else:
-        scheme = PositionalBase(args.base)
+    scheme = UniformWeights(*args.uniform) if args.uniform else PositionalBase(args.base)
     matrix, _ = generate_random_digraph(
         args.nodes, args.in_degree, scheme, args.allow_self, args.seed
     )
@@ -288,10 +290,9 @@ def cmd_run(args):
     else:
         sys.stdout.write(history.to_csv())
     if rc.render:
-        width = rc.system.width if rc.system.width is not None else rc.system.n_cells
-        height = rc.system.height if rc.system.height is not None else 1
-        _render(history, rc.render, width, height, rc.render_out,
-                "render = pgm requires render_out prefix")
+        # a kind without a width is one row; a grid's sizes are at least 1
+        _render(history, rc.render, rc.system.width or rc.system.n_cells,
+                rc.system.height or 1, rc.render_out, "render = pgm requires render_out prefix")
 
 
 def cmd_render(args):
@@ -479,10 +480,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except LatflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (LatflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -66,6 +66,14 @@ def test_gen_stencil_wider_than_grid_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stencil, bad", [("1,x", "x"), ("1,,2", "")])
+def test_gen_ca1d_bad_stencil_weight_exits_3(tmp_path, capsys, stencil, bad):
+    code = run_cli("gen", "ca1d", "--width", 8, "--stencil", stencil, "--center", 0,
+                   "-o", tmp_path / "m.mtx")
+    assert code == 3
+    assert capsys.readouterr().err == f"error: bad value for stencil weight: {bad!r}\n"
+
+
 def test_gen_rbn_and_esn(tmp_path, capsys):
     assert run_cli("gen", "rbn", "--nodes", 12, "--in-degree", 2,
                    "--seed", 5, "-o", tmp_path / "r.mtx") == 0
@@ -133,6 +141,33 @@ def test_run_unknown_config_key_exits_3(tmp_path, capsys):
         conf.write_text(f"system = life\nwidth = 4\nheight = 4\nsteps = 1\n{key} = 1\n")
         assert run_cli("run", "--config", conf) == 3
         assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+
+
+# keys of SystemConfig fields that the kind's preset does not take; every
+# kind takes seed, which init = random draws from
+STRAY_KEYS = {
+    "life": ("system = life\nwidth = 4\nheight = 4\nseed = 1\nsteps = 1\n",
+             "rule = 999\nnodes = 7\n", "nodes, rule"),
+    "elementary_ca": ("system = elementary_ca\nwidth = 8\nrule = 30\nsteps = 1\n",
+                      "height = 2\n", "height"),
+    "rbn": ("system = rbn\nnodes = 6\nin_degree = 2\nseed = 1\nsteps = 1\n",
+            "width = 3\nwrapped = false\n", "width, wrapped"),
+    "cml": ("system = cml\nwidth = 8\neps = 0.3\nr = 3.9\nsteps = 1\n", "rho = 0.9\n", "rho"),
+    "esn": ("system = esn\nnodes = 8\ndensity = 0.5\nrho = 0.9\nseed = 1\nsteps = 1\n",
+            "in_degree = 2\neps = 0.1\n", "eps, in_degree"),
+}
+
+
+@pytest.mark.parametrize("kind", STRAY_KEYS)
+def test_run_config_key_the_kind_does_not_take_exits_3(tmp_path, capsys, kind):
+    conf_text, stray, names = STRAY_KEYS[kind]
+    conf = tmp_path / "c.conf"
+    conf.write_text(conf_text)
+    assert run_cli("run", "--config", conf) == 0
+    capsys.readouterr()
+    conf.write_text(conf_text + stray)
+    assert run_cli("run", "--config", conf) == 3
+    assert capsys.readouterr().err == f"error: {kind} does not take {names}\n"
 
 
 ECA_CONF = "system = elementary_ca\nwidth = 8\nrule = 30\nsteps = 2\n"

@@ -168,6 +168,7 @@ def test_active_backend_reported():
 needs_compiled = pytest.mark.skipif(
     not backend.compiled_available(), reason="compiled kernel not built"
 )
+BACKENDS = ("python", "c") if backend.compiled_available() else ("python",)
 
 
 def outcome(rule, pre, dtype=np.float64):
@@ -315,14 +316,64 @@ def test_table_lookup_matches_dict_oracle_on_both_backends(monkeypatch, seed):
             pre[int(rng.integers(cells))] += 0.5
         for dtype in (np.float64, np.int32):
             keys = pre if dtype == np.float64 else np.rint(pre)
-            want = oracles.table_lookup(entries, keys, per_node)
-            for name in ("python", "c") if backend.compiled_available() else ("python",):
-                monkeypatch.setattr(backend, "BACKEND", name)
-                got = outcome(rule, keys, dtype)
-                if isinstance(want, str):
-                    assert got[0].__name__ == want, (name, trial)
-                else:
-                    assert got == (np.uint8, bytes(int(v) for v in want)), (name, trial)
+            assert_oracle_outcome(monkeypatch, rule, entries, keys, dtype, per_node)
+
+
+def assert_oracle_outcome(monkeypatch, rule, entries, keys, dtype=np.int32, per_node=False):
+    """apply_rule gives the dict oracle's next states, or its error, on
+    every backend."""
+    want = oracles.table_lookup(entries, keys, per_node)
+    for name in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", name)
+        got = outcome(rule, keys, dtype)
+        if isinstance(want, str):
+            assert got[0].__name__ == want, name
+        else:
+            assert got == (np.uint8, bytes(int(v) for v in want)), name
+
+
+INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+# a key of each count is moved to a miss at the first key, inside a block
+# of 16 keys and in the keys after the last full block
+MISS_AT = {17: (0, 7, 16), 33: (0, 20, 32), 1000: (0, 500, 999)}
+
+
+def misses(lo, width, key):
+    """Keys that may miss a table of the given width from lo: just outside
+    it, both ends of int32, and the key moved by multiples of 2**8 and
+    2**16, which a truncating pack to bytes would bring back."""
+    return [lo - 1, lo + width, INT32_MIN, INT32_MAX] + [
+        key + d for d in (2**8, -(2**8), 2**16, -(2**16), 3 * 2**16)]
+
+
+@pytest.mark.parametrize("width", range(1, 34))
+def test_count_table_lookup_at_every_width_matches_the_dict_oracle(monkeypatch, width):
+    # 1-D tables of at most 32 entries whose keys are int32 from lo to
+    # lo + width - 1 take the byte-shuffle lookup on CPUs with SSE4.1; the
+    # last two starts put a key past INT32_MAX and wrap modulo 2**32
+    rng = np.random.default_rng(width)
+    values = rng.integers(0, 3, width)
+    holed = values.copy()
+    holes = [h for h in (0, 15, 16, width - 1) if h < width]
+    holed[holes] = -1
+    for lo in (INT32_MIN, -5, 0, 2**31 - width, 2**31 - width + 1, 2**32):
+        for table in (values, holed):
+            rule = TableRule(table, 3, lo, center_weight=1)
+            entries = {lo + j: int(v) for j, v in enumerate(table) if v >= 0}
+            # keys with entries or, when no such key is int32, the int32
+            # keys equal to the table's modulo 2**32
+            found = [k for k in entries if INT32_MIN <= k <= INT32_MAX] or [
+                (k + 2**31) % 2**32 - 2**31 for k in range(lo, lo + width)]
+            for count in (0, 1, 15, 16, 17, 31, 33, 1000):
+                keys = [int(k) for k in rng.choice(found, count)]
+                assert_oracle_outcome(monkeypatch, rule, entries, keys)
+                for at in MISS_AT.get(count, ()):
+                    # on the holed table, a key on each hole
+                    bad = misses(lo, width, keys[at]) if table is values else [
+                        lo + h for h in holes]
+                    for miss in (k for k in bad if INT32_MIN <= k <= INT32_MAX):
+                        keys_with_miss = keys[:at] + [miss] + keys[at + 1:]
+                        assert_oracle_outcome(monkeypatch, rule, entries, keys_with_miss)
 
 
 @needs_compiled
@@ -454,11 +505,11 @@ def test_a_width_that_does_not_span_the_entries_is_refused(monkeypatch, rng):
 
 # -- the stencil matvec of lattice matrices ----------------------------------
 
-BACKENDS = ("python", "c") if backend.compiled_available() else ("python",)
 WIDE = [[1, 0, -2, 3, 0], [0, 4, 0, 0, -1], [2, 0, 0, 0, 0], [0, -3, 1, 0, 5]]
 # |weights| summing to 128, the most whose int16 sums of 255s are exact
 AT_BOUND = [[64, 32], [16, 16]]
 OVER_BOUND = [[64, 32], [16, 17]]
+FIVE_BY_FIVE = np.arange(25).reshape(5, 5) % 7 - 3
 
 # name: (height, width, weights, center, wrapped, builder), the builder
 # giving the matrix a preset or generate_ca_2d makes of that stencil
@@ -483,6 +534,10 @@ STENCIL_CASES = {
             ("at the int16 bound", 5, 6, AT_BOUND, (1, 0)),
             ("at the negative int16 bound", 5, 6, np.negative(AT_BOUND), (0, 1)),
             ("over the int16 bound", 5, 6, OVER_BOUND, (1, 0)),
+            # widths on both sides of the 16- and 32-byte vectors, with
+            # columns two cells off: a halo of 2 on each side of a row
+            ("5x1 on width 1", 6, 1, FIVE_BY_FIVE[:, :1], (2, 0)),
+            *((f"5x5 on width {w}", 6, w, FIVE_BY_FIVE, (2, 2)) for w in (7, 31, 33, 255, 257)),
         )
         for wrapped in (True, False)
     },
