@@ -13,9 +13,9 @@
  * rows padded on each side with the columns that wrap, or with zeros, so
  * that for each grid row and each tap it adds weight * the padded source
  * row, shifted by the tap's column offset, to an int16 accumulator row in
- * one straight loop over uint8 bytes that the compiler vectorises.
- * stencil_check tells, once per matrix, whether its CSR arrays are exactly
- * such a stencil.
+ * one straight loop over uint8 bytes that the compiler vectorises.  The
+ * taps come from the generator that built the matrix from them, and the
+ * matrix's arrays are read-only, so the taps and its entries agree.
  *
  * Plain C over the buffer protocol, so the extension builds with nothing
  * but a C compiler.  The loops trust their buffers: latflow.backend checks
@@ -286,75 +286,6 @@ done:
     return result;
 }
 
-/* Whether a square CSR matrix is exactly the expansion of a stencil on a
-   height x width grid: row r * width + c holds one entry for each tap that
-   lands inside the grid (every tap, when wrapped), at the column of cell
-   (r + dr, c + dc) and with the tap's weight, and nothing else.  The caller
-   guarantees that no two taps land on one cell, which holds when they are
-   distinct and span less than the grid, so a row in which every tap finds
-   its entry, and which has no other, is exact.  Each tap's entry is found
-   by bisection, so a row whose columns do not increase may be refused. */
-static PyObject *
-stencil_check(PyObject *self, PyObject *args)
-{
-    Py_buffer data, indices, indptr, rows, cols, weights;
-    Py_ssize_t height, width;
-    int wrapped, exact;
-    if (!PyArg_ParseTuple(args, "y*y*y*nnpy*y*y*:stencil_check", &data, &indices,
-                          &indptr, &height, &width, &wrapped, &rows, &cols, &weights))
-        return NULL;
-    const double *d = data.buf;
-    const int64_t *col = indices.buf, *ptr = indptr.buf;
-    const int32_t *dr = rows.buf, *dc = cols.buf;
-    const int16_t *w = weights.buf;
-    Py_ssize_t n_taps = weights.len / (Py_ssize_t)sizeof(int16_t);
-    int64_t nnz = indices.len / (Py_ssize_t)sizeof(int64_t);
-
-    Py_BEGIN_ALLOW_THREADS
-    exact = taps_fit(height, width, n_taps, dr, dc);
-    for (Py_ssize_t r = 0; exact && r < height; r++) {
-        for (Py_ssize_t c = 0; exact && c < width; c++) {
-            int64_t lo = ptr[r * width + c], hi = ptr[r * width + c + 1], found = 0;
-            exact = 0 <= lo && lo <= hi && hi <= nnz;
-            for (Py_ssize_t t = 0; exact && t < n_taps; t++) {
-                Py_ssize_t tr = r + dr[t], tc = c + dc[t];
-                if (tr < 0 || tr >= height || tc < 0 || tc >= width) {
-                    if (!wrapped)
-                        continue;
-                    tr += tr < 0 ? height : tr >= height ? -height : 0;
-                    tc += tc < 0 ? width : tc >= width ? -width : 0;
-                }
-                int64_t target = tr * width + tc, a = lo, b = hi;
-                /* in interior rows the taps come in column order */
-                if (lo + found < hi && col[lo + found] == target) {
-                    a = lo + found;
-                } else {
-                    while (a < b) {
-                        int64_t m = a + (b - a) / 2;
-                        if (col[m] < target)
-                            a = m + 1;
-                        else
-                            b = m;
-                    }
-                }
-                exact = a < hi && col[a] == target && d[a] == (double)w[t];
-                found++;
-            }
-            if (found != hi - lo)
-                exact = 0;
-        }
-    }
-    Py_END_ALLOW_THREADS
-
-    PyBuffer_Release(&data);
-    PyBuffer_Release(&indices);
-    PyBuffer_Release(&indptr);
-    PyBuffer_Release(&rows);
-    PyBuffer_Release(&cols);
-    PyBuffer_Release(&weights);
-    return PyBool_FromLong(exact);
-}
-
 /* out[i] = t[i * stride + k[i] - lo] for i from start on; returns the
    first index whose key lies outside [lo, lo + width) or hits a 255 entry,
    else -1.  Arguments by value, so the uint8 stores cannot alias them. */
@@ -456,10 +387,6 @@ static PyMethodDef methods[] = {
      "in int32 for the matrix of a stencil on a height x width grid, whose tap "
      "t reads cell (r + dr[t], c + dc[t]) with int16 weight w[t], and a uint8 "
      "vector; the sum of |w| times 255 must stay below 2^15."},
-    {"stencil_check", stencil_check, METH_VARARGS,
-     "stencil_check(data, indices, indptr, height, width, wrapped, dr, dc, w): "
-     "whether a float64 CSR matrix with int64 indices is exactly the "
-     "expansion on the grid of distinct taps that span less than it."},
     {"table_lookup", table_lookup, METH_VARARGS,
      "table_lookup(keys, table, lo, width, stride, out): "
      "out[i] = table[i*stride + keys[i] - lo] for int32 keys and a uint8 "

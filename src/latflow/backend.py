@@ -14,11 +14,12 @@ index against the length of x, an O(nnz) scan; ``SparseMatrix.matvec``,
 whose indices were checked when it was built, calls the private entry
 points that skip it.
 
-A lattice automaton's matrix, once ``_stencil_check`` finds it to be
-exactly its stencil's expansion, runs a kernel over the taps that reads no
-column index.  On x86 the extension picks, once at import from the CPU's
-features, an AVX2 build of that kernel and an SSE4.1 lookup for tables of
-at most 32 entries shared by every cell: the same bytes, faster.
+A lattice automaton's matrix carries the taps of its stencil from
+construction, and its arrays are read-only, so the taps stay its exact
+description: it runs a kernel over them that reads no column index.  On
+x86 the extension picks, once at import from the CPU's features, an AVX2
+build of that kernel and an SSE4.1 lookup for tables of at most 32 entries
+shared by every cell: the same bytes, faster.
 """
 
 import importlib
@@ -135,26 +136,6 @@ def _csr_matvec_u8(data, indices, indptr, x, width):
     out = np.empty(len(indptr) - 1, dtype=np.int32)
     _ckernels.csr_matvec_u8(data, indices, indptr, x, out, width)
     return out
-
-
-def _stencil_check(data, indices, indptr, height, width, wrapped, dr, dc, w):
-    """Whether a float64 CSR matrix is exactly the expansion of the stencil
-    whose tap t reads cell (r + dr[t], c + dc[t]) of a height x width grid
-    with weight w[t], by the compiled kernel, in one pass over its entries."""
-    _require(data, _F64, "data")
-    _require(indices, _I64, "indices")
-    _require(indptr, _I64, "indptr")
-    _require_span(data, indices, indptr)
-    _require_taps(dr, dc, w)
-    if len(indptr) != height * width + 1:
-        raise ValueError(f"{len(indptr) - 1} rows for a {height}x{width} grid")
-    # the kernel matches each tap to one entry: no two taps may land on one
-    # cell, as a repeated tap or, wrapped, taps a whole grid apart would
-    if len(set(zip(dr.tolist(), dc.tolist()))) < len(dr):
-        return False
-    if len(dr) and (np.ptp(dr) >= height or np.ptp(dc) >= width):
-        return False
-    return _ckernels.stencil_check(data, indices, indptr, height, width, wrapped, dr, dc, w)
 
 
 def _stencil_matvec_u8(x, height, width, wrapped, dr, dc, w):

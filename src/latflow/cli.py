@@ -15,7 +15,7 @@ import numpy as np
 from . import backend
 from .analysis import detect_cycle, pca_project
 from .engine import load_history
-from .errors import ConfigError, FileFormatError, LatflowError, read_text
+from .errors import ArgumentTooSmall, ConfigError, FileFormatError, LatflowError, read_text
 from .sparse import save_matrix_market
 from .systems import (
     PRESETS,
@@ -346,6 +346,8 @@ _DENSE_BENCH_MAX_BYTES = 2**30
 
 
 def cmd_bench(args):
+    if args.repeats < 1:
+        raise ArgumentTooSmall(f"--repeats {args.repeats} must be at least 1")
     matrix = random_sparse_uniform(args.n, args.density, args.seed)
     dense_bytes = 8 * args.n * args.n
     dense = matrix.to_dense() if dense_bytes <= _DENSE_BENCH_MAX_BYTES else None
@@ -385,7 +387,7 @@ def cmd_bench(args):
         print(f"compiled kernel (backend: c) speedup over fallback: {kernel_ratio:.2f}x")
     if dense is None:
         return
-    diff = float(np.max(np.abs(dense @ v - matrix.matvec(v)))) if args.n else 0.0
+    diff = float(np.max(np.abs(dense @ v - matrix.matvec(v))))
     ratio = dense_mean / sparse_mean if sparse_mean > 0 else float("inf")
     print(f"speedup dense/sparse: {ratio:.2f}x")
     print(f"max |dense - sparse| = {diff:.3e} (within 1e-12: {'yes' if diff <= 1e-12 else 'NO'})")

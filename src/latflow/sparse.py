@@ -1,24 +1,25 @@
 """Sparse matrices in compressed-row form and the matvec they exist for.
 
 A matrix is built once from coordinate arrays or (row, col, weight)
-triplets and is immutable afterwards: every duplicate coordinate is an error
-because the lattice generators never legitimately produce one, and
-accumulating silently would hide generator bugs.  Weights are stored as
-float64.  A matrix of small integer weights, as every lookup-table system
-has, also keeps an int32 copy of its weights and column indices, made on
-its first uint8 matvec, so that discrete states are mixed in exact integer
-arithmetic at a fraction of the memory traffic.  With the copy it keeps the
-common length of its rows, which lets the compiled kernel run a fully
-unrolled loop without row pointers.
+triplets and is immutable afterwards: its ``indptr``, ``indices`` and
+``data`` arrays are read-only, so no view cached from them goes stale.
+Every duplicate coordinate is an error because the lattice generators
+never legitimately produce one, and accumulating silently would hide
+generator bugs.  Weights are stored as float64.  A matrix of small integer
+weights, as every lookup-table system has, also keeps an int32 copy of its
+weights and column indices, made on its first uint8 matvec, so that
+discrete states are mixed in exact integer arithmetic at a fraction of the
+memory traffic.  With the copy it keeps the common length of its rows,
+which lets the compiled kernel run a fully unrolled loop without row
+pointers.
 
-A matrix that a lattice generator built from a stencil carries the
-stencil's taps, and on its first uint8 matvec under the compiled backend it
-checks once, in one pass over its entries, that its CSR arrays are exactly
-their expansion.  It then keeps the taps as its stencil view and never
-makes the int32 copy: the stencil kernel reads each source row once per
-tap and no column index at all.  Any other matrix, including one derived
-from such a matrix by ``scaled`` or ``transpose`` or read back from Matrix
-Market, has no taps and keeps the CSR kernels.
+A matrix that a lattice generator built from a stencil of small integer
+weights carries, from its construction, a stencil view of the stencil's
+taps, and under the compiled backend its uint8 matvec runs the stencil
+kernel over them and never makes the int32 copy: that kernel reads each
+source row once per tap and no column index at all.  Any other matrix,
+including one derived from such a matrix by ``scaled`` or ``transpose`` or
+read back from Matrix Market, has no view and keeps the CSR kernels.
 """
 
 import io
@@ -47,9 +48,7 @@ class SparseMatrix:
     inputs into each row's node.
     """
 
-    __slots__ = (
-        "n_rows", "n_cols", "indptr", "indices", "data", "_int32", "_taps", "_stencil"
-    )
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_int32", "_stencil")
 
     def __init__(self, n_rows, n_cols, indptr, indices, data):
         self.n_rows = int(n_rows)
@@ -57,11 +56,12 @@ class SparseMatrix:
         self.indptr = indptr
         self.indices = indices
         self.data = data
+        for array in (indptr, indices, data):
+            array.flags.writeable = False
         self._int32 = None  # (data, indices, row width), False when exceeded
-        # (height, width, wrapped, dr, dc, w) of the generating stencil: its
+        # (height, width, wrapped, dr, dc, w), set by the lattice generator:
         # tap t reads cell (r + dr[t], c + dc[t]) of the grid with weight w[t]
-        self._taps = None
-        self._stencil = None  # the checked taps as int32 and int16, or False
+        self._stencil = None
 
     # -- construction ------------------------------------------------------
 
@@ -130,6 +130,8 @@ class SparseMatrix:
     @classmethod
     def from_dense(cls, array):
         array = np.asarray(array, dtype=np.float64)
+        if array.ndim != 2:
+            raise DimensionMismatch(f"dense matrix of shape {array.shape} is not 2-D")
         rows, cols = np.nonzero(array)
         return cls.from_coo(array.shape[0], array.shape[1], rows, cols, array[rows, cols])
 
@@ -149,6 +151,8 @@ class SparseMatrix:
 
     def row(self, i):
         """Dict {col: weight} for row i."""
+        if not 0 <= i < self.n_rows:
+            raise IndexOutOfBounds(f"row {i} outside {self.n_rows} rows")
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return {int(c): float(w) for c, w in zip(self.indices[lo:hi], self.data[lo:hi])}
 
@@ -168,8 +172,8 @@ class SparseMatrix:
         A uint8 vector gives the exact product as int32 when every weight is
         an integer and no row's sum of |weight| * 255 reaches 2**31; any
         other vector is taken as float64 and gives a float64 product.  The
-        compiled backend computes the int32 product of a stencil matrix
-        whose |weights| sum to less than 2**15 / 255 by the stencil kernel.
+        compiled backend computes the int32 product of a matrix with a
+        stencil view by the stencil kernel.
         """
         v = np.asarray(v)
         if v.dtype != np.uint8:
@@ -181,11 +185,8 @@ class SparseMatrix:
         # a strided view is copied, as the compiled kernels read contiguous memory
         v = np.ascontiguousarray(v)
         if v.dtype == np.uint8:
-            if backend.BACKEND == "c":
-                if self._stencil is None:
-                    self._stencil = self._stencil_view()
-                if self._stencil:
-                    return backend._stencil_matvec_u8(v, *self._stencil)
+            if backend.BACKEND == "c" and self._stencil is not None:
+                return backend._stencil_matvec_u8(v, *self._stencil)
             if self._int32 is None:
                 self._int32 = self._int32_view()
             if self._int32:
@@ -209,21 +210,6 @@ class SparseMatrix:
             return False
         width = backend._row_width(self.indptr)
         return data.astype(np.int32), self.indices.astype(np.int32), width
-
-    def _stencil_view(self):
-        """The matrix's taps as (height, width, wrapped, dr, dc, w) with
-        int32 offsets and int16 weights, when its CSR arrays are exactly
-        their expansion and int16 sums of uint8 states are exact, else
-        False."""
-        if self._taps is None:
-            return False
-        height, width, wrapped, dr, dc, w = self._taps
-        if not (np.array_equal(w, np.rint(w)) and np.abs(w).sum() * 255 < 2**15):
-            return False
-        view = (height, width, wrapped, dr.astype(np.int32), dc.astype(np.int32),
-                w.astype(np.int16))
-        exact = backend._stencil_check(self.data, self.indices, self.indptr, *view)
-        return view if exact else False
 
     def __matmul__(self, v):
         return self.matvec(v)

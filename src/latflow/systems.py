@@ -109,6 +109,8 @@ def coupled_map_lattice(width, eps, r, wrapped=True, init=None):
 def random_sparse_uniform(n, density, seed, low=-1.0, high=1.0):
     """n x n matrix with round(density * n^2) entries at distinct random
     positions and uniform [low, high) weights.  Pure function of the seed."""
+    if n < 1:
+        raise ArgumentTooSmall(f"n = {n} gives an empty matrix; need at least 1 node")
     if not 0.0 < density <= 1.0:
         raise ArgumentTooSmall(f"density {density} outside (0, 1]")
     rng = np.random.default_rng(check_seed(seed))

@@ -120,10 +120,12 @@ def _stencil_matrix(grid, weights, center):
     """One block of entries per nonzero weight, a tap, of a 2D stencil that
     fits the grid, so no two blocks share a (row, col) even when wrapped.
 
-    The matrix carries its taps, each as the offset (dr, dc) from a cell to
-    the cell it reads and its weight, with the grid.  From them its first
-    uint8 matvec under the compiled backend builds a stencil view, once a
-    check of the CSR arrays against the taps passes (see SparseMatrix)."""
+    When the weights are integers whose |w| sum to less than 2**15 / 255,
+    so that int16 sums of uint8 states are exact, the matrix gets its
+    stencil view (see SparseMatrix): the grid and each tap as the offset
+    (dr, dc) from a cell to the cell it reads, in int32, and its weight, in
+    int16.  The view is built from the same taps as the entries, and the
+    entries are read-only, so the two always agree."""
     height, width = grid.height, grid.width
     cells = np.arange(grid.n_cells)
     r, c = np.divmod(cells, width)
@@ -143,7 +145,9 @@ def _stencil_matrix(grid, weights, center):
         grid.n_cells, grid.n_cells, np.concatenate(rows), np.concatenate(cols),
         np.concatenate(vals),
     )
-    m._taps = (height, width, grid.wrapped, dr, dc, w)
+    if np.array_equal(w, np.rint(w)) and np.abs(w).sum() * 255 < 2**15:
+        m._stencil = (height, width, grid.wrapped, dr.astype(np.int32), dc.astype(np.int32),
+                      w.astype(np.int16))
     return m
 
 

@@ -407,6 +407,18 @@ def test_bench_skips_dense_baseline_above_cap(capsys):
     assert "dense mean" not in out
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--n", 8, "--repeats", 0), "--repeats 0 must be at least 1"),
+    (("--n", 8, "--repeats", -3), "--repeats -3 must be at least 1"),
+    (("--n", 0), "n = 0 gives an empty matrix"),
+])
+def test_bench_refuses_empty_runs_with_exit_3(capsys, args, message):
+    assert run_cli("bench", "--density", 0.5, "--seed", 1, *args) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_cycle_command_non_finite_lfst_exits_3(tmp_path, capsys):
     record = tmp_path / "h.lfst"
     StateHistory(np.array([[1.0, np.nan], [np.inf, 0.0]])).save_binary(record)

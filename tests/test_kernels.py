@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import types
@@ -556,15 +557,15 @@ def stencil_case(name):
 
 
 def uint8_products(monkeypatch, m, x):
-    """m.matvec(x) under each backend, from a matrix without cached views."""
+    """m.matvec(x) under each backend, from a matrix without an int32 copy."""
     out = {}
     for which in BACKENDS:
         monkeypatch.setattr(backend, "BACKEND", which)
-        m._stencil = m._int32 = None
+        m._int32 = None
         out[which] = m.matvec(x)
         assert out[which].dtype == np.int32
         if which == "python":
-            assert m._stencil is None and isinstance(m._int32, tuple)
+            assert isinstance(m._int32, tuple)
     return out
 
 
@@ -580,46 +581,10 @@ def test_uint8_matvec_of_a_lattice_matches_the_shifted_grid(monkeypatch, rng, na
         if "c" in BACKENDS:
             # the int16 sums hold 128 * 255 but not 129 * 255: over the bound
             # the product is the int32 CSR kernel's
-            assert (m._stencil is False) == over
+            assert (m._stencil is None) == over
             assert isinstance(m._int32, tuple) == over
     if m.n_rows <= 400:
         assert np.array_equal(m.to_dense(), oracles.stencil_dense(*stencil))
-
-
-def moved(m, mutation, k):
-    """m with entry k changed by the mutation, still sorted and free of
-    duplicates, and m's taps."""
-    n = m.n_rows
-    rows = np.repeat(np.arange(n), np.diff(m.indptr))
-    cols, vals = m.indices.copy(), m.data.copy()
-    free = np.setdiff1d(np.arange(n), cols[rows == rows[k]])[0]
-    if mutation == "weight off the stencil":
-        vals[k] += 1
-    elif mutation == "column moved":
-        cols[k] = free
-    elif mutation == "entry dropped":
-        rows, cols, vals = (np.delete(a, k) for a in (rows, cols, vals))
-    else:
-        rows, cols, vals = (np.append(a, v) for a, v in ((rows, rows[k]), (cols, free), (vals, 1)))
-    bad = SparseMatrix.from_coo(n, n, rows, cols, vals)
-    bad._taps = m._taps
-    return bad
-
-
-@needs_compiled
-@pytest.mark.parametrize("mutation", ["weight off the stencil", "column moved",
-                                      "entry dropped", "entry added"])
-def test_a_matrix_off_its_stencil_gets_no_view(monkeypatch, rng, mutation):
-    for wrapped in (True, False):
-        m = game_of_life(20, 13, wrapped).matrix
-        # a corner that wraps, an interior cell, the last cell
-        for k in (0, m.nnz // 2 + 4, m.nnz - 1):
-            bad = moved(m, mutation, k)
-            x = rng.integers(0, 256, m.n_cols).astype(np.uint8)
-            products = uint8_products(monkeypatch, bad, x)
-            assert bad._stencil is False and isinstance(bad._int32, tuple)
-            want = bad.to_dense() @ x.astype(np.float64)
-            assert all(np.array_equal(y, want) for y in products.values())
 
 
 @needs_compiled
@@ -633,37 +598,28 @@ def test_derived_and_loaded_lattice_matrices_keep_the_csr_kernel(monkeypatch, rn
     for derived in (m.scaled(1.0), m.transpose(), load_matrix_market(tmp_path / "life.mtx"),
                     SparseMatrix(m.n_rows, m.n_cols, m.indptr, m.indices, m.data)):
         assert np.array_equal(derived.matvec(x), want)
-        assert derived._stencil is False and isinstance(derived._int32, tuple)
+        assert derived._stencil is None and isinstance(derived._int32, tuple)
 
 
-def test_the_stencil_view_is_checked_once_on_the_first_uint8_step(monkeypatch):
-    real, checks = backend._stencil_check, []
-
-    def counting(*args):
-        checks.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(backend, "_stencil_check", counting)
+def test_a_lattice_gets_its_stencil_view_when_built(monkeypatch):
     init = np.random.default_rng(3).integers(0, 2, 16 * 16).astype(np.float64)
+    system = game_of_life(16, 16, True, init)
+    height, width, wrapped, dr, dc, w = system.matrix._stencil
+    assert (height, width, wrapped) == (16, 16, True)
+    assert (dr.dtype, dc.dtype, w.dtype) == (np.int32, np.int32, np.int16)
+    assert sorted(zip(dr.tolist(), dc.tolist())) == [(r, c) for r in (-1, 0, 1) for c in (-1, 0, 1)]
     for which in BACKENDS:
         monkeypatch.setattr(backend, "BACKEND", which)
-        checks.clear()
-        system = game_of_life(16, 16, True, init)
-        system.matrix.matvec(init)  # a float64 product builds no view
-        assert checks == []
-        assert system.matrix._stencil is None and system.matrix._int32 is None
+        system.matrix._int32 = None
         system.run(3)
-        if which == "c":
-            assert len(checks) == 1
-            assert isinstance(system.matrix._stencil, tuple) and system.matrix._int32 is None
-        else:
-            assert checks == [] and system.matrix._stencil is None
+        # the stencil kernel needs no int32 copy of the entries
+        assert (system.matrix._int32 is None) == (which == "c")
 
 
 @needs_compiled
 def test_stencil_wrappers_reject_wrong_buffers():
     m = game_of_life(8, 8, True).matrix
-    view = m._stencil_view()
+    view = m._stencil
     height, width, wrapped, dr, dc, w = view
     x = np.zeros(64, dtype=np.uint8)
     for args in (
@@ -681,17 +637,13 @@ def test_stencil_wrappers_reject_wrong_buffers():
     far[0] = height
     with pytest.raises(ValueError, match="past the grid"):
         backend._stencil_matvec_u8(x, height, width, wrapped, far, dc, w)
-    assert not backend._stencil_check(m.data, m.indices, m.indptr, height, width, wrapped,
-                                      far, dc, w)
-    with pytest.raises(ValueError, match="rows for a"):
-        backend._stencil_check(m.data, m.indices, m.indptr, height, width + 1, wrapped, dr, dc, w)
-    # two taps on one cell could stand for an entry of another column: a
-    # tap listed twice, or on a wrapped ring two taps a whole ring apart
-    twice = (np.append(dr, dr[0]), np.append(dc, dc[0]), np.append(w, w[0]))
-    assert not backend._stencil_check(m.data, m.indices, m.indptr, height, width, wrapped, *twice)
-    cells = np.arange(8)
-    ring = SparseMatrix.from_coo(8, 8, np.repeat(cells, 2),
-                                 np.ravel([(cells + 1) % 8, (cells + 4) % 8], order="F"),
-                                 np.ones(16))
-    apart = (np.zeros(2, np.int32), np.array([-4, 4], np.int32), np.ones(2, np.int16))
-    assert not backend._stencil_check(ring.data, ring.indices, ring.indptr, 1, 8, True, *apart)
+
+
+@needs_compiled
+def test_the_extension_exports_only_what_the_backend_calls():
+    with open(backend.__file__) as f:
+        called = set(re.findall(r"_ckernels\.(\w+)\(", f.read()))
+    exported = {name for name in dir(backend._ckernels)
+                if not name.startswith("_") and callable(getattr(backend._ckernels, name))}
+    assert exported == called == {"csr_matvec", "csr_matvec_u8", "stencil_matvec_u8",
+                                  "table_lookup"}

@@ -102,7 +102,7 @@ def test_pinned_histories_on_both_backends(monkeypatch, name):
         system = make()
         history = system.run(steps, record=True)
         assert system._state.dtype == np.uint8
-        if which == "c" and system.matrix._taps is not None:
+        if which == "c" and name.startswith(("life", "eca")):
             # a lattice matrix takes the stencil kernel and needs no int32 copy
             assert isinstance(system.matrix._stencil, tuple)
             assert system.matrix._int32 is None

@@ -19,6 +19,16 @@ from latflow.sparse import (
     save_matrix_market,
     spectral_radius,
 )
+from latflow.systems import random_sparse_uniform
+from latflow.topology import (
+    GridSpec,
+    NeighborhoodSpec1D,
+    NeighborhoodSpec2D,
+    PositionalBase,
+    generate_ca_1d,
+    generate_ca_2d,
+    generate_random_digraph,
+)
 
 
 def random_triplets(rng, n_rows, n_cols, nnz):
@@ -354,3 +364,46 @@ def test_matrix_market_non_utf8_is_a_format_error(tmp_path):
     path.write_bytes(MM_HEAD.encode() + b"1 1 1\n1 1 \xff\n")
     with pytest.raises(FileFormatError, match="UTF-8"):
         load_matrix_market(path)
+
+
+def test_row_outside_the_matrix_is_refused():
+    m = SparseMatrix.from_dense(np.eye(3))
+    assert m.row(2) == {2: 1.0}
+    for i in (3, -1, 10**20):
+        with pytest.raises(IndexOutOfBounds, match=f"row {i} outside 3 rows"):
+            m.row(i)
+
+
+@pytest.mark.parametrize("array", [np.zeros(3), np.zeros((2, 2, 2)), 5.0])
+def test_from_dense_of_a_non_2d_array_is_refused(array):
+    with pytest.raises(DimensionMismatch, match="not 2-D"):
+        SparseMatrix.from_dense(array)
+
+
+def _loaded_from_matrix_market(tmp_path):
+    path = tmp_path / "m.mtx"
+    save_matrix_market(path, SparseMatrix.from_dense(np.eye(4)))
+    return load_matrix_market(path)
+
+
+BUILDERS = {
+    "from_coo": lambda _: SparseMatrix.from_coo(2, 3, [0, 1], [2, 0], [1.0, -1.0]),
+    "from_dense": lambda _: SparseMatrix.from_dense(np.eye(3)),
+    "generate_ca_1d": lambda _: generate_ca_1d(GridSpec(9), NeighborhoodSpec1D((4, 2, 1), 1)),
+    "generate_ca_2d": lambda _: generate_ca_2d(
+        GridSpec(5, 4, False), NeighborhoodSpec2D(np.ones((3, 3)), (1, 1))),
+    "generate_random_digraph": lambda _: generate_random_digraph(
+        30, 2, PositionalBase(), False, 1)[0],
+    "load_matrix_market": _loaded_from_matrix_market,
+    "scaled": lambda _: SparseMatrix.from_dense(np.eye(3)).scaled(2.0),
+    "transpose": lambda _: SparseMatrix.from_coo(2, 3, [0, 1], [2, 0], [1.0, -1.0]).transpose(),
+    "random_sparse_uniform": lambda _: random_sparse_uniform(20, 0.1, 4),
+}
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_matrix_arrays_are_read_only(tmp_path, builder):
+    m = BUILDERS[builder](tmp_path)
+    for array in (m.indptr, m.indices, m.data):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 0

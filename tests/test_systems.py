@@ -252,6 +252,12 @@ def test_random_sparse_uniform_structure():
     assert np.array_equal(m.to_dense(), again.to_dense())
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_random_sparse_uniform_needs_a_node(n):
+    with pytest.raises(ArgumentTooSmall, match=f"n = {n} "):
+        random_sparse_uniform(n, 0.5, seed=1)
+
+
 def test_random_sparse_uniform_dense_limit():
     m = random_sparse_uniform(10, 1.0, seed=0)
     assert m.nnz == 100
