@@ -1,5 +1,6 @@
 /* Compiled kernels: the CSR matvec, in float64 and in integers, the
- * stencil matvec of lattice automata, and the integer-keyed table lookup.
+ * stencil matvec of lattice automata, the integer-keyed table lookup, and
+ * whole steps of two-state lattice automata.
  *
  * The integer matvec has one loop per row width from 1 to MAX_FIXED_WIDTH:
  * when every row holds the same number w of entries, row i is
@@ -17,18 +18,28 @@
  * taps come from the generator that built the matrix from them, and the
  * matrix's arrays are read-only, so the taps and its entries agree.
  *
+ * stencil_steps_u8 runs k steps of a two-state lattice automaton in one
+ * call, the state kept in two padded grids used in turn.  With cells of 0
+ * or 1 and a stencil whose |weights| sum to at most 31, a key spans at most
+ * 32 values, so it is summed exactly in uint8 lanes modulo 256, re-based to
+ * [0, 32) and looked up in the same row loop: the layer's weights and its
+ * activation with no key vector between them.  It stops before a step in
+ * which any key misses the table, so the caller can take that step itself
+ * and raise the error the per-step path raises.
+ *
  * Plain C over the buffer protocol, so the extension builds with nothing
  * but a C compiler.  The loops trust their buffers: latflow.backend checks
  * dtypes, contiguity and lengths, and that a row width spans the entries,
  * before every call, and SparseMatrix validates its column indices when it
  * is built.
  *
- * The build names no -march, so on x86 with GCC or Clang two kernels have
- * a second version that module init selects once from the CPU's features:
- * the stencil's row loop compiled for AVX2, and, for a table shared by all
- * cells with at most 32 entries, a lookup of 16 keys at a time by SSE4.1
- * byte shuffles.  Both give the same bytes as the plain loops, which every
- * other compiler and CPU runs.  target_clones would pick by ifunc, which
+ * The build names no -march, so on x86 with GCC or Clang three kernels
+ * have a second version that module init selects once from the CPU's
+ * features: the stencil's row loop compiled for AVX2; the fused steps' row
+ * loop in AVX2 registers, 32 cells a register, the lookup by two byte
+ * shuffles; and, for a table shared by all cells with at most 32 entries, a
+ * lookup of 16 keys at a time by SSE4.1 byte shuffles.  All give the same
+ * bytes as the plain loops, which every other compiler and CPU runs.  target_clones would pick by ifunc, which
  * musl lacks, so the choice is made here by __builtin_cpu_supports.
  *
  * Build with -ffp-contract=off: each float64 row is summed in order, one
@@ -50,7 +61,7 @@ static int have_avx2, have_sse41;
 /* The interface version: latflow.backend uses the extension only when its
    VERSION equals the one it was written for, so a build of older source,
    whose functions take other arguments, counts as absent. */
-#define KERNELS_VERSION 4
+#define KERNELS_VERSION 5
 #define MAX_FIXED_WIDTH 9
 
 static PyObject *
@@ -148,16 +159,46 @@ csr_matvec_u8(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* Whether every tap offset is smaller than the grid, so that one add or
-   subtract brings a shifted row or column back inside it. */
-static int
-taps_fit(Py_ssize_t height, Py_ssize_t width, Py_ssize_t n_taps,
-         const int32_t *dr, const int32_t *dc)
+/* The halo, max |dc|, when every tap offset is smaller than the grid, so
+   that one add or subtract brings a shifted row or column back inside it
+   and each side's halo lies in the row; else -1. */
+static Py_ssize_t
+halo_of(Py_ssize_t height, Py_ssize_t width, Py_ssize_t n_taps,
+        const int32_t *dr, const int32_t *dc)
 {
-    for (Py_ssize_t t = 0; t < n_taps; t++)
+    Py_ssize_t halo = 0;
+    for (Py_ssize_t t = 0; t < n_taps; t++) {
         if (dr[t] <= -height || dr[t] >= height || dc[t] <= -width || dc[t] >= width)
-            return 0;
-    return 1;
+            return -1;
+        halo = Py_MAX(halo, Py_ABS(dc[t]));
+    }
+    return halo;
+}
+
+/* the columns that wrap, copied into the halos on each side of a row */
+static void
+wrap_halo(uint8_t *row, Py_ssize_t width, Py_ssize_t halo)
+{
+    memcpy(row, row + width, halo);
+    memcpy(row + halo + width, row + halo, halo);
+}
+
+/* The grid x copied into rows padded by halo bytes on each side, which
+   hold the columns that wrap, or zeros. */
+static void
+pad_grid(uint8_t *pad, const uint8_t *x, Py_ssize_t height, Py_ssize_t width,
+         Py_ssize_t halo, int wrapped)
+{
+    for (Py_ssize_t r = 0; r < height; r++) {
+        uint8_t *row = pad + r * (width + 2 * halo);
+        memcpy(row + halo, x + r * width, width);
+        if (wrapped) {
+            wrap_halo(row, width, halo);
+        } else {
+            memset(row, 0, halo);
+            memset(row + halo + width, 0, halo);
+        }
+    }
 }
 
 /* Bodies that the AVX2 version inlines, so that they are compiled for it. */
@@ -230,20 +271,17 @@ stencil_matvec_u8(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "y*w*nnpy*y*y*:stencil_matvec_u8", &x, &out,
                           &height, &width, &wrapped, &rows, &cols, &weights))
         return NULL;
-    const uint8_t *xv = x.buf;
     const int32_t *dr = rows.buf, *dc = cols.buf;
-    Py_ssize_t n_taps = weights.len / (Py_ssize_t)sizeof(int16_t), halo = 0;
+    Py_ssize_t n_taps = weights.len / (Py_ssize_t)sizeof(int16_t);
+    Py_ssize_t halo = halo_of(height, width, n_taps, dr, dc);
     int16_t *acc = NULL;
     uint8_t *pad = NULL;
     PyObject *result = NULL;
 
-    if (!taps_fit(height, width, n_taps, dr, dc)) {
+    if (halo < 0) {
         PyErr_SetString(PyExc_ValueError, "a stencil offset reaches past the grid");
         goto done;
     }
-    for (Py_ssize_t t = 0; t < n_taps; t++)
-        halo = Py_MAX(halo, Py_ABS(dc[t]));
-    /* taps_fit puts halo below width, so each side's halo lies in the row */
     Py_ssize_t stride = width + 2 * halo;
     acc = PyMem_Malloc((width > 0 ? width : 1) * sizeof(int16_t));
     pad = PyMem_Malloc(height * stride > 0 ? height * stride : 1);
@@ -252,18 +290,7 @@ stencil_matvec_u8(PyObject *self, PyObject *args)
         goto done;
     }
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t r = 0; r < height; r++) {
-        const uint8_t *src = xv + r * width;
-        uint8_t *row = pad + r * stride;
-        memcpy(row + halo, src, width);
-        if (wrapped) {
-            memcpy(row, src + width - halo, halo);
-            memcpy(row + halo + width, src, halo);
-        } else {
-            memset(row, 0, halo);
-            memset(row + halo + width, 0, halo);
-        }
-    }
+    pad_grid(pad, x.buf, height, width, halo, wrapped);
     struct padded_grid g = {pad, height, width, halo, n_taps, wrapped, dr, dc, weights.buf};
 #ifdef X86_DISPATCH
     if (have_avx2)
@@ -373,6 +400,208 @@ table_lookup(PyObject *self, PyObject *args)
     return PyLong_FromSsize_t(bad);
 }
 
+/* The fused steps of a two-state lattice automaton.  A cell's key is the sum
+   of w[t] & -x over its taps, x being 0 or 1, taken modulo 256 from -kmin:
+   when every key lies in [kmin, kmin + LANE_KEYS) it is exact, re-based to
+   [0, LANE_KEYS), and indexes the table, 255 marking a hole. */
+#define LANE_KEYS 32
+
+/* One grid row of the next state, columns start to n: the keys summed in
+   y, then looked up in place through the table padded to 256 entries with
+   255, and copied as float64 to h when h is not NULL.  Returns whether some
+   key missed the table. */
+INLINED int
+next_row(uint8_t *restrict y, double *restrict h, const uint8_t *const *src,
+         const uint8_t *w, Py_ssize_t n_taps, uint8_t base, const uint8_t *table,
+         Py_ssize_t start, Py_ssize_t n)
+{
+    memset(y + start, base, n - start);
+    for (Py_ssize_t t = 0; t < n_taps; t++) {
+        const uint8_t *restrict s = src[t];
+        uint8_t wt = w[t];
+        for (Py_ssize_t c = start; c < n; c++)
+            y[c] = (uint8_t)(y[c] + (wt & (uint8_t)-s[c]));
+    }
+    int bad = 0;
+    for (Py_ssize_t c = start; c < n; c++) {
+        y[c] = table[y[c]];
+        bad |= y[c] == 255;
+    }
+    if (h != NULL)
+        for (Py_ssize_t c = start; c < n; c++)
+            h[c] = y[c];
+    return bad;
+}
+
+#ifdef X86_DISPATCH
+#define AVX2_INLINED static inline __attribute__((target("avx2"), always_inline))
+/* BLOCKS chunks of 32 cells from column c of the next row: the taps summed
+   in byte lanes, where for x of 0 or 1 sign(w, x) is w & -x, then the
+   lookup by two byte shuffles of the table's halves.  Returns the states
+   OR'd lane by lane, 255 where some key missed the table. */
+AVX2_INLINED __m256i
+chunks_avx2(uint8_t *y, const uint8_t *const *src, const __m256i *w, Py_ssize_t n_taps,
+            __m256i start, __m256i low, __m256i high, Py_ssize_t c, const int BLOCKS)
+{
+    const __m256i fifteen = _mm256_set1_epi8(15), past = _mm256_set1_epi8(LANE_KEYS);
+    __m256i key[4], bad = _mm256_setzero_si256();
+    for (int b = 0; b < BLOCKS; b++)
+        key[b] = start;
+    for (Py_ssize_t t = 0; t < n_taps; t++) {
+        const uint8_t *s = src[t] + c;
+        for (int b = 0; b < BLOCKS; b++)
+            key[b] = _mm256_add_epi8(key[b], _mm256_sign_epi8(
+                w[t], _mm256_loadu_si256((const __m256i *)(s + 32 * b))));
+    }
+    for (int b = 0; b < BLOCKS; b++) {
+        /* a key from 16 takes the high half; one from 128 has its top bit
+           set, so both shuffles give 0; every key from 32 is then set to 255 */
+        __m256i v = _mm256_blendv_epi8(_mm256_shuffle_epi8(low, key[b]),
+                                       _mm256_shuffle_epi8(high, key[b]),
+                                       _mm256_cmpgt_epi8(key[b], fifteen));
+        v = _mm256_or_si256(v, _mm256_cmpeq_epi8(_mm256_min_epu8(key[b], past), past));
+        /* a state is 0 or 1, so a lane of the OR is 255 only on a miss */
+        bad = _mm256_or_si256(bad, v);
+        _mm256_storeu_si256((__m256i *)(y + c + 32 * b), v);
+    }
+    return bad;
+}
+
+/* next_row in registers, 128 cells and then 32 at a time, the float64
+   history streamed past the cache, as nothing reads it back soon. */
+__attribute__((target("avx2"))) static int
+next_row_avx2(uint8_t *y, double *h, const uint8_t *const *src, const uint8_t *w,
+              Py_ssize_t n_taps, uint8_t base, const uint8_t *table, Py_ssize_t n)
+{
+    const __m256i low = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)table));
+    const __m256i high = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)(table + 16)));
+    const __m256i start = _mm256_set1_epi8((char)base), hole = _mm256_set1_epi8((char)255);
+    __m256i wv[LANE_KEYS], bad = _mm256_setzero_si256();
+    for (Py_ssize_t t = 0; t < n_taps; t++)
+        wv[t] = _mm256_set1_epi8((char)w[t]);
+    Py_ssize_t c = 0;
+    for (; c + 128 <= n; c += 128)
+        bad = _mm256_or_si256(bad, _mm256_cmpeq_epi8(
+            chunks_avx2(y, src, wv, n_taps, start, low, high, c, 4), hole));
+    for (; c + 32 <= n; c += 32)
+        bad = _mm256_or_si256(bad, _mm256_cmpeq_epi8(
+            chunks_avx2(y, src, wv, n_taps, start, low, high, c, 1), hole));
+    if (h != NULL) {
+        Py_ssize_t i = 0;
+        for (; i < c && ((uintptr_t)(h + i) & 31); i++)
+            h[i] = y[i];
+        for (; i + 4 <= c; i += 4) {
+            int32_t four;
+            memcpy(&four, y + i, 4);
+            _mm256_stream_pd(h + i, _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(four))));
+        }
+        for (; i < c; i++)
+            h[i] = y[i];
+    }
+    int tail = next_row(y, h, src, w, n_taps, base, table, c, n);
+    return tail || !_mm256_testz_si256(bad, bad);
+}
+
+/* orders the streamed stores before those that follow */
+__attribute__((target("sse"))) static void
+store_fence(void)
+{
+    _mm_sfence();
+}
+#endif
+
+/* Advance a two-state stencil automaton up to `steps` steps, in two
+   halo-padded grids used in turn; stops before a step in which some key
+   misses the table.  Writes the state after the steps done to out, and
+   the state after step s to row s of hist unless hist is empty.  Returns
+   the number of steps done. */
+static PyObject *
+stencil_steps_u8(PyObject *self, PyObject *args)
+{
+    Py_buffer x, out, hist, rows, cols, weights, keys;
+    Py_ssize_t height, width, steps;
+    int wrapped;
+    long long kmin;
+    if (!PyArg_ParseTuple(args, "y*w*w*nnpy*y*y*y*Ln:stencil_steps_u8", &x, &out, &hist,
+                          &height, &width, &wrapped, &rows, &cols, &weights, &keys,
+                          &kmin, &steps))
+        return NULL;
+    const int32_t *dr = rows.buf, *dc = cols.buf;
+    const int16_t *wk = weights.buf;
+    Py_ssize_t n_taps = weights.len / (Py_ssize_t)sizeof(int16_t), taken = 0;
+    Py_ssize_t halo = halo_of(height, width, n_taps, dr, dc);
+    uint8_t *pad = NULL;
+    PyObject *result = NULL;
+
+    if (n_taps > LANE_KEYS || halo < 0) {
+        PyErr_SetString(PyExc_ValueError, "more taps than keys, or a tap past the grid");
+        goto done;
+    }
+    Py_ssize_t stride = width + 2 * halo, size = height * stride, n = height * width;
+    /* the halos of the second grid, unwrapped, stay zero */
+    pad = PyMem_Calloc(2 * size > 0 ? 2 * size : 1, 1);
+    if (pad == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    uint8_t table[256], w[LANE_KEYS], base = (uint8_t)(0 - (unsigned long long)kmin);
+    const uint8_t *src[LANE_KEYS];
+    memset(table, 255, sizeof table);
+    memcpy(table, keys.buf, LANE_KEYS);
+    pad_grid(pad, x.buf, height, width, halo, wrapped);
+    for (; taken < steps; taken++) {
+        const uint8_t *cur = pad + (taken & 1) * size;
+        uint8_t *next = pad + ((taken + 1) & 1) * size;
+        int bad = 0;
+        for (Py_ssize_t r = 0; r < height; r++) {
+            Py_ssize_t k = 0;
+            for (Py_ssize_t t = 0; t < n_taps; t++) {
+                Py_ssize_t sr = r + dr[t];
+                if (sr < 0 || sr >= height) {
+                    if (!wrapped)
+                        continue;
+                    sr += sr < 0 ? height : -height;
+                }
+                src[k] = cur + sr * stride + halo + dc[t];
+                w[k++] = (uint8_t)wk[t];
+            }
+            uint8_t *row = next + r * stride;
+            double *h = hist.len ? (double *)hist.buf + taken * n + r * width : NULL;
+#ifdef X86_DISPATCH
+            if (have_avx2)
+                bad |= next_row_avx2(row + halo, h, src, w, k, base, table, width);
+            else
+#endif
+                bad |= next_row(row + halo, h, src, w, k, base, table, 0, width);
+            if (wrapped)
+                wrap_halo(row, width, halo);
+        }
+        if (bad)
+            break;
+    }
+#ifdef X86_DISPATCH
+    if (have_avx2)
+        store_fence();
+#endif
+    const uint8_t *last = pad + (taken & 1) * size;
+    for (Py_ssize_t r = 0; r < height; r++)
+        memcpy((uint8_t *)out.buf + r * width, last + r * stride + halo, width);
+    Py_END_ALLOW_THREADS
+    result = PyLong_FromSsize_t(taken);
+
+done:
+    PyMem_Free(pad);
+    PyBuffer_Release(&x);
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&hist);
+    PyBuffer_Release(&rows);
+    PyBuffer_Release(&cols);
+    PyBuffer_Release(&weights);
+    PyBuffer_Release(&keys);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"csr_matvec", csr_matvec, METH_VARARGS,
      "csr_matvec(data, indices, indptr, x, out): out = A @ x for a float64 "
@@ -392,6 +621,14 @@ static PyMethodDef methods[] = {
      "out[i] = table[i*stride + keys[i] - lo] for int32 keys and a uint8 "
      "table.  Returns -1, or the first index whose key lies outside "
      "[lo, lo + width) or hits a 255 entry, a hole."},
+    {"stencil_steps_u8", stencil_steps_u8, METH_VARARGS,
+     "stencil_steps_u8(x, out, hist, height, width, wrapped, dr, dc, w, table, kmin, "
+     "steps): up to `steps` steps of a two-state automaton on a height x width "
+     "grid whose tap t reads cell (r + dr[t], c + dc[t]) with weight w[t], the "
+     "keys lying in [kmin, kmin + 32) and table[key - kmin] being the next state, "
+     "255 a hole.  Stops before a step with a key on a hole; writes the state "
+     "after the steps done to out and, unless hist is empty, the state after "
+     "each step as float64 to its row of hist.  Returns the steps done."},
     {NULL, NULL, 0, NULL},
 };
 

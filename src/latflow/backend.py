@@ -16,10 +16,14 @@ points that skip it.
 
 A lattice automaton's matrix carries the taps of its stencil from
 construction, and its arrays are read-only, so the taps stay its exact
-description: it runs a kernel over them that reads no column index.  On
-x86 the extension picks, once at import from the CPU's features, an AVX2
-build of that kernel and an SSE4.1 lookup for tables of at most 32 entries
-shared by every cell: the same bytes, faster.
+description: it runs a kernel over them that reads no column index.  A
+two-state automaton on such a matrix also runs whole steps in one kernel,
+``_stencil_steps_u8``, which ``DynamicalSystem.run`` calls for many steps
+at a time: the stencil sum and the table lookup in byte lanes, with no key
+vector between them.  On x86 the extension picks, once at import from the
+CPU's features, AVX2 builds of the stencil and of the fused steps and an
+SSE4.1 lookup for tables of at most 32 entries shared by every cell: the
+same bytes, faster.
 """
 
 import importlib
@@ -30,7 +34,7 @@ import numpy as np
 from . import _kernels_py
 
 # the interface of _ckernels.c that this module calls
-_KERNELS_VERSION = 4
+_KERNELS_VERSION = 5
 
 
 def _import_compiled():
@@ -150,6 +154,36 @@ def _stencil_matvec_u8(x, height, width, wrapped, dr, dc, w):
     out = np.empty(len(x), dtype=np.int32)
     _ckernels.stencil_matvec_u8(x, out, height, width, wrapped, dr, dc, w)
     return out
+
+
+def _stencil_steps_u8(x, steps, history, height, width, wrapped, dr, dc, w, table, kmin):
+    """Up to ``steps`` steps of a two-state lattice automaton from the uint8
+    state x, by the compiled kernel: the stencil view of its matrix, and its
+    rule as a 32-entry uint8 table indexed by key - kmin, 255 for a hole or
+    a key outside the rule's table.  The caller guarantees that every key
+    lies in [kmin, kmin + 32), as it does when the |w| sum to at most 31.
+
+    Writes the state after each step as float64 to its row of ``history``,
+    a C-contiguous (steps, len(x)) array, unless it is None.  Returns the
+    state and the number of steps done: fewer than ``steps`` when the next
+    step's keys include one on a hole."""
+    _require(x, _U8, "x")
+    _require_taps(dr, dc, w)
+    _require(table, _U8, "table")
+    if len(x) != height * width:
+        raise ValueError(f"x of length {len(x)} for a {height}x{width} grid")
+    if len(table) != 32:
+        raise ValueError(f"a table of {len(table)} entries, not 32")
+    rows = np.empty(0, dtype=np.float64)
+    if history is not None:
+        if not (history.flags.c_contiguous and history.shape == (steps, len(x))):
+            raise ValueError(f"history must be a C-contiguous ({steps}, {len(x)}) array")
+        rows = history.reshape(-1)
+        _require(rows, _F64, "history")
+    out = np.empty_like(x)
+    done = _ckernels.stencil_steps_u8(x, out, rows, height, width, wrapped, dr, dc, w, table,
+                                      kmin, steps)
+    return out, done
 
 
 def _require_taps(dr, dc, w):

@@ -9,6 +9,17 @@ per-step external input.
 A lookup-table rule with a uint8 table keeps its state as uint8, so each
 step is an integer matvec and an integer-keyed lookup; the state and the
 recorded histories are float64 all the same.
+
+``step()`` is always ``apply_rule(rule, matrix.matvec(state))``, and
+``run()`` advances by it, except for two-state lattice automata under the
+compiled backend: when the matrix has a stencil view, the rule is a 1-D
+table of 2 states, the keys span at most 32 values and the system's class
+keeps ``DynamicalSystem.step``, ``run()`` makes one C call for many steps,
+with the stencil sum and the lookup fused in byte lanes.  It gives the
+same states, histories, errors and ``t``.  The kernel's inputs are derived
+from ``matrix`` and ``rule`` on every call, so assigning either is seen at
+once, and a subclass or wrapper that replaces ``step`` is called once per
+step.
 """
 
 import operator
@@ -17,8 +28,13 @@ import struct
 
 import numpy as np
 
+from . import backend
 from .errors import BadStateValue, DimensionMismatch, FileFormatError, NotSquare, read_text
-from .rules import MAP_THEN_MIX, apply_rule
+from .rules import MAP_THEN_MIX, TableRule, apply_rule
+
+# cell-updates per call of the fused lattice kernel: run() returns to Python
+# between calls, so Ctrl-C stops a long run within milliseconds
+_FUSED_CELL_UPDATES = 1 << 22
 
 
 class StateHistory:
@@ -169,6 +185,15 @@ class DynamicalSystem:
         """Advance ``steps`` steps; optionally record the trajectory.
 
         The returned history has steps + 1 rows, the initial state included.
+
+        Each step is ``step()``, except that under the compiled backend a
+        two-state lattice automaton (a matrix with a stencil view, a 1-D
+        table rule of 2 states, keys spanning at most 32 values) whose
+        class keeps ``DynamicalSystem.step`` runs many steps per call of a
+        fused kernel, with the same states.  On a key that misses the table
+        the kernel stops before that step, and ``step()`` takes it, raising
+        its error.  A subclass or wrapper that replaces ``step`` is called
+        once per step.
         """
         try:
             steps = operator.index(steps)
@@ -176,13 +201,53 @@ class DynamicalSystem:
             raise BadStateValue(f"the step count {steps!r} is not an integer") from None
         if steps < 0:
             raise BadStateValue(f"cannot run {steps} steps")
-        if not record:
-            for _ in range(steps):
-                self.step()
-            return None
-        rows = np.empty((steps + 1, self.n), dtype=np.float64)
-        rows[0] = self._state
-        for k in range(steps):
+        rows = None
+        if record:
+            rows = np.empty((steps + 1, self.n), dtype=np.float64)
+            rows[0] = self._state
+        k = 0
+        lane = self._fused_lane()
+        if lane is not None:
+            # a bounded amount of work per call, so Ctrl-C stops a long run
+            chunk = max(1, _FUSED_CELL_UPDATES // max(self.n, 1))
+            while k < steps:
+                m = min(chunk, steps - k)
+                history = None if rows is None else rows[k + 1 : k + 1 + m]
+                self._state, done = backend._stencil_steps_u8(self._state, m, history, *lane)
+                self.t += done
+                k += done
+                if done < m:
+                    break
+        for k in range(k, steps):
             self.step()
-            rows[k + 1] = self._state
-        return StateHistory(rows)
+            if rows is not None:
+                rows[k + 1] = self._state
+        return None if rows is None else StateHistory(rows)
+
+    def _fused_lane(self):
+        """The arguments of the fused kernel after the state, the step count
+        and the history, or None when ``run`` must call ``step()``."""
+        if backend.BACKEND != "c" or type(self).step is not _STEP:
+            return None
+        if self._state.dtype != np.uint8:
+            return None
+        view, rule = self.matrix._stencil, self.rule
+        if view is None or not isinstance(rule, TableRule):
+            return None
+        if rule.n_states != 2 or rule.table.ndim != 1:
+            return None
+        w = view[5].astype(np.int64)
+        kmin, span = int(w[w < 0].sum()), int(np.abs(w).sum()) + 1
+        if span > 32:
+            return None
+        # entry j is the next state of key kmin + j; keys past the span
+        # cannot occur and are holes like those outside the rule's table
+        keys = np.arange(kmin, kmin + span) - rule.lo
+        inside = (keys >= 0) & (keys < len(rule.table))
+        table = np.full(32, 255, dtype=np.uint8)
+        table[:span][inside] = rule._table8[keys[inside]]
+        return (*view, table, kmin)
+
+
+# run() takes the fused kernel only while a system's step is this one
+_STEP = DynamicalSystem.step

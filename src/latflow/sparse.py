@@ -69,17 +69,19 @@ class SparseMatrix:
     def from_coo(cls, n_rows, n_cols, rows, cols, vals):
         """Build and finalize a matrix from coordinate arrays of equal length.
 
-        Raises IndexOutOfBounds, NonFiniteWeight or DuplicateEntry, checked
-        in that order, when the arrays do not describe a valid matrix, and
-        DimensionMismatch when they are not three 1-D arrays of one length.
+        Raises IndexOutOfBounds (a coordinate that is not an integer or lies
+        outside the shape), NonFiniteWeight (a weight that is not a finite
+        number) or DuplicateEntry, checked in that order, when the arrays do
+        not describe a valid matrix, and DimensionMismatch when they are not
+        three 1-D arrays of one length.
         """
         n_rows = int(n_rows)
         n_cols = int(n_cols)
         if n_rows < 0 or n_cols < 0:
             raise IndexOutOfBounds(f"negative matrix shape {n_rows}x{n_cols}")
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
+        rows = _coordinates(rows, "row")
+        cols = _coordinates(cols, "column")
+        vals = _weights(vals)
         if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != vals.shape:
             raise DimensionMismatch(
                 f"coordinate arrays of shapes {rows.shape}, {cols.shape}, {vals.shape}"
@@ -117,19 +119,26 @@ class SparseMatrix:
 
     @classmethod
     def from_triplets(cls, n_rows, n_cols, triplets):
-        """Build a matrix from (row, col, weight) triplets, as from_coo does."""
+        """Build a matrix from (row, col, weight) triplets, as from_coo does;
+        DimensionMismatch when some triplet has other than 3 entries."""
         triplets = list(triplets)
+        try:
+            whole = set(map(len, triplets)) <= {3}
+        except TypeError:
+            whole = False
+        if not whole:
+            raise DimensionMismatch("every triplet must be (row, col, weight)")
         return cls.from_coo(
             n_rows,
             n_cols,
-            np.array([t[0] for t in triplets], dtype=np.int64),
-            np.array([t[1] for t in triplets], dtype=np.int64),
-            np.array([t[2] for t in triplets], dtype=np.float64),
+            [t[0] for t in triplets],
+            [t[1] for t in triplets],
+            [t[2] for t in triplets],
         )
 
     @classmethod
     def from_dense(cls, array):
-        array = np.asarray(array, dtype=np.float64)
+        array = _weights(array)
         if array.ndim != 2:
             raise DimensionMismatch(f"dense matrix of shape {array.shape} is not 2-D")
         rows, cols = np.nonzero(array)
@@ -221,14 +230,47 @@ class SparseMatrix:
         return out
 
     def scaled(self, c):
-        """New matrix with every weight multiplied by scalar c."""
-        return SparseMatrix(
-            self.n_rows, self.n_cols, self.indptr, self.indices, self.data * float(c)
-        )
+        """New matrix with every weight multiplied by scalar c; raises
+        NonFiniteWeight when a product is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = self.data * float(c)
+        finite = np.isfinite(data)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            row = int(np.searchsorted(self.indptr, k, side="right")) - 1
+            raise NonFiniteWeight(
+                f"non-finite weight {data[k]} at ({row}, {self.indices[k]}) scaled by {c}"
+            )
+        return SparseMatrix(self.n_rows, self.n_cols, self.indptr, self.indices, data)
 
     def transpose(self):
         rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
         return SparseMatrix.from_coo(self.n_cols, self.n_rows, self.indices, rows, self.data)
+
+
+def _coordinates(values, axis):
+    """Coordinates as int64; IndexOutOfBounds for one that is not an
+    integer.  An integer array, as every generator passes, is not checked."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    try:
+        floats = values.astype(np.float64)
+    except (TypeError, ValueError):
+        raise IndexOutOfBounds(f"a {axis} index is not a number") from None
+    whole = floats == np.rint(floats)
+    if not whole.all():
+        raise IndexOutOfBounds(f"{axis} index {floats[np.argmin(whole)]} is not an integer")
+    # one beyond int64 lies outside every shape, as -1 does
+    return np.where(np.abs(floats) < 2**63, floats, -1).astype(np.int64)
+
+
+def _weights(values):
+    """Weights as float64; NonFiniteWeight for one that is not a number."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise NonFiniteWeight(f"a weight is not a number: {exc}") from None
 
 
 @dataclass

@@ -135,11 +135,12 @@ def test_a_build_of_another_kernel_version_counts_as_absent(monkeypatch):
     monkeypatch.setitem(sys.modules, "latflow._ckernels", stale)
     assert backend._import_compiled() is None
     # builds of version 3 exist with another interface, so the stencil
-    # kernels came with version 4
-    for version in (2, 3):
+    # kernels came with version 4, and builds of 4 lack the fused lattice
+    # kernel of version 5
+    for version in (2, 3, 4):
         stale.VERSION = version
         assert backend._import_compiled() is None
-    stale.VERSION = 4
+    stale.VERSION = 5
     assert backend._import_compiled() is stale
     if backend.compiled_available():
         monkeypatch.delitem(sys.modules, "latflow._ckernels")
@@ -646,4 +647,4 @@ def test_the_extension_exports_only_what_the_backend_calls():
     exported = {name for name in dir(backend._ckernels)
                 if not name.startswith("_") and callable(getattr(backend._ckernels, name))}
     assert exported == called == {"csr_matvec", "csr_matvec_u8", "stencil_matvec_u8",
-                                  "table_lookup"}
+                                  "stencil_steps_u8", "table_lookup"}

@@ -26,6 +26,13 @@ from latflow.rules import (
 )
 from latflow.sparse import SparseMatrix
 from latflow.systems import echo_state_network, elementary_ca, game_of_life, random_boolean_network
+from latflow.topology import (
+    GridSpec,
+    NeighborhoodSpec1D,
+    NeighborhoodSpec2D,
+    generate_ca_1d,
+    generate_ca_2d,
+)
 
 HEADER = "# latflow rule v1 tables=index0first\n"
 # count keys are the neighbor count plus 4 * own state: 0-2 and 4-6, so key 3
@@ -289,3 +296,230 @@ def test_integer_step_counts_of_any_integer_type_run(steps):
     system = elementary_ca(9, 30, True, init_bits(9, 2))
     assert len(system.run(steps, record=True)) == 4
     assert system.t == 3
+
+
+# -- the fused kernel of two-state lattice automata --------------------------
+
+needs_compiled = pytest.mark.skipif("c" not in BACKENDS, reason="the extension is not built")
+
+
+def stepped(system, steps):
+    """The history of ``steps`` calls of system.step(), the per-step path."""
+    rows = [system.state]
+    for _ in range(steps):
+        system.step()
+        rows.append(system.state)
+    return np.array(rows)
+
+
+def assert_fused_matches_per_step(monkeypatch, make, steps):
+    """run() on each backend, and run() without a history, give the bytes,
+    final state and t of step() called in a loop; under the compiled
+    backend run() takes the fused kernel."""
+    want = stepped(make(), steps)
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        system = make()
+        assert (system._fused_lane() is not None) == (which == "c")
+        history = system.run(steps, record=True)
+        assert history.states.tobytes() == want.tobytes(), which
+        assert system._state.dtype == np.uint8 and system.t == steps
+        again = make()
+        assert again.run(steps) is None
+        assert again.state.tobytes() == want[-1].tobytes() and again.t == steps
+
+
+WIDTHS = (31, 32, 33, 257, 301)
+
+
+@pytest.mark.parametrize("wrapped", [True, False], ids=["wrapped", "unwrapped"])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_fused_elementary_rules_match_the_per_step_path(monkeypatch, width, wrapped):
+    init = init_bits(width, width)
+    for number in range(256):
+        assert_fused_matches_per_step(
+            monkeypatch, lambda: elementary_ca(width, number, wrapped, init), 12)
+
+
+@pytest.mark.parametrize("wrapped", [True, False], ids=["wrapped", "unwrapped"])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_fused_life_matches_the_per_step_path(monkeypatch, width, wrapped):
+    for height in (3, 19):
+        init = init_bits(width * height, height)
+        assert_fused_matches_per_step(
+            monkeypatch, lambda: game_of_life(width, height, wrapped, init), 30)
+
+
+def signed_stencil_system(width, height, wrapped, seed):
+    """A binary stencil with negative weights, whose keys run from -10 to
+    11, and a random two-state table over them: the byte sums wrap modulo
+    256 below zero."""
+    weights = np.array([[-3, 0, 2], [5, -1, 0], [0, 4, -6]], dtype=np.float64)
+    matrix = generate_ca_2d(GridSpec(width, height, wrapped), NeighborhoodSpec2D(weights, (1, 1)))
+    table = np.random.default_rng(seed).integers(0, 2, 22)
+    rule = TableRule(table, lo=-10, center_weight=1)
+    return DynamicalSystem(matrix, rule, init_bits(width * height, seed))
+
+
+@pytest.mark.parametrize("wrapped", [True, False], ids=["wrapped", "unwrapped"])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_fused_signed_stencil_matches_the_per_step_path(monkeypatch, width, wrapped):
+    for seed in range(4):
+        assert_fused_matches_per_step(
+            monkeypatch, lambda: signed_stencil_system(width, 7, wrapped, seed), 20)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 6, 7, 20])
+def test_fused_runs_of_any_length_against_the_chunk(monkeypatch, steps):
+    from latflow import engine
+
+    # a chunk of 3 steps of the 33 x 5 grid
+    monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 3 * 33 * 5 + 2)
+    init = init_bits(33 * 5, 8)
+    assert_fused_matches_per_step(monkeypatch, lambda: game_of_life(33, 5, True, init), steps)
+
+
+def growing_block(width):
+    """Rule 'left or own' on a wrapped ring from one live cell: the live
+    block grows by a cell a step, and the key of left and right alive
+    around a dead cell, 3, is a hole.  The block first leaves a gap of one
+    cell after width - 2 steps, so step width - 1 raises."""
+    matrix = generate_ca_1d(GridSpec(width), NeighborhoodSpec1D((1, 4, 2), 1))
+    rule = TableRule([0, 1, 0, -1, 1, 1, 1, 1], center_weight=4)
+    init = np.zeros(width)
+    init[0] = 1
+    return DynamicalSystem(matrix, rule, init)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 29, 1000])
+@pytest.mark.parametrize("record", [False, True])
+def test_a_hole_hit_in_a_fused_run_raises_as_the_per_step_path(monkeypatch, chunk, record):
+    from latflow import engine
+
+    monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", chunk * 31)
+    want = growing_block(31)
+    with pytest.raises(KeyOutOfTable) as expected:
+        stepped(want, 40)
+    assert want.t == 29
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        system = growing_block(31)
+        with pytest.raises(KeyOutOfTable) as info:
+            system.run(40, record=record)
+        assert str(info.value) == str(expected.value)
+        assert system.t == want.t
+        assert system.state.tobytes() == want.state.tobytes()
+
+
+@needs_compiled
+def test_the_fused_kernel_is_called_in_chunks(monkeypatch):
+    from latflow import engine
+
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    calls = []
+    kernel = backend._stencil_steps_u8
+
+    def counted(x, steps, *args):
+        calls.append(steps)
+        return kernel(x, steps, *args)
+
+    monkeypatch.setattr(backend, "_stencil_steps_u8", counted)
+    monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 10 * 64)
+    system = game_of_life(8, 8, True, init_bits(64, 9))
+    system.run(25)
+    assert calls == [10, 10, 5]
+
+
+def test_run_calls_an_overriding_step_once_per_step(monkeypatch):
+    class Counting(DynamicalSystem):
+        def step(self):
+            self.calls += 1
+            return super().step()
+
+    life = game_of_life(16, 16, True, init_bits(256, 4))
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        system = Counting(life.matrix, life.rule, life.state)
+        system.calls = 0
+        history = system.run(9, record=True)
+        assert system.calls == 9 and system._fused_lane() is None
+        assert history.states.tobytes() == stepped(game_of_life(16, 16, True, life.state),
+                                                   9).tobytes()
+
+
+def test_run_calls_a_step_wrapped_on_the_class_once_per_step(monkeypatch):
+    # as a tracer that replaces DynamicalSystem.step does
+    calls = []
+    step = DynamicalSystem.step
+
+    def wrapped(self):
+        calls.append(self.t)
+        return step(self)
+
+    monkeypatch.setattr(DynamicalSystem, "step", wrapped)
+    game_of_life(16, 16, True, init_bits(256, 4)).run(6)
+    assert calls == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_a_fused_run_uses_the_rule_and_matrix_assigned_last(monkeypatch, record):
+    init = init_bits(64, 11)
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        system = elementary_ca(64, 30, True, init)
+        system.run(5)
+        system.rule = elementary_rule(90)
+        state = system.state
+        got = system.run(8, record=record)
+        want = stepped(elementary_ca(64, 90, True, state), 8)
+        assert got is None or got.states.tobytes() == want.tobytes()
+        assert system.state.tobytes() == want[-1].tobytes()
+        system.matrix = elementary_ca(64, 90, False).matrix
+        state = system.state
+        system.run(8)
+        assert system.state.tobytes() == stepped(elementary_ca(64, 90, False, state),
+                                                 8)[-1].tobytes()
+
+
+@needs_compiled
+def test_only_two_state_stencil_systems_take_the_fused_kernel(monkeypatch):
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    wide = np.ones((5, 7))  # |w| summing to 35: keys span 36 values
+    cases = {
+        "life": (game_of_life(8, 8).matrix, game_of_life_rule(), True),
+        "elementary": (elementary_ca(9, 30).matrix, elementary_rule(30), True),
+        "three states": (generate_ca_1d(GridSpec(9), NeighborhoodSpec1D((9, 3, 1), 1)),
+                         TableRule(np.arange(27) % 3, n_states=3), False),
+        "keys spanning 36": (generate_ca_2d(GridSpec(9, 9), NeighborhoodSpec2D(wide, (2, 3))),
+                             TableRule(np.arange(36) % 2, center_weight=1), False),
+        "no stencil view": (ring(9, [4, 2, 1]), elementary_rule(30), False),
+        "per-node tables": (elementary_ca(9, 30).matrix, random_boolean_tables(9, 3, 1), False),
+    }
+    for name, (matrix, rule, fused) in cases.items():
+        system = DynamicalSystem(matrix, rule, np.zeros(matrix.n_rows))
+        assert (system._fused_lane() is not None) == fused, name
+    monkeypatch.setattr(backend, "BACKEND", "python")
+    assert game_of_life(8, 8)._fused_lane() is None
+
+
+@needs_compiled
+def test_fused_wrapper_rejects_wrong_buffers(monkeypatch):
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    system = game_of_life(8, 8, True, init_bits(64, 1))
+    lane = system._fused_lane()
+    x = system._state
+    for args in (
+        (x[:63], 2, None, *lane),
+        (x.astype(np.int32), 2, None, *lane),
+        (x, 2, np.zeros((3, 64)), *lane),
+        (x, 2, np.zeros((2, 64), dtype=np.float32), *lane),
+        (x, 2, np.zeros((2, 128))[:, ::2], *lane),
+        (x, 2, None, *lane[:6], lane[6][:31], lane[7]),
+        (x, 2, None, *lane[:5], lane[5].astype(np.int32), *lane[6:]),
+    ):
+        with pytest.raises(ValueError):
+            backend._stencil_steps_u8(*args)
+    far = lane[3].copy()
+    far[0] = 8
+    with pytest.raises(ValueError, match="past the grid"):
+        backend._stencil_steps_u8(x, 2, None, *lane[:3], far, *lane[4:])

@@ -288,6 +288,41 @@ def test_from_coo_rejects_arrays_of_unequal_length():
         SparseMatrix.from_coo(2, 2, [0, 1], [0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("c", [float("nan"), 1e308, -1e308, float("inf")])
+def test_scaled_refuses_a_non_finite_product(c):
+    m = SparseMatrix.from_triplets(3, 3, [(0, 0, 1.0), (1, 2, 10.0), (2, 1, 0.5)])
+    with pytest.raises(NonFiniteWeight, match=r"at \((0, 0|1, 2)\)"):
+        m.scaled(c)
+    assert np.array_equal(m.scaled(1e307).data, [1e307, 1e308, 5e306])
+
+
+@pytest.mark.parametrize("rows, cols", [([1.5], [0]), ([1], [0.25]), ([float("nan")], [0])])
+def test_from_coo_refuses_a_coordinate_that_is_not_an_integer(rows, cols):
+    with pytest.raises(IndexOutOfBounds, match="is not an integer"):
+        SparseMatrix.from_coo(3, 3, rows, cols, [1.0])
+    with pytest.raises(IndexOutOfBounds, match="is not an integer"):
+        SparseMatrix.from_triplets(3, 3, [(rows[0], cols[0], 1.0)])
+    # integral floats are coordinates, as before
+    assert SparseMatrix.from_coo(3, 3, [1.0], [2.0], [4.0]).triplets() == [(1, 2, 4.0)]
+
+
+@pytest.mark.parametrize("triplets", [[(1, 2)], [(0, 0, 1.0), (1, 1, 1.0, 2)], [3]])
+def test_from_triplets_refuses_a_triplet_of_other_than_three_entries(triplets):
+    with pytest.raises(DimensionMismatch, match="every triplet"):
+        SparseMatrix.from_triplets(3, 3, triplets)
+
+
+def test_values_that_are_not_numbers_raise_latflow_errors():
+    with pytest.raises(NonFiniteWeight, match="not a number"):
+        SparseMatrix.from_coo(3, 3, [1], [0], ["x"])
+    with pytest.raises(NonFiniteWeight):  # None converts to nan
+        SparseMatrix.from_triplets(3, 3, [(1, 0, None)])
+    with pytest.raises(NonFiniteWeight, match="not a number"):
+        SparseMatrix.from_dense([["x"]])
+    with pytest.raises(IndexOutOfBounds, match="not a number"):
+        SparseMatrix.from_coo(3, 3, ["x"], [0], [1.0])
+
+
 def test_from_dense_keeps_entry_values_and_order(rng):
     dense = rng.uniform(-1, 1, (5, 7)) * (rng.uniform(size=(5, 7)) < 0.4)
     m = SparseMatrix.from_dense(dense)
