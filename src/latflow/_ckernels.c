@@ -39,8 +39,9 @@
  * loop in AVX2 registers, 32 cells a register, the lookup by two byte
  * shuffles; and, for a table shared by all cells with at most 32 entries, a
  * lookup of 16 keys at a time by SSE4.1 byte shuffles.  All give the same
- * bytes as the plain loops, which every other compiler and CPU runs.  target_clones would pick by ifunc, which
- * musl lacks, so the choice is made here by __builtin_cpu_supports.
+ * bytes as the plain loops, which every other compiler and CPU runs.
+ * target_clones would pick by ifunc, which musl lacks, so the choice is
+ * made here by __builtin_cpu_supports.
  *
  * Build with -ffp-contract=off: each float64 row is summed in order, one
  * rounded multiply and one rounded add per entry, never a fused

@@ -209,7 +209,7 @@ class DynamicalSystem:
         lane = self._fused_lane()
         if lane is not None:
             # a bounded amount of work per call, so Ctrl-C stops a long run
-            chunk = max(1, _FUSED_CELL_UPDATES // max(self.n, 1))
+            chunk = max(1, _FUSED_CELL_UPDATES // self.n)
             while k < steps:
                 m = min(chunk, steps - k)
                 history = None if rows is None else rows[k + 1 : k + 1 + m]
