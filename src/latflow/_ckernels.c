@@ -468,8 +468,8 @@ chunks_avx2(uint8_t *y, const uint8_t *const *src, const __m256i *w, Py_ssize_t 
     return bad;
 }
 
-/* next_row in registers, 128 cells and then 32 at a time, the float64
-   history streamed past the cache, as nothing reads it back soon. */
+/* next_row in registers, 128 cells and then 32 at a time: four chunks
+   share each tap's loads of its source row pointer and weight. */
 __attribute__((target("avx2"))) static int
 next_row_avx2(uint8_t *y, double *h, const uint8_t *const *src, const uint8_t *w,
               Py_ssize_t n_taps, uint8_t base, const uint8_t *table, Py_ssize_t n)
@@ -487,27 +487,11 @@ next_row_avx2(uint8_t *y, double *h, const uint8_t *const *src, const uint8_t *w
     for (; c + 32 <= n; c += 32)
         bad = _mm256_or_si256(bad, _mm256_cmpeq_epi8(
             chunks_avx2(y, src, wv, n_taps, start, low, high, c, 1), hole));
-    if (h != NULL) {
-        Py_ssize_t i = 0;
-        for (; i < c && ((uintptr_t)(h + i) & 31); i++)
+    if (h != NULL)
+        for (Py_ssize_t i = 0; i < c; i++)
             h[i] = y[i];
-        for (; i + 4 <= c; i += 4) {
-            int32_t four;
-            memcpy(&four, y + i, 4);
-            _mm256_stream_pd(h + i, _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(four))));
-        }
-        for (; i < c; i++)
-            h[i] = y[i];
-    }
     int tail = next_row(y, h, src, w, n_taps, base, table, c, n);
     return tail || !_mm256_testz_si256(bad, bad);
-}
-
-/* orders the streamed stores before those that follow */
-__attribute__((target("sse"))) static void
-store_fence(void)
-{
-    _mm_sfence();
 }
 #endif
 
@@ -581,10 +565,6 @@ stencil_steps_u8(PyObject *self, PyObject *args)
         if (bad)
             break;
     }
-#ifdef X86_DISPATCH
-    if (have_avx2)
-        store_fence();
-#endif
     const uint8_t *last = pad + (taken & 1) * size;
     for (Py_ssize_t r = 0; r < height; r++)
         memcpy((uint8_t *)out.buf + r * width, last + r * stride + halo, width);
