@@ -23,9 +23,10 @@
  * or 1 and a stencil whose |weights| sum to at most 31, a key spans at most
  * 32 values, so it is summed exactly in uint8 lanes modulo 256, re-based to
  * [0, 32) and looked up in the same row loop: the layer's weights and its
- * activation with no key vector between them.  It stops before a step in
- * which any key misses the table, so the caller can take that step itself
- * and raise the error the per-step path raises.
+ * activation with no key vector between them.  It checks no key: the
+ * caller runs it only when every key that cells of 0 or 1 can produce has
+ * a next state, and its table is padded to 256 entries, so a caller that
+ * breaks that guarantee gets wrong states but no access out of bounds.
  *
  * Plain C over the buffer protocol, so the extension builds with nothing
  * but a C compiler.  The loops trust their buffers: latflow.backend checks
@@ -404,14 +405,14 @@ table_lookup(PyObject *self, PyObject *args)
 /* The fused steps of a two-state lattice automaton.  A cell's key is the sum
    of w[t] & -x over its taps, x being 0 or 1, taken modulo 256 from -kmin:
    when every key lies in [kmin, kmin + LANE_KEYS) it is exact, re-based to
-   [0, LANE_KEYS), and indexes the table, 255 marking a hole. */
+   [0, LANE_KEYS), and indexes the table, which the caller guarantees has a
+   next state for every key that can occur. */
 #define LANE_KEYS 32
 
 /* One grid row of the next state, columns start to n: the keys summed in
    y, then looked up in place through the table padded to 256 entries with
-   255, and copied as float64 to h when h is not NULL.  Returns whether some
-   key missed the table. */
-INLINED int
+   255, and copied as float64 to h when h is not NULL. */
+INLINED void
 next_row(uint8_t *restrict y, double *restrict h, const uint8_t *const *src,
          const uint8_t *w, Py_ssize_t n_taps, uint8_t base, const uint8_t *table,
          Py_ssize_t start, Py_ssize_t n)
@@ -423,29 +424,24 @@ next_row(uint8_t *restrict y, double *restrict h, const uint8_t *const *src,
         for (Py_ssize_t c = start; c < n; c++)
             y[c] = (uint8_t)(y[c] + (wt & (uint8_t)-s[c]));
     }
-    int bad = 0;
-    for (Py_ssize_t c = start; c < n; c++) {
+    for (Py_ssize_t c = start; c < n; c++)
         y[c] = table[y[c]];
-        bad |= y[c] == 255;
-    }
     if (h != NULL)
         for (Py_ssize_t c = start; c < n; c++)
             h[c] = y[c];
-    return bad;
 }
 
 #ifdef X86_DISPATCH
 #define AVX2_INLINED static inline __attribute__((target("avx2"), always_inline))
 /* BLOCKS chunks of 32 cells from column c of the next row: the taps summed
    in byte lanes, where for x of 0 or 1 sign(w, x) is w & -x, then the
-   lookup by two byte shuffles of the table's halves.  Returns the states
-   OR'd lane by lane, 255 where some key missed the table. */
-AVX2_INLINED __m256i
+   lookup by two byte shuffles of the table's halves. */
+AVX2_INLINED void
 chunks_avx2(uint8_t *y, const uint8_t *const *src, const __m256i *w, Py_ssize_t n_taps,
             __m256i start, __m256i low, __m256i high, Py_ssize_t c, const int BLOCKS)
 {
-    const __m256i fifteen = _mm256_set1_epi8(15), past = _mm256_set1_epi8(LANE_KEYS);
-    __m256i key[4], bad = _mm256_setzero_si256();
+    const __m256i fifteen = _mm256_set1_epi8(15);
+    __m256i key[4];
     for (int b = 0; b < BLOCKS; b++)
         key[b] = start;
     for (Py_ssize_t t = 0; t < n_taps; t++) {
@@ -455,51 +451,41 @@ chunks_avx2(uint8_t *y, const uint8_t *const *src, const __m256i *w, Py_ssize_t 
                 w[t], _mm256_loadu_si256((const __m256i *)(s + 32 * b))));
     }
     for (int b = 0; b < BLOCKS; b++) {
-        /* a key from 16 takes the high half; one from 128 has its top bit
-           set, so both shuffles give 0; every key from 32 is then set to 255 */
+        /* a key from 16 takes the high half; every key is below 32 */
         __m256i v = _mm256_blendv_epi8(_mm256_shuffle_epi8(low, key[b]),
                                        _mm256_shuffle_epi8(high, key[b]),
                                        _mm256_cmpgt_epi8(key[b], fifteen));
-        v = _mm256_or_si256(v, _mm256_cmpeq_epi8(_mm256_min_epu8(key[b], past), past));
-        /* a state is 0 or 1, so a lane of the OR is 255 only on a miss */
-        bad = _mm256_or_si256(bad, v);
         _mm256_storeu_si256((__m256i *)(y + c + 32 * b), v);
     }
-    return bad;
 }
 
 /* next_row in registers, 128 cells and then 32 at a time: four chunks
    share each tap's loads of its source row pointer and weight. */
-__attribute__((target("avx2"))) static int
+__attribute__((target("avx2"))) static void
 next_row_avx2(uint8_t *y, double *h, const uint8_t *const *src, const uint8_t *w,
               Py_ssize_t n_taps, uint8_t base, const uint8_t *table, Py_ssize_t n)
 {
     const __m256i low = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)table));
     const __m256i high = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)(table + 16)));
-    const __m256i start = _mm256_set1_epi8((char)base), hole = _mm256_set1_epi8((char)255);
-    __m256i wv[LANE_KEYS], bad = _mm256_setzero_si256();
+    const __m256i start = _mm256_set1_epi8((char)base);
+    __m256i wv[LANE_KEYS];
     for (Py_ssize_t t = 0; t < n_taps; t++)
         wv[t] = _mm256_set1_epi8((char)w[t]);
     Py_ssize_t c = 0;
     for (; c + 128 <= n; c += 128)
-        bad = _mm256_or_si256(bad, _mm256_cmpeq_epi8(
-            chunks_avx2(y, src, wv, n_taps, start, low, high, c, 4), hole));
+        chunks_avx2(y, src, wv, n_taps, start, low, high, c, 4);
     for (; c + 32 <= n; c += 32)
-        bad = _mm256_or_si256(bad, _mm256_cmpeq_epi8(
-            chunks_avx2(y, src, wv, n_taps, start, low, high, c, 1), hole));
+        chunks_avx2(y, src, wv, n_taps, start, low, high, c, 1);
     if (h != NULL)
         for (Py_ssize_t i = 0; i < c; i++)
             h[i] = y[i];
-    int tail = next_row(y, h, src, w, n_taps, base, table, c, n);
-    return tail || !_mm256_testz_si256(bad, bad);
+    next_row(y, h, src, w, n_taps, base, table, c, n);
 }
 #endif
 
-/* Advance a two-state stencil automaton up to `steps` steps, in two
-   halo-padded grids used in turn; stops before a step in which some key
-   misses the table.  Writes the state after the steps done to out, and
-   the state after step s to row s of hist unless hist is empty.  Returns
-   the number of steps done. */
+/* Advance a two-state stencil automaton `steps` steps, in two halo-padded
+   grids used in turn.  Writes the final state to out, and the state after
+   step s to row s of hist unless hist is empty. */
 static PyObject *
 stencil_steps_u8(PyObject *self, PyObject *args)
 {
@@ -513,7 +499,7 @@ stencil_steps_u8(PyObject *self, PyObject *args)
         return NULL;
     const int32_t *dr = rows.buf, *dc = cols.buf;
     const int16_t *wk = weights.buf;
-    Py_ssize_t n_taps = weights.len / (Py_ssize_t)sizeof(int16_t), taken = 0;
+    Py_ssize_t n_taps = weights.len / (Py_ssize_t)sizeof(int16_t);
     Py_ssize_t halo = halo_of(height, width, n_taps, dr, dc);
     uint8_t *pad = NULL;
     PyObject *result = NULL;
@@ -535,10 +521,9 @@ stencil_steps_u8(PyObject *self, PyObject *args)
     memset(table, 255, sizeof table);
     memcpy(table, keys.buf, LANE_KEYS);
     pad_grid(pad, x.buf, height, width, halo, wrapped);
-    for (; taken < steps; taken++) {
-        const uint8_t *cur = pad + (taken & 1) * size;
-        uint8_t *next = pad + ((taken + 1) & 1) * size;
-        int bad = 0;
+    for (Py_ssize_t s = 0; s < steps; s++) {
+        const uint8_t *cur = pad + (s & 1) * size;
+        uint8_t *next = pad + ((s + 1) & 1) * size;
         for (Py_ssize_t r = 0; r < height; r++) {
             Py_ssize_t k = 0;
             for (Py_ssize_t t = 0; t < n_taps; t++) {
@@ -552,24 +537,23 @@ stencil_steps_u8(PyObject *self, PyObject *args)
                 w[k++] = (uint8_t)wk[t];
             }
             uint8_t *row = next + r * stride;
-            double *h = hist.len ? (double *)hist.buf + taken * n + r * width : NULL;
+            double *h = hist.len ? (double *)hist.buf + s * n + r * width : NULL;
 #ifdef X86_DISPATCH
             if (have_avx2)
-                bad |= next_row_avx2(row + halo, h, src, w, k, base, table, width);
+                next_row_avx2(row + halo, h, src, w, k, base, table, width);
             else
 #endif
-                bad |= next_row(row + halo, h, src, w, k, base, table, 0, width);
+                next_row(row + halo, h, src, w, k, base, table, 0, width);
             if (wrapped)
                 wrap_halo(row, width, halo);
         }
-        if (bad)
-            break;
     }
-    const uint8_t *last = pad + (taken & 1) * size;
+    const uint8_t *last = pad + (steps & 1) * size;
     for (Py_ssize_t r = 0; r < height; r++)
         memcpy((uint8_t *)out.buf + r * width, last + r * stride + halo, width);
     Py_END_ALLOW_THREADS
-    result = PyLong_FromSsize_t(taken);
+    result = Py_None;
+    Py_INCREF(result);
 
 done:
     PyMem_Free(pad);
@@ -604,12 +588,11 @@ static PyMethodDef methods[] = {
      "[lo, lo + width) or hits a 255 entry, a hole."},
     {"stencil_steps_u8", stencil_steps_u8, METH_VARARGS,
      "stencil_steps_u8(x, out, hist, height, width, wrapped, dr, dc, w, table, kmin, "
-     "steps): up to `steps` steps of a two-state automaton on a height x width "
-     "grid whose tap t reads cell (r + dr[t], c + dc[t]) with weight w[t], the "
-     "keys lying in [kmin, kmin + 32) and table[key - kmin] being the next state, "
-     "255 a hole.  Stops before a step with a key on a hole; writes the state "
-     "after the steps done to out and, unless hist is empty, the state after "
-     "each step as float64 to its row of hist.  Returns the steps done."},
+     "steps): `steps` steps of a two-state automaton on a height x width grid "
+     "whose tap t reads cell (r + dr[t], c + dc[t]) with weight w[t], the keys "
+     "lying in [kmin, kmin + 32) and table[key - kmin] being the next state of "
+     "every key that can occur.  Writes the final state to out and, unless hist "
+     "is empty, the state after each step as float64 to its row of hist."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -20,10 +20,11 @@ description: it runs a kernel over them that reads no column index.  A
 two-state automaton on such a matrix also runs whole steps in one kernel,
 ``_stencil_steps_u8``, which ``DynamicalSystem.run`` calls for many steps
 at a time: the stencil sum and the table lookup in byte lanes, with no key
-vector between them.  On x86 the extension picks, once at import from the
-CPU's features, AVX2 builds of the stencil and of the fused steps and an
-SSE4.1 lookup for tables of at most 32 entries shared by every cell: the
-same bytes, faster.
+vector between them, and no key checked: ``run`` calls it only when every
+key that cells of 0 or 1 can produce has a next state.  On x86 the
+extension picks, once at import from the CPU's features, AVX2 builds of
+the stencil and of the fused steps and an SSE4.1 lookup for tables of at
+most 32 entries shared by every cell: the same bytes, faster.
 """
 
 import importlib
@@ -157,16 +158,16 @@ def _stencil_matvec_u8(x, height, width, wrapped, dr, dc, w):
 
 
 def _stencil_steps_u8(x, steps, history, height, width, wrapped, dr, dc, w, table, kmin):
-    """Up to ``steps`` steps of a two-state lattice automaton from the uint8
-    state x, by the compiled kernel: the stencil view of its matrix, and its
-    rule as a 32-entry uint8 table indexed by key - kmin, 255 for a hole or
-    a key outside the rule's table.  The caller guarantees that every key
-    lies in [kmin, kmin + 32), as it does when the |w| sum to at most 31.
+    """The state after ``steps`` steps of a two-state lattice automaton from
+    the uint8 state x, by the compiled kernel: the stencil view of its
+    matrix, and its rule as a 32-entry uint8 table indexed by key - kmin.
+    The kernel checks no key: the caller guarantees that every key that
+    cells of 0 or 1 can produce, a sum of some subset of w, lies in
+    [kmin, kmin + 32) and has a next state there, not 255.  Breaking that
+    gives wrong states, never an access out of bounds.
 
     Writes the state after each step as float64 to its row of ``history``,
-    a C-contiguous (steps, len(x)) array, unless it is None.  Returns the
-    state and the number of steps done: fewer than ``steps`` when the next
-    step's keys include one on a hole."""
+    a C-contiguous (steps, len(x)) array, unless it is None."""
     _require(x, _U8, "x")
     _require_taps(dr, dc, w)
     _require(table, _U8, "table")
@@ -181,9 +182,9 @@ def _stencil_steps_u8(x, steps, history, height, width, wrapped, dr, dc, w, tabl
         rows = history.reshape(-1)
         _require(rows, _F64, "history")
     out = np.empty_like(x)
-    done = _ckernels.stencil_steps_u8(x, out, rows, height, width, wrapped, dr, dc, w, table,
-                                      kmin, steps)
-    return out, done
+    _ckernels.stencil_steps_u8(x, out, rows, height, width, wrapped, dr, dc, w, table, kmin,
+                               steps)
+    return out
 
 
 def _require_taps(dr, dc, w):

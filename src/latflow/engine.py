@@ -13,13 +13,13 @@ recorded histories are float64 all the same.
 ``step()`` is always ``apply_rule(rule, matrix.matvec(state))``, and
 ``run()`` advances by it, except for two-state lattice automata under the
 compiled backend: when the matrix has a stencil view, the rule is a 1-D
-table of 2 states, the keys span at most 32 values and the system's class
-keeps ``DynamicalSystem.step``, ``run()`` makes one C call for many steps,
-with the stencil sum and the lookup fused in byte lanes.  It gives the
-same states, histories, errors and ``t``.  The kernel's inputs are derived
-from ``matrix`` and ``rule`` on every call, so assigning either is seen at
-once, and a subclass or wrapper that replaces ``step`` is called once per
-step.
+table of 2 states, every key that cells of 0 or 1 can produce (at most
+32) has a next state and the system's class keeps ``DynamicalSystem.step``,
+``run()`` makes one C call for many steps, with the stencil sum and the
+lookup fused in byte lanes, and the same states.  This is decided from
+``matrix`` and ``rule`` on every call, as either may be assigned, so a
+table with a reachable hole runs ``step()``, which raises on it.  A
+subclass or wrapper that replaces ``step`` is called once per step.
 """
 
 import operator
@@ -188,12 +188,12 @@ class DynamicalSystem:
 
         Each step is ``step()``, except that under the compiled backend a
         two-state lattice automaton (a matrix with a stencil view, a 1-D
-        table rule of 2 states, keys spanning at most 32 values) whose
-        class keeps ``DynamicalSystem.step`` runs many steps per call of a
-        fused kernel, with the same states.  On a key that misses the table
-        the kernel stops before that step, and ``step()`` takes it, raising
-        its error.  A subclass or wrapper that replaces ``step`` is called
-        once per step.
+        table rule of 2 states with a next state for every key, at most
+        32, that cells of 0 or 1 can produce) whose class keeps
+        ``DynamicalSystem.step`` runs many steps per call of a fused kernel,
+        with the same states; a reachable hole is left to ``step()``, which
+        raises on it.  A subclass or wrapper that replaces ``step`` is
+        called once per step.
         """
         try:
             steps = operator.index(steps)
@@ -205,23 +205,20 @@ class DynamicalSystem:
         if record:
             rows = np.empty((steps + 1, self.n), dtype=np.float64)
             rows[0] = self._state
-        k = 0
         lane = self._fused_lane()
         if lane is not None:
             # a bounded amount of work per call, so Ctrl-C stops a long run
             chunk = max(1, _FUSED_CELL_UPDATES // self.n)
-            while k < steps:
+            for k in range(0, steps, chunk):
                 m = min(chunk, steps - k)
                 history = None if rows is None else rows[k + 1 : k + 1 + m]
-                self._state, done = backend._stencil_steps_u8(self._state, m, history, *lane)
-                self.t += done
-                k += done
-                if done < m:
-                    break
-        for k in range(k, steps):
-            self.step()
-            if rows is not None:
-                rows[k + 1] = self._state
+                self._state = backend._stencil_steps_u8(self._state, m, history, *lane)
+                self.t += m
+        else:
+            for k in range(steps):
+                self.step()
+                if rows is not None:
+                    rows[k + 1] = self._state
         return None if rows is None else StateHistory(rows)
 
     def _fused_lane(self):
@@ -246,6 +243,13 @@ class DynamicalSystem:
         inside = (keys >= 0) & (keys < len(rule.table))
         table = np.full(32, 255, dtype=np.uint8)
         table[:span][inside] = rule._table8[keys[inside]]
+        # with cells of 0 or 1 a key is the sum of a subset of the taps, and
+        # the kernel checks none: it runs only when each such sum has a state
+        sums = {-kmin}
+        for weight in w.tolist():
+            sums |= {s + weight for s in sums}
+        if 255 in table[list(sums)]:
+            return None
         return (*view, table, kmin)
 
 

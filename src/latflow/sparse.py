@@ -69,35 +69,27 @@ class SparseMatrix:
     def from_coo(cls, n_rows, n_cols, rows, cols, vals):
         """Build and finalize a matrix from coordinate arrays of equal length.
 
-        Raises IndexOutOfBounds (a coordinate that is not an integer or lies
-        outside the shape), NonFiniteWeight (a weight that is not a finite
-        number) or DuplicateEntry, checked in that order, when the arrays do
-        not describe a valid matrix, and DimensionMismatch when they are not
-        three 1-D arrays of one length.
+        Raises IndexOutOfBounds (a dimension or coordinate that is not an
+        integer or lies outside the shape), NonFiniteWeight (a weight that
+        is not a finite number) or DuplicateEntry, checked in that order,
+        when the arrays do not describe a valid matrix, and
+        DimensionMismatch when they are not three 1-D arrays of one length.
         """
-        n_rows = int(n_rows)
-        n_cols = int(n_cols)
-        if n_rows < 0 or n_cols < 0:
-            raise IndexOutOfBounds(f"negative matrix shape {n_rows}x{n_cols}")
+        shape = _coordinates([n_rows, n_cols], "dimension").tolist()
+        if min(shape) < 0:
+            raise IndexOutOfBounds(f"matrix shape {n_rows}x{n_cols} outside [0, 2**63)")
+        n_rows, n_cols = shape
         rows = _coordinates(rows, "row")
         cols = _coordinates(cols, "column")
         vals = _weights(vals)
-        if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != vals.shape:
+        if rows.shape != cols.shape or rows.shape != vals.shape:
             raise DimensionMismatch(
                 f"coordinate arrays of shapes {rows.shape}, {cols.shape}, {vals.shape}"
             )
-        if not len(rows):
-            return cls(
-                n_rows,
-                n_cols,
-                np.zeros(n_rows + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
-        if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
-            raise IndexOutOfBounds(
-                f"triplet index outside {n_rows}x{n_cols}"
-            )
+        if len(rows) and (
+            rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
+        ):
+            raise IndexOutOfBounds(f"triplet index outside {n_rows}x{n_cols}")
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise NonFiniteWeight(
@@ -121,20 +113,14 @@ class SparseMatrix:
     def from_triplets(cls, n_rows, n_cols, triplets):
         """Build a matrix from (row, col, weight) triplets, as from_coo does;
         DimensionMismatch when some triplet has other than 3 entries."""
-        triplets = list(triplets)
         try:
+            triplets = [tuple(t) for t in triplets]
             whole = set(map(len, triplets)) <= {3}
         except TypeError:
             whole = False
         if not whole:
             raise DimensionMismatch("every triplet must be (row, col, weight)")
-        return cls.from_coo(
-            n_rows,
-            n_cols,
-            [t[0] for t in triplets],
-            [t[1] for t in triplets],
-            [t[2] for t in triplets],
-        )
+        return cls.from_coo(n_rows, n_cols, *([t[i] for t in triplets] for i in range(3)))
 
     @classmethod
     def from_dense(cls, array):
@@ -231,9 +217,15 @@ class SparseMatrix:
 
     def scaled(self, c):
         """New matrix with every weight multiplied by scalar c; raises
-        NonFiniteWeight when a product is not finite."""
+        NonFiniteWeight when c is not a number or a product is not finite."""
+        try:
+            if np.iscomplexobj(c):  # float() would keep only the real part
+                raise TypeError
+            c = float(c)
+        except (TypeError, ValueError, OverflowError):
+            raise NonFiniteWeight(f"the scale {c!r} is not a number") from None
         with np.errstate(over="ignore", invalid="ignore"):
-            data = self.data * float(c)
+            data = self.data * c
         finite = np.isfinite(data)
         if not finite.all():
             k = int(np.argmin(finite))
@@ -249,14 +241,20 @@ class SparseMatrix:
 
 
 def _coordinates(values, axis):
-    """Coordinates as int64; IndexOutOfBounds for one that is not an
-    integer.  An integer array, as every generator passes, is not checked."""
-    values = np.asarray(values)
+    """Coordinates as a 1-D int64 array; DimensionMismatch when they are not
+    1-D, IndexOutOfBounds for one that is not an integer.  An integer
+    array, as every generator passes, is not checked further."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        values = None
+    if values is None or values.ndim != 1:
+        raise DimensionMismatch(f"{axis} coordinates are not a 1-D array")
     if values.dtype.kind in "iu":
         return values.astype(np.int64, copy=False)
     try:
-        floats = values.astype(np.float64)
-    except (TypeError, ValueError):
+        floats = _weights(values)
+    except NonFiniteWeight:
         raise IndexOutOfBounds(f"a {axis} index is not a number") from None
     whole = floats == np.rint(floats)
     if not whole.all():
@@ -266,10 +264,14 @@ def _coordinates(values, axis):
 
 
 def _weights(values):
-    """Weights as float64; NonFiniteWeight for one that is not a number."""
+    """Weights as float64; NonFiniteWeight for one that is not a real number
+    or for lists nested raggedly."""
     try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        values = np.asarray(values)
+        if values.dtype.kind == "c":  # a cast would keep only the real part
+            raise TypeError("a complex number")
+        return values.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise NonFiniteWeight(f"a weight is not a number: {exc}") from None
 
 

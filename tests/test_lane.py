@@ -369,6 +369,24 @@ def test_fused_signed_stencil_matches_the_per_step_path(monkeypatch, width, wrap
             monkeypatch, lambda: signed_stencil_system(width, 7, wrapped, seed), 20)
 
 
+def gapped_system(width, wrapped, seed):
+    """A count rule on a ring with weights (1, 10, 1): the keys that cells
+    of 0 or 1 give are 0-2 and 10-12, so keys 3-9 are holes that no cell
+    reaches, and the system keeps the fused kernel."""
+    matrix = generate_ca_1d(GridSpec(width, wrapped=wrapped), NeighborhoodSpec1D((1, 10, 1), 1))
+    table = np.full(13, -1)
+    table[[0, 1, 2, 10, 11, 12]] = np.random.default_rng(seed).integers(0, 2, 6)
+    return DynamicalSystem(matrix, TableRule(table, center_weight=10), init_bits(width, seed))
+
+
+@pytest.mark.parametrize("wrapped", [True, False], ids=["wrapped", "unwrapped"])
+@pytest.mark.parametrize("width", WIDTHS)
+def test_fused_gapped_rule_matches_the_per_step_path(monkeypatch, width, wrapped):
+    for seed in range(4):
+        assert_fused_matches_per_step(
+            monkeypatch, lambda: gapped_system(width, wrapped, seed), 20)
+
+
 @pytest.mark.parametrize("steps", [0, 1, 2, 3, 6, 7, 20])
 def test_fused_runs_of_any_length_against_the_chunk(monkeypatch, steps):
     from latflow import engine
@@ -404,6 +422,8 @@ def test_a_hole_hit_in_a_fused_run_raises_as_the_per_step_path(monkeypatch, chun
     for which in BACKENDS:
         monkeypatch.setattr(backend, "BACKEND", which)
         system = growing_block(31)
+        # key 3 is reachable and a hole, so run() steps by step()
+        assert system._fused_lane() is None
         with pytest.raises(KeyOutOfTable) as info:
             system.run(40, record=record)
         assert str(info.value) == str(expected.value)
@@ -485,6 +505,7 @@ def test_a_fused_run_uses_the_rule_and_matrix_assigned_last(monkeypatch, record)
 def test_only_two_state_stencil_systems_take_the_fused_kernel(monkeypatch):
     monkeypatch.setattr(backend, "BACKEND", "c")
     wide = np.ones((5, 7))  # |w| summing to 35: keys span 36 values
+    block, gapped = growing_block(9), gapped_system(9, True, 0)
     cases = {
         "life": (game_of_life(8, 8).matrix, game_of_life_rule(), True),
         "elementary": (elementary_ca(9, 30).matrix, elementary_rule(30), True),
@@ -494,6 +515,8 @@ def test_only_two_state_stencil_systems_take_the_fused_kernel(monkeypatch):
                              TableRule(np.arange(36) % 2, center_weight=1), False),
         "no stencil view": (ring(9, [4, 2, 1]), elementary_rule(30), False),
         "per-node tables": (elementary_ca(9, 30).matrix, random_boolean_tables(9, 3, 1), False),
+        "a reachable hole": (block.matrix, block.rule, False),
+        "an unreachable hole": (gapped.matrix, gapped.rule, True),
     }
     for name, (matrix, rule, fused) in cases.items():
         system = DynamicalSystem(matrix, rule, np.zeros(matrix.n_rows))
@@ -523,3 +546,27 @@ def test_fused_wrapper_rejects_wrong_buffers(monkeypatch):
     far[0] = 8
     with pytest.raises(ValueError, match="past the grid"):
         backend._stencil_steps_u8(x, 2, None, *lane[:3], far, *lane[4:])
+
+
+@needs_compiled
+@pytest.mark.parametrize("width", [9, 33, 130])
+@pytest.mark.parametrize("holes", ["all", "reachable", "any byte"])
+def test_a_table_that_breaks_the_coverage_guarantee_stays_in_bounds(monkeypatch, width, holes):
+    # the kernel checks no key; with 255 at keys that occur, or next states
+    # other than 0 and 1, its cells leave 0 and 1 and its keys leave the
+    # table's 32 entries, and it must still read and write inside its
+    # buffers (tests/test_sanitizers.py runs this)
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    for system in (game_of_life(width, 5, True, init_bits(width * 5, 1)),
+                   signed_stencil_system(width, 5, False, 2)):
+        lane = system._fused_lane()
+        table = lane[6].copy()
+        if holes == "all":
+            table[:] = 255
+        elif holes == "reachable":
+            table[: int(np.abs(lane[5]).sum()) + 1 : 2] = 255
+        else:
+            table[:] = np.random.default_rng(width).integers(0, 256, 32)
+        history = np.empty((7, system.n))
+        state = backend._stencil_steps_u8(system._state, 7, history, *lane[:6], table, lane[7])
+        assert state.shape == system._state.shape and state.dtype == np.uint8

@@ -9,6 +9,7 @@ from latflow.errors import (
     DuplicateEntry,
     FileFormatError,
     IndexOutOfBounds,
+    LatflowError,
     NonFiniteWeight,
     NotSquare,
 )
@@ -306,7 +307,8 @@ def test_from_coo_refuses_a_coordinate_that_is_not_an_integer(rows, cols):
     assert SparseMatrix.from_coo(3, 3, [1.0], [2.0], [4.0]).triplets() == [(1, 2, 4.0)]
 
 
-@pytest.mark.parametrize("triplets", [[(1, 2)], [(0, 0, 1.0), (1, 1, 1.0, 2)], [3]])
+@pytest.mark.parametrize("triplets", [[(1, 2)], [(0, 0, 1.0), (1, 1, 1.0, 2)], [3],
+                                      None, 5, 2.5, [None]])
 def test_from_triplets_refuses_a_triplet_of_other_than_three_entries(triplets):
     with pytest.raises(DimensionMismatch, match="every triplet"):
         SparseMatrix.from_triplets(3, 3, triplets)
@@ -442,3 +444,127 @@ def test_matrix_arrays_are_read_only(tmp_path, builder):
     for array in (m.indptr, m.indices, m.data):
         with pytest.raises(ValueError, match="read-only"):
             array[:1] = 0
+
+
+@pytest.mark.parametrize("c", ["x", None, np.array([2.0, 3.0]), 1j, np.complex128(2), 10**400])
+def test_scaled_refuses_a_scale_that_is_not_a_number(c):
+    m = SparseMatrix.from_triplets(2, 2, [(0, 1, 1.0)])
+    for matrix in (m, SparseMatrix.from_triplets(2, 2, [])):
+        with pytest.raises(NonFiniteWeight, match="is not a number"):
+            matrix.scaled(c)
+
+
+@pytest.mark.parametrize("shape", ["x", None, 2.5, float("nan"), float("inf"), 2**64])
+def test_from_coo_refuses_a_dimension_that_is_not_an_integer(shape):
+    for n_rows, n_cols in ((shape, 2), (2, shape)):
+        with pytest.raises(IndexOutOfBounds):
+            SparseMatrix.from_coo(n_rows, n_cols, [1], [1], [1.0])
+        with pytest.raises(IndexOutOfBounds):
+            SparseMatrix.from_triplets(n_rows, n_cols, [])
+    with pytest.raises(DimensionMismatch):  # a dimension that is not one number
+        SparseMatrix.from_coo([2, 2], 2, [], [], [])
+    # integral floats and numpy integers are dimensions, as before
+    m = SparseMatrix.from_coo(np.float64(3.0), np.int32(2), [1], [1], [1.0])
+    assert m.shape == (3, 2) and type(m.n_rows) is int
+
+
+@pytest.mark.parametrize("coords", [None, 1, [[0]], [[0], [0, 1]]])
+def test_from_coo_refuses_coordinates_that_are_not_1d(coords):
+    with pytest.raises(DimensionMismatch):
+        SparseMatrix.from_coo(2, 2, coords, coords, coords)
+    with pytest.raises(DimensionMismatch):
+        SparseMatrix.from_coo(2, 2, [0], coords, [1.0])
+
+
+def test_complex_values_are_not_cut_to_their_real_part():
+    with pytest.raises(IndexOutOfBounds, match="not a number"):
+        SparseMatrix.from_coo(2, 2, np.array([1j]), [0], [1.0])
+    with pytest.raises(NonFiniteWeight, match="not a number"):
+        SparseMatrix.from_coo(2, 2, [0], [0], np.array([1 + 1j]))
+    with pytest.raises(NonFiniteWeight, match="not a number"):
+        SparseMatrix.from_dense(np.eye(2, dtype=complex))
+
+
+# -- every public constructor, fed malformed input ---------------------------
+
+# values a malformed argument is made of: numbers of every kind, numbers that
+# are not integers or not finite, and things that are not numbers at all
+ATOMS = st.one_of(
+    st.integers(-2, 4),
+    st.sampled_from([2.0, 0.5, -1.5, float("nan"), float("inf"), -float("inf"), 1e308, 2**70,
+                     -(2**70), 10**400, True, 1j, "x", "1", "", None, np.int8(-1),
+                     np.uint8(3), np.float32(1.0)]),
+)
+DIMENSIONS = st.one_of(st.integers(-1, 5), ATOMS, st.lists(st.integers(0, 3), max_size=2))
+FLAT = st.lists(ATOMS, max_size=6)
+ARRAYS = st.one_of(
+    ATOMS,
+    FLAT,
+    st.lists(st.integers(-1, 5), max_size=6).map(np.array),
+    st.lists(st.floats(-1, 5), max_size=6).map(np.array),
+    st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=3),  # nested, maybe ragged
+)
+TRIPLETS = st.one_of(
+    ATOMS,
+    st.lists(st.one_of(st.tuples(ATOMS, ATOMS, ATOMS), st.tuples(st.integers(0, 4),
+                       st.integers(0, 4), st.floats(allow_nan=True)), FLAT, ATOMS), max_size=6),
+)
+DENSE = st.one_of(
+    ARRAYS,
+    st.lists(st.lists(st.one_of(st.floats(allow_nan=True), ATOMS), max_size=4), max_size=4),
+)
+
+
+def assert_valid(m):
+    """A matrix every constructor may return: read-only arrays, row pointers
+    from 0 that never decrease and end at nnz, columns inside the shape and
+    strictly increasing within each row, finite weights."""
+    assert type(m.n_rows) is int and type(m.n_cols) is int and min(m.shape) >= 0
+    assert m.indptr.dtype == m.indices.dtype == np.int64 and m.data.dtype == np.float64
+    assert not any(a.flags.writeable for a in (m.indptr, m.indices, m.data))
+    assert len(m.indptr) == m.n_rows + 1 and m.indptr[0] == 0
+    assert np.all(np.diff(m.indptr) >= 0) and m.indptr[-1] == len(m.indices) == len(m.data)
+    assert np.all((m.indices >= 0) & (m.indices < m.n_cols))
+    rows = np.repeat(np.arange(m.n_rows), np.diff(m.indptr))
+    same_row = rows[1:] == rows[:-1]
+    assert np.all(np.diff(m.indices)[same_row] > 0)
+    assert np.all(np.isfinite(m.data))
+
+
+def built_or_refused(build):
+    """The matrix that build() returns, checked valid, or None when it
+    raises a LatflowError; any other exception fails the test."""
+    try:
+        m = build()
+    except LatflowError:
+        return None
+    assert_valid(m)
+    return m
+
+
+def assert_derived_valid(m, scale):
+    if m is not None:
+        built_or_refused(m.transpose)
+        built_or_refused(lambda: m.scaled(scale))
+
+
+@settings(max_examples=400, deadline=None)
+@given(DIMENSIONS, DIMENSIONS, ARRAYS, ARRAYS, ARRAYS, ATOMS)
+def test_from_coo_gives_a_valid_matrix_or_a_latflow_error(n_rows, n_cols, rows, cols, vals,
+                                                         scale):
+    m = built_or_refused(lambda: SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals))
+    assert_derived_valid(m, scale)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DIMENSIONS, DIMENSIONS, TRIPLETS, ATOMS)
+def test_from_triplets_gives_a_valid_matrix_or_a_latflow_error(n_rows, n_cols, triplets, scale):
+    m = built_or_refused(lambda: SparseMatrix.from_triplets(n_rows, n_cols, triplets))
+    assert_derived_valid(m, scale)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DENSE, ATOMS)
+def test_from_dense_gives_a_valid_matrix_or_a_latflow_error(array, scale):
+    m = built_or_refused(lambda: SparseMatrix.from_dense(array))
+    assert_derived_valid(m, scale)
