@@ -1,6 +1,6 @@
 /* Compiled kernels: the CSR matvec, in float64 and in integers, the
  * stencil matvec of lattice automata, the integer-keyed table lookup, and
- * whole steps of two-state lattice automata.
+ * whole steps of two-state lattice automata and networks.
  *
  * The integer matvec has one loop per row width from 1 to MAX_FIXED_WIDTH:
  * when every row holds the same number w of entries, row i is
@@ -27,6 +27,17 @@
  * caller runs it only when every key that cells of 0 or 1 can produce has
  * a next state, and its table is padded to 256 entries, so a caller that
  * breaks that guarantee gets wrong states but no access out of bounds.
+ *
+ * network_steps_u8 runs k steps of a two-state network whose rows all hold
+ * W entries, as a random Boolean network's do, in two buffers used in
+ * turn.  fold_tables first folds each node's weights into its table: with
+ * cells of 0 or 1 the key is a function of the pattern of the node's W
+ * inputs, so the table gets one entry per pattern, n * 2^W bytes, and a
+ * step reads the inputs as the bits of a pattern and that pattern's entry:
+ * no weight, no key vector.  The fold reports a row with a pattern whose
+ * key has no next state, and the caller then runs no steps; the steps take
+ * each cell for its low bit, so a caller that breaks that guarantee gets
+ * wrong states but no access out of bounds.
  *
  * Plain C over the buffer protocol, so the extension builds with nothing
  * but a C compiler.  The loops trust their buffers: latflow.backend checks
@@ -63,7 +74,7 @@ static int have_avx2, have_sse41;
 /* The interface version: latflow.backend uses the extension only when its
    VERSION equals the one it was written for, so a build of older source,
    whose functions take other arguments, counts as absent. */
-#define KERNELS_VERSION 5
+#define KERNELS_VERSION 6
 #define MAX_FIXED_WIDTH 9
 
 static PyObject *
@@ -567,6 +578,158 @@ done:
     return result;
 }
 
+/* The folded tables of a two-state network whose rows all hold W entries:
+   with cells of 0 or 1, node i's key is the sum of the weights of its
+   inputs that are 1, so bit j of an input pattern p in [0, 2^W) standing
+   for the j-th entry of row i, entry (i << W) | p of out is the next state
+   of node i for the key sum_j w[i*W + j] * bit j of p.  The patterns are
+   visited in Gray-code order, each key one add or subtract from the last.
+   Returns -1, or the first row that has a pattern whose key lies outside
+   [lo, lo + width) or hits a 255 entry of the table, a hole: out is then
+   incomplete. */
+static Py_ssize_t
+fold_rows(const int32_t *restrict w, const uint8_t *restrict t, uint8_t *restrict out,
+          Py_ssize_t n, int W, uint64_t lo, uint64_t width, Py_ssize_t stride)
+{
+    size_t patterns = (size_t)1 << W;
+    for (Py_ssize_t i = 0; i < n; i++, w += W, t += stride, out += patterns) {
+        int64_t key = 0;
+        size_t gray = 0;
+        for (size_t q = 0; q < patterns; q++) {
+            if (q) {
+                /* the bit that flips is the lowest set bit of q */
+                int j = 0;
+                while (!(q >> j & 1))
+                    j++;
+                gray ^= (size_t)1 << j;
+                key += gray >> j & 1 ? w[j] : -(int64_t)w[j];
+            }
+            /* modulo 2^64 a key below lo wraps above every width */
+            uint64_t k = (uint64_t)key - lo;
+            if (k >= width || t[k] == 255)
+                return i;
+            out[gray] = t[k];
+        }
+    }
+    return -1;
+}
+
+static PyObject *
+fold_tables(PyObject *self, PyObject *args)
+{
+    Py_buffer weights, table, out;
+    long long lo;
+    Py_ssize_t width, stride, W;
+    if (!PyArg_ParseTuple(args, "y*y*Lnnnw*:fold_tables",
+                          &weights, &table, &lo, &width, &stride, &W, &out))
+        return NULL;
+    Py_ssize_t n = weights.len / (Py_ssize_t)sizeof(int32_t) / W, bad;
+
+    Py_BEGIN_ALLOW_THREADS
+    bad = fold_rows(weights.buf, table.buf, out.buf, n, (int)W, (uint64_t)lo,
+                    (uint64_t)width, stride);
+    Py_END_ALLOW_THREADS
+
+    PyBuffer_Release(&weights);
+    PyBuffer_Release(&table);
+    PyBuffer_Release(&out);
+    return PyLong_FromSsize_t(bad);
+}
+
+/* One step of the network: node i's inputs, read as the bits of a pattern,
+   index its folded table.  A cell other than 0 or 1 counts as its low bit,
+   so every pattern stays below 2^W and inside the table. */
+INLINED void
+folded_step(uint8_t *restrict y, const uint8_t *restrict x, const int32_t *restrict col,
+            const uint8_t *restrict f, Py_ssize_t n, int W)
+{
+    for (Py_ssize_t i = 0; i < n; i++, col += W) {
+        size_t p = 0;
+        for (int j = 0; j < W; j++)
+            p |= (size_t)(x[col[j]] & 1) << j;
+        y[i] = f[((size_t)i << W) | p];
+    }
+}
+
+/* folded_step for W a constant, so that each row unrolls */
+#define FOLDED_STEP(W)                                                        \
+    static void folded_step_##W(uint8_t *y, const uint8_t *x, const int32_t *col, \
+                                const uint8_t *f, Py_ssize_t n, int width)    \
+    {                                                                         \
+        (void)width;                                                          \
+        folded_step(y, x, col, f, n, W);                                      \
+    }
+FOLDED_STEP(1)
+FOLDED_STEP(2)
+FOLDED_STEP(3)
+FOLDED_STEP(4)
+FOLDED_STEP(5)
+FOLDED_STEP(6)
+FOLDED_STEP(7)
+FOLDED_STEP(8)
+FOLDED_STEP(9)
+
+static void
+folded_step_any(uint8_t *y, const uint8_t *x, const int32_t *col, const uint8_t *f,
+                Py_ssize_t n, int width)
+{
+    folded_step(y, x, col, f, n, width);
+}
+
+static void (*const folded_steps[MAX_FIXED_WIDTH + 1])(
+    uint8_t *, const uint8_t *, const int32_t *, const uint8_t *, Py_ssize_t, int) = {
+    folded_step_any, folded_step_1, folded_step_2, folded_step_3, folded_step_4,
+    folded_step_5, folded_step_6, folded_step_7, folded_step_8, folded_step_9,
+};
+
+/* Advance a two-state network of W inputs a node `steps` steps through its
+   folded tables, in out and one more buffer used in turn.  Writes the
+   final state to out, and the state after step s to row s of hist unless
+   hist is empty. */
+static PyObject *
+network_steps_u8(PyObject *self, PyObject *args)
+{
+    Py_buffer x, out, hist, indices, folded;
+    Py_ssize_t W, steps;
+    if (!PyArg_ParseTuple(args, "y*w*w*y*ny*n:network_steps_u8", &x, &out, &hist,
+                          &indices, &W, &folded, &steps))
+        return NULL;
+    Py_ssize_t n = x.len;
+    PyObject *result = NULL;
+    uint8_t *spare = PyMem_Malloc(n > 0 ? n : 1);
+    if (spare == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    void (*step)(uint8_t *, const uint8_t *, const int32_t *, const uint8_t *, Py_ssize_t,
+                 int) = folded_steps[W <= MAX_FIXED_WIDTH ? W : 0];
+    /* the state after step s lies in bufs[(steps - s) & 1], the last in out */
+    uint8_t *bufs[2] = {out.buf, spare};
+    memcpy(bufs[steps & 1], x.buf, n);
+    for (Py_ssize_t s = 0; s < steps; s++) {
+        uint8_t *y = bufs[(steps - s - 1) & 1];
+        step(y, bufs[(steps - s) & 1], indices.buf, folded.buf, n, (int)W);
+        if (hist.len) {
+            double *h = (double *)hist.buf + s * n;
+            for (Py_ssize_t i = 0; i < n; i++)
+                h[i] = y[i];
+        }
+    }
+    Py_END_ALLOW_THREADS
+    result = Py_None;
+    Py_INCREF(result);
+
+done:
+    PyMem_Free(spare);
+    PyBuffer_Release(&x);
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&hist);
+    PyBuffer_Release(&indices);
+    PyBuffer_Release(&folded);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"csr_matvec", csr_matvec, METH_VARARGS,
      "csr_matvec(data, indices, indptr, x, out): out = A @ x for a float64 "
@@ -593,6 +756,17 @@ static PyMethodDef methods[] = {
      "lying in [kmin, kmin + 32) and table[key - kmin] being the next state of "
      "every key that can occur.  Writes the final state to out and, unless hist "
      "is empty, the state after each step as float64 to its row of hist."},
+    {"fold_tables", fold_tables, METH_VARARGS,
+     "fold_tables(weights, table, lo, width, stride, W, out): for rows of W int32 "
+     "weights, out[(i << W) | p] = table[i*stride + key - lo], key the sum of the "
+     "weights of row i whose bit of p is 1.  Returns -1, or the first row with a "
+     "key outside [lo, lo + width) or on a 255 entry, a hole."},
+    {"network_steps_u8", network_steps_u8, METH_VARARGS,
+     "network_steps_u8(x, out, hist, indices, W, folded, steps): `steps` steps of a "
+     "two-state network whose node i reads cells indices[i*W : (i+1)*W], the j-th "
+     "as bit j of a pattern p, and takes folded[(i << W) | p].  Writes the final "
+     "state to out and, unless hist is empty, the state after each step as float64 "
+     "to its row of hist."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -21,7 +21,11 @@ two-state automaton on such a matrix also runs whole steps in one kernel,
 ``_stencil_steps_u8``, which ``DynamicalSystem.run`` calls for many steps
 at a time: the stencil sum and the table lookup in byte lanes, with no key
 vector between them, and no key checked: ``run`` calls it only when every
-key that cells of 0 or 1 can produce has a next state.  On x86 the
+key that cells of 0 or 1 can produce has a next state.  A two-state
+network whose rows all hold W weights runs whole steps in
+``_network_steps_u8``, after ``_fold_tables`` has folded each node's
+weights into its table, one entry per pattern of its W inputs, once per
+``run`` call: the steps read no weight and make no key.  On x86 the
 extension picks, once at import from the CPU's features, AVX2 builds of
 the stencil and of the fused steps and an SSE4.1 lookup for tables of at
 most 32 entries shared by every cell: the same bytes, faster.
@@ -35,7 +39,7 @@ import numpy as np
 from . import _kernels_py
 
 # the interface of _ckernels.c that this module calls
-_KERNELS_VERSION = 5
+_KERNELS_VERSION = 6
 
 
 def _import_compiled():
@@ -175,16 +179,72 @@ def _stencil_steps_u8(x, steps, history, height, width, wrapped, dr, dc, w, tabl
         raise ValueError(f"x of length {len(x)} for a {height}x{width} grid")
     if len(table) != 32:
         raise ValueError(f"a table of {len(table)} entries, not 32")
-    rows = np.empty(0, dtype=np.float64)
-    if history is not None:
-        if not (history.flags.c_contiguous and history.shape == (steps, len(x))):
-            raise ValueError(f"history must be a C-contiguous ({steps}, {len(x)}) array")
-        rows = history.reshape(-1)
-        _require(rows, _F64, "history")
     out = np.empty_like(x)
-    _ckernels.stencil_steps_u8(x, out, rows, height, width, wrapped, dr, dc, w, table, kmin,
-                               steps)
+    _ckernels.stencil_steps_u8(x, out, _history_rows(history, steps, len(x)), height, width,
+                               wrapped, dr, dc, w, table, kmin, steps)
     return out
+
+
+def _fold_tables(weights, width, table, lo):
+    """The folded tables of a two-state network whose rows all hold
+    ``width`` int32 weights, row i being weights[i*width:(i+1)*width], by
+    the compiled kernel: a uint8 array whose entry (i << width) | p is the
+    next state ``table[key - lo]``, or ``table[i, key - lo]`` with one table
+    row per node, for key the sum of the weights of row i whose bit of p is
+    1.  None when some row has such a key outside the table or on a 255
+    entry, a hole.  The result has n * 2**width bytes: the caller bounds
+    width."""
+    _require(weights, _I32, "weights")
+    flat = table.reshape(-1)
+    _require(flat, _U8, "table")
+    if not 1 <= width < 63 or len(weights) % width:
+        raise ValueError(f"rows of width {width} do not span {len(weights)} weights")
+    n = len(weights) // width
+    if table.ndim == 2 and len(table) != n:
+        raise ValueError(f"{len(table)} table rows for {n} rows of weights")
+    out = np.empty(n << width, dtype=np.uint8)
+    row = table.shape[-1]
+    if _ckernels.fold_tables(weights, flat, lo, row, row if table.ndim == 2 else 0, width,
+                             out) >= 0:
+        return None
+    return out
+
+
+def _network_steps_u8(x, steps, history, indices, width, folded):
+    """The state after ``steps`` steps of a two-state network from the uint8
+    state x, by the compiled kernel: node i reads the cells
+    indices[i*width:(i+1)*width], int32 indices that the caller guarantees
+    lie inside x, the j-th as bit j of a pattern p, and takes the next
+    state folded[(i << width) | p], the tables that ``_fold_tables`` gives.
+    A cell other than 0 or 1 counts as its low bit, so a state or table
+    that breaks the caller's guarantees gives wrong states, never an access
+    out of bounds.
+
+    Writes the state after each step as float64 to its row of ``history``,
+    a C-contiguous (steps, len(x)) array, unless it is None."""
+    _require(x, _U8, "x")
+    _require(indices, _I32, "indices")
+    _require(folded, _U8, "folded")
+    if not 1 <= width < 63 or len(indices) != width * len(x):
+        raise ValueError(f"{len(indices)} indices for {len(x)} rows of width {width}")
+    if len(folded) != len(x) << width:
+        raise ValueError(f"{len(folded)} folded entries for {len(x)} rows of width {width}")
+    out = np.empty_like(x)
+    _ckernels.network_steps_u8(x, out, _history_rows(history, steps, len(x)), indices, width,
+                               folded, steps)
+    return out
+
+
+def _history_rows(history, steps, n):
+    """The flat float64 buffer of a C-contiguous (steps, n) history, or an
+    empty one for None."""
+    if history is None:
+        return np.empty(0, dtype=np.float64)
+    if not (history.flags.c_contiguous and history.shape == (steps, n)):
+        raise ValueError(f"history must be a C-contiguous ({steps}, {n}) array")
+    rows = history.reshape(-1)
+    _require(rows, _F64, "history")
+    return rows
 
 
 def _require_taps(dr, dc, w):

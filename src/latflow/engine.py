@@ -11,15 +11,24 @@ step is an integer matvec and an integer-keyed lookup; the state and the
 recorded histories are float64 all the same.
 
 ``step()`` is always ``apply_rule(rule, matrix.matvec(state))``, and
-``run()`` advances by it, except for two-state lattice automata under the
-compiled backend: when the matrix has a stencil view, the rule is a 1-D
-table of 2 states, every key that cells of 0 or 1 can produce (at most
-32) has a next state and the system's class keeps ``DynamicalSystem.step``,
-``run()`` makes one C call for many steps, with the stencil sum and the
-lookup fused in byte lanes, and the same states.  This is decided from
-``matrix`` and ``rule`` on every call, as either may be assigned, so a
-table with a reachable hole runs ``step()``, which raises on it.  A
-subclass or wrapper that replaces ``step`` is called once per step.
+``run()`` advances by it, except for two-state systems under the compiled
+backend whose class keeps ``DynamicalSystem.step``, whose state holds only
+0 and 1 and whose rule is a ``TableRule`` of 2 states.  Those make one C
+call for many steps, with the same states, in one of two lanes:
+
+- a lattice automaton, whose matrix has a stencil view, with a 1-D table:
+  the stencil sum and the lookup fused in byte lanes, when every key that
+  cells of 0 or 1 can produce (at most 32) has a next state;
+- a network whose rows all hold W >= 1 integer weights, such as a random
+  Boolean network, with a 1-D table or one table row per node: each
+  node's weights are folded into a table of its 2**W input patterns, when
+  every pattern's key has a next state and the folded tables are no
+  larger than the larger of the rule's own table and the int32 weights.
+
+This is decided from ``matrix`` and ``rule`` on every call, as either may
+be assigned, so a table with a reachable hole runs ``step()``, which
+raises on it.  A subclass or wrapper that replaces ``step`` is called once
+per step.
 """
 
 import operator
@@ -28,13 +37,15 @@ import struct
 
 import numpy as np
 
-from . import backend
+from . import _textcodec, backend
 from .errors import BadStateValue, DimensionMismatch, FileFormatError, NotSquare, read_text
 from .rules import MAP_THEN_MIX, TableRule, apply_rule
 
-# cell-updates per call of the fused lattice kernel: run() returns to Python
-# between calls, so Ctrl-C stops a long run within milliseconds
+# cell-updates per call of a fused kernel: run() returns to Python between
+# calls, so Ctrl-C stops a long run within milliseconds
 _FUSED_CELL_UPDATES = 1 << 22
+# values per block of the CSV writer
+_CSV_BLOCK = 1 << 15
 
 
 class StateHistory:
@@ -57,12 +68,23 @@ class StateHistory:
 
     def save_csv(self, path):
         with open(path, "w") as f:
-            f.write(self.to_csv())
+            f.writelines(self._csv_blocks())
 
     def to_csv(self):
-        # a row at a time: tolist() of the whole history would hold every
-        # value as a Python float at once
-        return "".join(",".join(map(repr, row.tolist())) + "\n" for row in self.states)
+        return "".join(self._csv_blocks())
+
+    def _csv_blocks(self):
+        """The CSV text in blocks of whole rows, each value written as its
+        repr: a block at a time, so that the writer's temporaries stay
+        small whatever the length of the history."""
+        step = max(1, _CSV_BLOCK // max(self.n, 1))
+        for start in range(0, len(self), step):
+            block = self.states[start : start + step]
+            flat = block.reshape(-1)
+            if flat.size and np.all(np.abs(flat) < 1e16) and np.array_equal(flat, np.rint(flat)):
+                yield _integer_csv(block)
+            else:
+                yield "".join(",".join(map(repr, row.tolist())) + "\n" for row in block)
 
     @classmethod
     def from_csv(cls, text):
@@ -116,6 +138,36 @@ class StateHistory:
         if found != expected:
             raise FileFormatError(f"expected {expected} payload bytes, found {found}")
         return cls(states)._finite("LFST state file")
+
+
+def _integer_csv(block):
+    """The CSV lines of rows of integer values below 1e16 in magnitude,
+    byte for byte their repr: an optional "-", the digits and ".0".
+
+    Each value gets a slot of a sign, as many digits as the largest value
+    has, ".0" and a separator; the bytes it does not use are dropped."""
+    n = block.shape[1]
+    flat = block.reshape(-1)
+    values = np.abs(flat).astype(np.int64)
+    top = int(_textcodec.digit_count(values.max()))
+    if top < 10:
+        values = values.astype(np.uint32)  # divides about three times faster
+    slots = np.empty((len(flat), top + 4), dtype=np.uint8)
+    keep = np.ones(slots.shape, dtype=bool)
+    slots[:, 0] = ord("-")
+    keep[:, 0] = np.signbit(flat)  # -0.0 included
+    for j in range(top):
+        if j:  # values is now the original // 10**j
+            keep[:, top - j] = values > 0
+        digit = slots[:, top - j]
+        np.remainder(values, 10, out=digit, casting="unsafe")
+        digit += ord("0")
+        values = values // 10
+    slots[:, top + 1] = ord(".")
+    slots[:, top + 2] = ord("0")
+    slots[:, top + 3] = ord(",")
+    slots[n - 1 :: n, top + 3] = ord("\n")
+    return slots[keep].tobytes().decode("ascii")
 
 
 def load_history(path):
@@ -187,13 +239,11 @@ class DynamicalSystem:
         The returned history has steps + 1 rows, the initial state included.
 
         Each step is ``step()``, except that under the compiled backend a
-        two-state lattice automaton (a matrix with a stencil view, a 1-D
-        table rule of 2 states with a next state for every key, at most
-        32, that cells of 0 or 1 can produce) whose class keeps
-        ``DynamicalSystem.step`` runs many steps per call of a fused kernel,
-        with the same states; a reachable hole is left to ``step()``, which
-        raises on it.  A subclass or wrapper that replaces ``step`` is
-        called once per step.
+        two-state lattice automaton or fixed-width network (see the module
+        docstring) whose class keeps ``DynamicalSystem.step`` runs many
+        steps per call of a fused kernel, with the same states; a reachable
+        hole is left to ``step()``, which raises on it.  A subclass or
+        wrapper that replaces ``step`` is called once per step.
         """
         try:
             steps = operator.index(steps)
@@ -207,12 +257,13 @@ class DynamicalSystem:
             rows[0] = self._state
         lane = self._fused_lane()
         if lane is not None:
+            kernel, args = lane
             # a bounded amount of work per call, so Ctrl-C stops a long run
             chunk = max(1, _FUSED_CELL_UPDATES // self.n)
             for k in range(0, steps, chunk):
                 m = min(chunk, steps - k)
                 history = None if rows is None else rows[k + 1 : k + 1 + m]
-                self._state = backend._stencil_steps_u8(self._state, m, history, *lane)
+                self._state = kernel(self._state, m, history, *args)
                 self.t += m
         else:
             for k in range(steps):
@@ -222,35 +273,72 @@ class DynamicalSystem:
         return None if rows is None else StateHistory(rows)
 
     def _fused_lane(self):
-        """The arguments of the fused kernel after the state, the step count
-        and the history, or None when ``run`` must call ``step()``."""
+        """``(kernel, args)``, a fused kernel and its arguments after the
+        state, the step count and the history, or None when ``run`` must
+        call ``step()``."""
         if backend.BACKEND != "c" or type(self).step is not _STEP:
             return None
-        if self._state.dtype != np.uint8:
+        x, matrix, rule = self._state, self.matrix, self.rule
+        if x.dtype != np.uint8 or matrix.shape != (len(x), len(x)):
             return None
-        view, rule = self.matrix._stencil, self.rule
-        if view is None or not isinstance(rule, TableRule):
+        if not isinstance(rule, TableRule) or rule.n_states != 2:
             return None
-        if rule.n_states != 2 or rule.table.ndim != 1:
+        # both kernels take a cell for its low bit, so the state must hold
+        # 0 and 1 only, as after a rule of more states was replaced it may not
+        if len(x) and x.max() > 1:
             return None
-        w = view[5].astype(np.int64)
-        kmin, span = int(w[w < 0].sum()), int(np.abs(w).sum()) + 1
-        if span > 32:
-            return None
-        # entry j is the next state of key kmin + j; keys past the span
-        # cannot occur and are holes like those outside the rule's table
-        keys = np.arange(kmin, kmin + span) - rule.lo
-        inside = (keys >= 0) & (keys < len(rule.table))
-        table = np.full(32, 255, dtype=np.uint8)
-        table[:span][inside] = rule._table8[keys[inside]]
-        # with cells of 0 or 1 a key is the sum of a subset of the taps, and
-        # the kernel checks none: it runs only when each such sum has a state
-        sums = {-kmin}
-        for weight in w.tolist():
-            sums |= {s + weight for s in sums}
-        if 255 in table[list(sums)]:
-            return None
-        return (*view, table, kmin)
+        if matrix._stencil is not None:
+            return _stencil_lane(matrix._stencil, rule)
+        return _network_lane(matrix, rule)
+
+
+def _stencil_lane(view, rule):
+    """The fused kernel of a lattice automaton with the stencil view
+    ``view`` and a two-state rule, or None."""
+    if rule.table.ndim != 1:
+        return None
+    w = view[5].astype(np.int64)
+    kmin, span = int(w[w < 0].sum()), int(np.abs(w).sum()) + 1
+    if span > 32:
+        return None
+    # entry j is the next state of key kmin + j; keys past the span
+    # cannot occur and are holes like those outside the rule's table
+    keys = np.arange(kmin, kmin + span) - rule.lo
+    inside = (keys >= 0) & (keys < len(rule.table))
+    table = np.full(32, 255, dtype=np.uint8)
+    table[:span][inside] = rule._table8[keys[inside]]
+    # with cells of 0 or 1 a key is the sum of a subset of the taps, and
+    # the kernel checks none: it runs only when each such sum has a state
+    sums = {-kmin}
+    for weight in w.tolist():
+        sums |= {s + weight for s in sums}
+    if 255 in table[list(sums)]:
+        return None
+    return backend._stencil_steps_u8, (*view, table, kmin)
+
+
+def _network_lane(matrix, rule):
+    """The fused kernel of a two-state network whose rows all hold the same
+    number W >= 1 of integer weights, or None.
+
+    Each node's weights are folded into its table, n * 2**W bytes indexed
+    by the pattern of its W inputs, once per call.  The folded table is
+    made only when it is no larger than the larger of the rule's own uint8
+    table and the n * 4W bytes of int32 weights it replaces, and used only
+    when every pattern's key has a next state."""
+    view = matrix._cached_int32_view()
+    if not view:
+        return None
+    weights, indices, width = view
+    table, n = rule._table8, matrix.n_rows
+    if width < 1 or (table.ndim == 2 and len(table) != n):
+        return None
+    if n << width > max(table.size, 4 * width * n):
+        return None
+    folded = backend._fold_tables(weights, width, table, rule.lo)
+    if folded is None:
+        return None
+    return backend._network_steps_u8, (indices, width, folded)
 
 
 # run() takes the fused kernel only while a system's step is this one

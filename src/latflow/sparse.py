@@ -72,8 +72,10 @@ class SparseMatrix:
         Raises IndexOutOfBounds (a dimension or coordinate that is not an
         integer or lies outside the shape), NonFiniteWeight (a weight that
         is not a finite number) or DuplicateEntry, checked in that order,
-        when the arrays do not describe a valid matrix, and
-        DimensionMismatch when they are not three 1-D arrays of one length.
+        when the arrays do not describe a valid matrix, DimensionMismatch
+        when they are not three 1-D arrays of one length, and
+        IndexOutOfBounds for a row count whose row pointers cannot be
+        allocated.
         """
         shape = _coordinates([n_rows, n_cols], "dimension").tolist()
         if min(shape) < 0:
@@ -105,8 +107,11 @@ class SparseMatrix:
         if dup.any():
             k = int(np.flatnonzero(dup)[0])
             raise DuplicateEntry(f"duplicate entry at ({rows[k]}, {cols[k]})")
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        try:
+            indptr = np.zeros(n_rows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        except (ValueError, MemoryError):  # numpy refuses the size, or malloc does
+            raise IndexOutOfBounds(f"no memory for the row pointers of {n_rows} rows") from None
         return cls(n_rows, n_cols, indptr, cols, vals)
 
     @classmethod
@@ -182,13 +187,18 @@ class SparseMatrix:
         if v.dtype == np.uint8:
             if backend.BACKEND == "c" and self._stencil is not None:
                 return backend._stencil_matvec_u8(v, *self._stencil)
-            if self._int32 is None:
-                self._int32 = self._int32_view()
-            if self._int32:
-                data, indices, width = self._int32
+            view = self._cached_int32_view()
+            if view:
+                data, indices, width = view
                 return backend._csr_matvec_u8(data, indices, self.indptr, v, width)
             v = v.astype(np.float64)
         return backend._csr_matvec(self.data, self.indices, self.indptr, v)
+
+    def _cached_int32_view(self):
+        """``_int32_view()``, made on the first call and kept."""
+        if self._int32 is None:
+            self._int32 = self._int32_view()
+        return self._int32
 
     def _int32_view(self):
         """(data, indices, width), the weights and column indices as int32

@@ -177,8 +177,18 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 )
 
 
+# integer values, which the writer lays out as digits, around the largest
+# below 1e16, from which repr takes the exponent form
+INTEGRAL = st.integers(-(10**17), 10**17).map(float) | st.sampled_from(
+    [-0.0, 0.0, 1.0, -1.0, 9.0, 10.0, 4294967295.0, 4294967296.0, 9999999999999998.0,
+     -9999999999999998.0, 1e16, -1e16]
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=FINITE))
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=FINITE)
+       | arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=9),
+                elements=INTEGRAL))
 def test_csv_is_repr_per_value_and_reads_back_exactly(x):
     text = StateHistory(x).to_csv()
     assert text == "".join(",".join(repr(float(v)) for v in row) + "\n" for row in x)

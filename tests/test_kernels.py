@@ -135,12 +135,12 @@ def test_a_build_of_another_kernel_version_counts_as_absent(monkeypatch):
     monkeypatch.setitem(sys.modules, "latflow._ckernels", stale)
     assert backend._import_compiled() is None
     # builds of version 3 exist with another interface, so the stencil
-    # kernels came with version 4, and builds of 4 lack the fused lattice
-    # kernel of version 5
-    for version in (2, 3, 4):
+    # kernels came with version 4, builds of 4 lack the fused lattice
+    # kernel of version 5, and builds of 5 the fused network kernel of 6
+    for version in (2, 3, 4, 5):
         stale.VERSION = version
         assert backend._import_compiled() is None
-    stale.VERSION = 5
+    stale.VERSION = 6
     assert backend._import_compiled() is stale
     if backend.compiled_available():
         monkeypatch.delitem(sys.modules, "latflow._ckernels")
@@ -640,11 +640,56 @@ def test_stencil_wrappers_reject_wrong_buffers():
         backend._stencil_matvec_u8(x, height, width, wrapped, far, dc, w)
 
 
+def fold_oracle(weights, width, entries, per_node):
+    """The folded tables of rows of ``width`` weights against dict tables,
+    pattern by pattern, and the first row with a pattern whose key has no
+    entry, or None."""
+    folded = []
+    for i, row in enumerate(np.asarray(weights, dtype=np.int64).reshape(-1, width)):
+        table = entries[i] if per_node else entries
+        for p in range(2**width):
+            key = sum(int(w) for j, w in enumerate(row) if p >> j & 1)
+            if key not in table:
+                return None, i
+            folded.append(table[key])
+    return folded, None
+
+
+@needs_compiled
+@pytest.mark.parametrize("seed", range(30))
+def test_fold_matches_a_pattern_by_pattern_oracle(seed):
+    rng = np.random.default_rng(seed)
+    per_node = seed % 2 == 1
+    for trial in range(8):
+        width = int(rng.integers(1, 6))
+        n, lo, row = int(rng.integers(0, 12)), int(rng.integers(-4, 1)), int(rng.integers(1, 24))
+        # holes in a few trials, weights that mostly keep the keys inside
+        # the table in most, and int32 weights of any size in the rest
+        holes = rng.random((n if per_node else 1, row)) < (0.05 if trial % 4 == 1 else 0)
+        table = np.where(holes, 255, rng.integers(0, 2, holes.shape)).astype(np.uint8)
+        if trial % 4 == 3:
+            weights = rng.integers(-2**31, 2**31, n * width) >> int(rng.integers(0, 32))
+        else:
+            weights = rng.integers(-1 if trial % 4 == 2 else 0, 4, n * width)
+        weights = weights.astype(np.int32)
+        entries = [{lo + k: int(v) for k, v in enumerate(t) if v != 255} for t in table]
+        want, bad = fold_oracle(weights, width, entries if per_node else entries[0], per_node)
+        if not per_node:
+            table = table[0]
+        got = backend._fold_tables(weights, width, table, lo)
+        assert (None if got is None else got.tolist()) == want
+        out = np.empty(n << width, dtype=np.uint8)
+        first = backend._ckernels.fold_tables(weights, table.reshape(-1), lo, row,
+                                              row if per_node else 0, width, out)
+        assert first == (-1 if bad is None else bad)
+
+
 @needs_compiled
 def test_the_extension_exports_only_what_the_backend_calls():
     with open(backend.__file__) as f:
         called = set(re.findall(r"_ckernels\.(\w+)\(", f.read()))
     exported = {name for name in dir(backend._ckernels)
                 if not name.startswith("_") and callable(getattr(backend._ckernels, name))}
-    assert exported == called == {"csr_matvec", "csr_matvec_u8", "stencil_matvec_u8",
+    assert exported == called == {"csr_matvec", "csr_matvec_u8", "fold_tables",
+                                  "network_steps_u8", "stencil_matvec_u8",
                                   "stencil_steps_u8", "table_lookup"}

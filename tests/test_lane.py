@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import oracles
 from latflow import backend
 from latflow.engine import DynamicalSystem
 from latflow.errors import BadStateValue, DimensionMismatch, KeyOutOfTable, NonIntegerKey
@@ -502,34 +503,79 @@ def test_a_fused_run_uses_the_rule_and_matrix_assigned_last(monkeypatch, record)
 
 
 @needs_compiled
-def test_only_two_state_stencil_systems_take_the_fused_kernel(monkeypatch):
+def test_only_two_state_systems_take_a_fused_kernel(monkeypatch):
     monkeypatch.setattr(backend, "BACKEND", "c")
     wide = np.ones((5, 7))  # |w| summing to 35: keys span 36 values
     block, gapped = growing_block(9), gapped_system(9, True, 0)
+    stencil, network = backend._stencil_steps_u8, backend._network_steps_u8
+    three_states = TableRule(np.arange(27) % 3, n_states=3)
     cases = {
-        "life": (game_of_life(8, 8).matrix, game_of_life_rule(), True),
-        "elementary": (elementary_ca(9, 30).matrix, elementary_rule(30), True),
+        "life": (game_of_life(8, 8).matrix, game_of_life_rule(), stencil),
+        "elementary": (elementary_ca(9, 30).matrix, elementary_rule(30), stencil),
         "three states": (generate_ca_1d(GridSpec(9), NeighborhoodSpec1D((9, 3, 1), 1)),
-                         TableRule(np.arange(27) % 3, n_states=3), False),
+                         three_states, None),
         "keys spanning 36": (generate_ca_2d(GridSpec(9, 9), NeighborhoodSpec2D(wide, (2, 3))),
-                             TableRule(np.arange(36) % 2, center_weight=1), False),
-        "no stencil view": (ring(9, [4, 2, 1]), elementary_rule(30), False),
-        "per-node tables": (elementary_ca(9, 30).matrix, random_boolean_tables(9, 3, 1), False),
-        "a reachable hole": (block.matrix, block.rule, False),
-        "an unreachable hole": (gapped.matrix, gapped.rule, True),
+                             TableRule(np.arange(36) % 2, center_weight=1), None),
+        "a reachable hole": (block.matrix, block.rule, None),
+        "an unreachable hole": (gapped.matrix, gapped.rule, stencil),
+        # a matrix with a stencil view takes the stencil kernel or none
+        "per-node tables on a stencil": (elementary_ca(9, 30).matrix,
+                                         random_boolean_tables(9, 3, 1), None),
+        "no stencil view": (ring(9, [4, 2, 1]), elementary_rule(30), network),
+        "per-node tables": (ring(9, [4, 2, 1]), random_boolean_tables(9, 3, 1), network),
+        "a network of three states": (ring(9, [9, 3, 1]), three_states, None),
+        "ragged rows": (*ragged_network(9, 1), None),
+        "a table row too many": (ring(9, [4, 2, 1]), random_boolean_tables(10, 3, 1), None),
+        "a reachable network hole": (ring(9, [1, 2, 1]), rule_from_text(HOLEY_COUNT), None),
+        "an unreachable network hole": (ring(9, [1, 4, 1]), rule_from_text(HOLEY_COUNT), network),
+        "non-integer weights": (ring(9, [4, 2.5, 1]), elementary_rule(30), None),
+        # 9 * 2**5 folded entries against 32 table entries and 9 * 5 weights
+        "a folded table over its bound": (ring(9, [1, 2, 4, 8, 16]),
+                                          TableRule(np.arange(32) % 2), None),
+        "a folded table at its bound": (ring(9, [1, 2, 4, 8]), TableRule(np.arange(16) % 2),
+                                        network),
     }
-    for name, (matrix, rule, fused) in cases.items():
+    for name, (matrix, rule, kernel) in cases.items():
         system = DynamicalSystem(matrix, rule, np.zeros(matrix.n_rows))
-        assert (system._fused_lane() is not None) == fused, name
+        lane = system._fused_lane()
+        assert (lane and lane[0]) == kernel, name
+    # a matrix assigned that does not fit the state is left to step()
+    for matrix in (elementary_ca(16, 30).matrix, ring(10, [4, 2, 1]),
+                   SparseMatrix.from_coo(9, 10, np.arange(9), np.arange(1, 10), np.ones(9))):
+        system = DynamicalSystem(ring(9, [4, 2, 1]), elementary_rule(30), np.zeros(9))
+        system.matrix = matrix
+        assert system._fused_lane() is None
+        with pytest.raises(DimensionMismatch):
+            system.run(1)
     monkeypatch.setattr(backend, "BACKEND", "python")
     assert game_of_life(8, 8)._fused_lane() is None
+    assert random_boolean_network(9, 2, 1)._fused_lane() is None
+
+
+@pytest.mark.parametrize("matrix", [elementary_ca(16, 30).matrix, ring(16, [4, 2, 1])],
+                         ids=["stencil", "network"])
+def test_a_state_left_by_a_rule_of_more_states_runs_as_the_per_step_path(monkeypatch, matrix):
+    # the kernels take a cell for its low bit: a cell of 2 must reach step()
+    init = np.zeros(16)
+    init[3] = 2
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        errors = []
+        for advance in (DynamicalSystem.step, lambda system: system.run(1)):
+            system = DynamicalSystem(matrix, TableRule(np.arange(27) % 3, n_states=3), init)
+            system.rule = elementary_rule(30)
+            with pytest.raises(KeyOutOfTable) as info:
+                advance(system)
+            errors.append(str(info.value))
+        assert errors == ["key 8 at index 4 is not in the table"] * 2, which
 
 
 @needs_compiled
 def test_fused_wrapper_rejects_wrong_buffers(monkeypatch):
     monkeypatch.setattr(backend, "BACKEND", "c")
     system = game_of_life(8, 8, True, init_bits(64, 1))
-    lane = system._fused_lane()
+    kernel, lane = system._fused_lane()
+    assert kernel is backend._stencil_steps_u8
     x = system._state
     for args in (
         (x[:63], 2, None, *lane),
@@ -559,7 +605,7 @@ def test_a_table_that_breaks_the_coverage_guarantee_stays_in_bounds(monkeypatch,
     monkeypatch.setattr(backend, "BACKEND", "c")
     for system in (game_of_life(width, 5, True, init_bits(width * 5, 1)),
                    signed_stencil_system(width, 5, False, 2)):
-        lane = system._fused_lane()
+        _, lane = system._fused_lane()
         table = lane[6].copy()
         if holes == "all":
             table[:] = 255
@@ -570,3 +616,184 @@ def test_a_table_that_breaks_the_coverage_guarantee_stays_in_bounds(monkeypatch,
         history = np.empty((7, system.n))
         state = backend._stencil_steps_u8(system._state, 7, history, *lane[:6], table, lane[7])
         assert state.shape == system._state.shape and state.dtype == np.uint8
+
+
+# -- the fused kernel of two-state networks ----------------------------------
+
+def rbn_oracle_history(system, steps):
+    """The history of ``steps`` steps that oracles.rbn_step replays from a
+    network's node_inputs and per-node tables, not from its matrix."""
+    rows = [system.state]
+    for _ in range(steps):
+        rows.append(oracles.rbn_step(rows[-1], system.node_inputs, system.rule.table))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_fused_networks_match_the_rbn_oracle(monkeypatch, k):
+    from latflow import engine
+
+    n, steps = 301, 23
+    init = init_bits(n, k)
+    want = rbn_oracle_history(random_boolean_network(n, k, k, init), steps)
+    # chunks of 4 steps, so that every run crosses chunk boundaries
+    monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 4 * n + 3)
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        system = random_boolean_network(n, k, k, init)
+        lane = system._fused_lane()
+        assert (lane and lane[0]) == (backend._network_steps_u8 if which == "c" else None)
+        history = system.run(steps, record=True)
+        assert history.states.tobytes() == want.tobytes(), which
+        assert system._state.dtype == np.uint8 and system.t == steps
+        again = random_boolean_network(n, k, k, init)
+        assert again.run(steps) is None
+        assert again.state.tobytes() == want[-1].tobytes() and again.t == steps
+        # runs of 0, 1 and 9 steps and then the rest continue one another
+        split = random_boolean_network(n, k, k, init)
+        rows = [split.run(m, record=True).states[1:] for m in (0, 1, 9, steps - 10)]
+        assert np.concatenate(rows).tobytes() == want[1:].tobytes(), which
+
+
+def signed_network(n, seed):
+    """Three inputs a node, weights from -4 to 4, and one count table from
+    the lowest key that rows of such weights can give, with a hole at every
+    key that no node can produce."""
+    rng = np.random.default_rng(seed)
+    cols = np.concatenate([rng.choice(n, 3, replace=False) for _ in range(n)])
+    vals = rng.integers(-4, 5, 3 * n).astype(np.float64)
+    matrix = SparseMatrix.from_coo(n, n, np.repeat(np.arange(n), 3), cols, vals)
+    w = matrix.data.reshape(n, 3).astype(np.int64)
+    keys = w @ ((np.arange(8)[:, None] >> np.arange(3)) & 1).T  # (n, 8): every pattern
+    table = np.full(25, -1)
+    table[keys.ravel() + 12] = rng.integers(0, 2, 25)[keys.ravel() + 12]
+    return matrix, TableRule(table, lo=-12, center_weight=1)
+
+
+def test_fused_signed_networks_match_a_dense_oracle(monkeypatch):
+    from latflow import engine
+
+    monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 5 * 200)
+    for seed in range(4):
+        matrix, rule = signed_network(200, seed)
+        dense, table = matrix.to_dense(), rule.table
+        want = [init_bits(200, seed)]
+        for _ in range(17):
+            want.append(table[(dense @ want[-1]).astype(np.int64) - rule.lo].astype(np.float64))
+        for which in BACKENDS:
+            monkeypatch.setattr(backend, "BACKEND", which)
+            system = DynamicalSystem(matrix, rule, want[0])
+            assert (system._fused_lane() is not None) == (which == "c")
+            history = system.run(17, record=True)
+            assert history.states.tobytes() == np.array(want).tobytes(), (seed, which)
+
+
+def growing_ring(width):
+    """growing_block on a ring matrix with no stencil view."""
+    block = growing_block(width)
+    return DynamicalSystem(ring(width, [1, 4, 2]), block.rule, block.state)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_a_hole_hit_in_a_fused_network_run_raises_as_the_per_step_path(monkeypatch, record):
+    from latflow import engine
+
+    monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 4 * 31)
+    want = growing_ring(31)
+    with pytest.raises(KeyOutOfTable) as expected:
+        stepped(want, 40)
+    assert want.t == 29
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        system = growing_ring(31)
+        # key 3 is a hole that a pattern of the inputs gives, so the fold
+        # declines and run() steps by step()
+        assert system._fused_lane() is None
+        with pytest.raises(KeyOutOfTable) as info:
+            system.run(40, record=record)
+        assert str(info.value) == str(expected.value)
+        assert system.t == want.t
+        assert system.state.tobytes() == want.state.tobytes()
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_a_fused_network_run_uses_the_rule_and_matrix_assigned_last(monkeypatch, record):
+    init = init_bits(300, 12)
+    first, second = random_boolean_network(300, 3, 1), random_boolean_network(300, 2, 2)
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        system = DynamicalSystem(first.matrix, first.rule, init)
+        system.run(5)
+        system.rule = random_boolean_tables(300, 3, seed=9)
+        state = system.state
+        got = system.run(8, record=record)
+        want = stepped(DynamicalSystem(first.matrix, system.rule, state), 8)
+        assert got is None or got.states.tobytes() == want.tobytes()
+        assert system.state.tobytes() == want[-1].tobytes()
+        system.matrix, system.rule = second.matrix, second.rule
+        state = system.state
+        system.run(8)
+        assert system.state.tobytes() == stepped(
+            DynamicalSystem(second.matrix, second.rule, state), 8)[-1].tobytes()
+
+
+@needs_compiled
+def test_network_wrappers_reject_wrong_buffers(monkeypatch):
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    system = random_boolean_network(64, 3, 1, init_bits(64, 1))
+    kernel, (indices, width, folded) = system._fused_lane()
+    assert kernel is backend._network_steps_u8 and width == 3
+    x = system._state
+    for args in (
+        (x[:63], 2, None, indices, width, folded),
+        (x.astype(np.int32), 2, None, indices, width, folded),
+        (x, 2, np.zeros((3, 64)), indices, width, folded),
+        (x, 2, np.zeros((2, 64), dtype=np.float32), indices, width, folded),
+        (x, 2, np.zeros((2, 128))[:, ::2], indices, width, folded),
+        (x, 2, None, indices.astype(np.int64), width, folded),
+        (x, 2, None, indices[:-1], width, folded),
+        (x, 2, None, indices, 2, folded),
+        (x, 2, None, indices, 0, folded),
+        (x, 2, None, indices, width, folded[:-1]),
+        (x, 2, None, indices, width, folded.astype(np.int32)),
+    ):
+        with pytest.raises(ValueError):
+            backend._network_steps_u8(*args)
+    weights, table = system.matrix._int32[0], system.rule._table8
+    assert np.array_equal(backend._fold_tables(weights, width, table, 0), folded)
+    for args in (
+        (weights.astype(np.int64), width, table, 0),
+        (weights[:-1], width, table, 0),
+        (weights, 0, table, 0),
+        (weights, 63, table, 0),
+        (weights, width, table[:-1], 0),
+        (weights, width, table.astype(np.int32), 0),
+        (weights, width, table[:, ::2], 0),
+    ):
+        with pytest.raises(ValueError):
+            backend._fold_tables(*args)
+
+
+@needs_compiled
+@pytest.mark.parametrize("n", [1, 9, 130])
+@pytest.mark.parametrize("broken", ["holes", "any byte", "state"])
+def test_a_folded_table_that_breaks_its_guarantee_stays_in_bounds(monkeypatch, n, broken):
+    # the kernel checks no pattern: with 255 in the folded tables, next
+    # states other than 0 and 1 or such a state, its cells leave 0 and 1,
+    # and it must still read and write inside its buffers
+    # (tests/test_sanitizers.py runs this)
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    rng = np.random.default_rng(n)
+    for k in (1, 2, 5):
+        system = random_boolean_network(n + k, k, n, init_bits(n + k, 3))
+        kernel, (indices, width, folded) = system._fused_lane()
+        x = system._state
+        if broken == "holes":
+            folded = np.full_like(folded, 255)
+        elif broken == "any byte":
+            folded = rng.integers(0, 256, len(folded)).astype(np.uint8)
+        else:
+            x = rng.integers(0, 256, len(x)).astype(np.uint8)
+        history = np.empty((7, len(x)))
+        state = kernel(x, 7, history, indices, width, folded)
+        assert state.shape == x.shape and state.dtype == np.uint8

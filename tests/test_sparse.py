@@ -454,6 +454,15 @@ def test_scaled_refuses_a_scale_that_is_not_a_number(c):
             matrix.scaled(c)
 
 
+@pytest.mark.parametrize("n_rows", [2**62, 2**63 - 1])
+def test_from_coo_refuses_a_row_count_too_large_for_its_row_pointers(n_rows):
+    # numpy refuses n_rows + 1 int64 row pointers before allocating any
+    with pytest.raises(IndexOutOfBounds, match="row pointers"):
+        SparseMatrix.from_coo(n_rows, 1, [], [], [])
+    with pytest.raises(IndexOutOfBounds, match="row pointers"):
+        SparseMatrix.from_triplets(n_rows, 1, [])
+
+
 @pytest.mark.parametrize("shape", ["x", None, 2.5, float("nan"), float("inf"), 2**64])
 def test_from_coo_refuses_a_dimension_that_is_not_an_integer(shape):
     for n_rows, n_cols in ((shape, 2), (2, shape)):
