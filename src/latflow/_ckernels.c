@@ -74,7 +74,7 @@ static int have_avx2, have_sse41;
 /* The interface version: latflow.backend uses the extension only when its
    VERSION equals the one it was written for, so a build of older source,
    whose functions take other arguments, counts as absent. */
-#define KERNELS_VERSION 6
+#define KERNELS_VERSION 7
 #define MAX_FIXED_WIDTH 9
 
 static PyObject *
@@ -422,11 +422,11 @@ table_lookup(PyObject *self, PyObject *args)
 
 /* One grid row of the next state, columns start to n: the keys summed in
    y, then looked up in place through the table padded to 256 entries with
-   255, and copied as float64 to h when h is not NULL. */
+   255. */
 INLINED void
-next_row(uint8_t *restrict y, double *restrict h, const uint8_t *const *src,
-         const uint8_t *w, Py_ssize_t n_taps, uint8_t base, const uint8_t *table,
-         Py_ssize_t start, Py_ssize_t n)
+next_row(uint8_t *restrict y, const uint8_t *const *src, const uint8_t *w,
+         Py_ssize_t n_taps, uint8_t base, const uint8_t *table, Py_ssize_t start,
+         Py_ssize_t n)
 {
     memset(y + start, base, n - start);
     for (Py_ssize_t t = 0; t < n_taps; t++) {
@@ -437,9 +437,6 @@ next_row(uint8_t *restrict y, double *restrict h, const uint8_t *const *src,
     }
     for (Py_ssize_t c = start; c < n; c++)
         y[c] = table[y[c]];
-    if (h != NULL)
-        for (Py_ssize_t c = start; c < n; c++)
-            h[c] = y[c];
 }
 
 #ifdef X86_DISPATCH
@@ -473,8 +470,8 @@ chunks_avx2(uint8_t *y, const uint8_t *const *src, const __m256i *w, Py_ssize_t 
 /* next_row in registers, 128 cells and then 32 at a time: four chunks
    share each tap's loads of its source row pointer and weight. */
 __attribute__((target("avx2"))) static void
-next_row_avx2(uint8_t *y, double *h, const uint8_t *const *src, const uint8_t *w,
-              Py_ssize_t n_taps, uint8_t base, const uint8_t *table, Py_ssize_t n)
+next_row_avx2(uint8_t *y, const uint8_t *const *src, const uint8_t *w, Py_ssize_t n_taps,
+              uint8_t base, const uint8_t *table, Py_ssize_t n)
 {
     const __m256i low = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)table));
     const __m256i high = _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)(table + 16)));
@@ -487,10 +484,7 @@ next_row_avx2(uint8_t *y, double *h, const uint8_t *const *src, const uint8_t *w
         chunks_avx2(y, src, wv, n_taps, start, low, high, c, 4);
     for (; c + 32 <= n; c += 32)
         chunks_avx2(y, src, wv, n_taps, start, low, high, c, 1);
-    if (h != NULL)
-        for (Py_ssize_t i = 0; i < c; i++)
-            h[i] = y[i];
-    next_row(y, h, src, w, n_taps, base, table, c, n);
+    next_row(y, src, w, n_taps, base, table, c, n);
 }
 #endif
 
@@ -548,13 +542,14 @@ stencil_steps_u8(PyObject *self, PyObject *args)
                 w[k++] = (uint8_t)wk[t];
             }
             uint8_t *row = next + r * stride;
-            double *h = hist.len ? (double *)hist.buf + s * n + r * width : NULL;
 #ifdef X86_DISPATCH
             if (have_avx2)
-                next_row_avx2(row + halo, h, src, w, k, base, table, width);
+                next_row_avx2(row + halo, src, w, k, base, table, width);
             else
 #endif
-                next_row(row + halo, h, src, w, k, base, table, 0, width);
+                next_row(row + halo, src, w, k, base, table, 0, width);
+            if (hist.len)
+                memcpy((uint8_t *)hist.buf + s * n + r * width, row + halo, width);
             if (wrapped)
                 wrap_halo(row, width, halo);
         }
@@ -683,9 +678,9 @@ static void (*const folded_steps[MAX_FIXED_WIDTH + 1])(
 };
 
 /* Advance a two-state network of W inputs a node `steps` steps through its
-   folded tables, in out and one more buffer used in turn.  Writes the
-   final state to out, and the state after step s to row s of hist unless
-   hist is empty. */
+   folded tables: into the rows of hist unless it is empty, the state after
+   step s into row s, else into out and one more buffer used in turn.
+   Writes the final state to out. */
 static PyObject *
 network_steps_u8(PyObject *self, PyObject *args)
 {
@@ -704,18 +699,17 @@ network_steps_u8(PyObject *self, PyObject *args)
     Py_BEGIN_ALLOW_THREADS
     void (*step)(uint8_t *, const uint8_t *, const int32_t *, const uint8_t *, Py_ssize_t,
                  int) = folded_steps[W <= MAX_FIXED_WIDTH ? W : 0];
-    /* the state after step s lies in bufs[(steps - s) & 1], the last in out */
+    /* without a history the state after step s lies in
+       bufs[(steps - s) & 1], the last in out */
     uint8_t *bufs[2] = {out.buf, spare};
-    memcpy(bufs[steps & 1], x.buf, n);
+    const uint8_t *prev = x.buf;
     for (Py_ssize_t s = 0; s < steps; s++) {
-        uint8_t *y = bufs[(steps - s - 1) & 1];
-        step(y, bufs[(steps - s) & 1], indices.buf, folded.buf, n, (int)W);
-        if (hist.len) {
-            double *h = (double *)hist.buf + s * n;
-            for (Py_ssize_t i = 0; i < n; i++)
-                h[i] = y[i];
-        }
+        uint8_t *y = hist.len ? (uint8_t *)hist.buf + s * n : bufs[(steps - s - 1) & 1];
+        step(y, prev, indices.buf, folded.buf, n, (int)W);
+        prev = y;
     }
+    if (prev != out.buf)
+        memcpy(out.buf, prev, n);
     Py_END_ALLOW_THREADS
     result = Py_None;
     Py_INCREF(result);
@@ -755,7 +749,7 @@ static PyMethodDef methods[] = {
      "whose tap t reads cell (r + dr[t], c + dc[t]) with weight w[t], the keys "
      "lying in [kmin, kmin + 32) and table[key - kmin] being the next state of "
      "every key that can occur.  Writes the final state to out and, unless hist "
-     "is empty, the state after each step as float64 to its row of hist."},
+     "is empty, the state after each step as uint8 to its row of hist."},
     {"fold_tables", fold_tables, METH_VARARGS,
      "fold_tables(weights, table, lo, width, stride, W, out): for rows of W int32 "
      "weights, out[(i << W) | p] = table[i*stride + key - lo], key the sum of the "
@@ -765,7 +759,7 @@ static PyMethodDef methods[] = {
      "network_steps_u8(x, out, hist, indices, W, folded, steps): `steps` steps of a "
      "two-state network whose node i reads cells indices[i*W : (i+1)*W], the j-th "
      "as bit j of a pattern p, and takes folded[(i << W) | p].  Writes the final "
-     "state to out and, unless hist is empty, the state after each step as float64 "
+     "state to out and, unless hist is empty, the state after each step as uint8 "
      "to its row of hist."},
     {NULL, NULL, 0, NULL},
 };

@@ -134,9 +134,11 @@ def detect_cycle(history, tol=0.0):
     Takes the pairs of equal rows s < j (equal bytes for tol=0, elementwise
     within tol otherwise) in order of j, then s, and reports the first whose
     repetition holds over the whole remaining record.  tol > 0 is for
-    continuous systems and is inherently approximate.
+    continuous systems and is inherently approximate.  A history recorded
+    as bytes is compared as bytes for tol=0: for values 0-255, equal bytes
+    are equal float64 values.
     """
-    states = history.states
+    states = history._rows if tol == 0.0 else history.states
     rows = len(states)
     if tol == 0.0:
         # rows by a 64-bit hash of their bytes, so no row is copied for
@@ -159,6 +161,7 @@ def detect_cycle(history, tol=0.0):
 
 
 def _verify_cycle(states, s, p, tol):
+    # uint8 differences wrap modulo 256, so they are 0 just where bytes agree
     ahead = states[s + p :]
     base = states[s : s + len(ahead)]
     return np.all(np.abs(base - ahead) <= tol)

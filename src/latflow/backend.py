@@ -24,11 +24,11 @@ vector between them, and no key checked: ``run`` calls it only when every
 key that cells of 0 or 1 can produce has a next state.  A two-state
 network whose rows all hold W weights runs whole steps in
 ``_network_steps_u8``, after ``_fold_tables`` has folded each node's
-weights into its table, one entry per pattern of its W inputs, once per
-``run`` call: the steps read no weight and make no key.  On x86 the
-extension picks, once at import from the CPU's features, AVX2 builds of
-the stencil and of the fused steps and an SSE4.1 lookup for tables of at
-most 32 entries shared by every cell: the same bytes, faster.
+weights into its table, one entry per pattern of its W inputs, once for
+a system's matrix and rule: the steps read no weight and make no key.
+On x86 the extension picks, once at import from the CPU's features, AVX2
+builds of the stencil and of the fused steps and an SSE4.1 lookup for
+tables of at most 32 entries shared by every cell: the same bytes, faster.
 """
 
 import importlib
@@ -39,7 +39,7 @@ import numpy as np
 from . import _kernels_py
 
 # the interface of _ckernels.c that this module calls
-_KERNELS_VERSION = 6
+_KERNELS_VERSION = 7
 
 
 def _import_compiled():
@@ -170,8 +170,8 @@ def _stencil_steps_u8(x, steps, history, height, width, wrapped, dr, dc, w, tabl
     [kmin, kmin + 32) and has a next state there, not 255.  Breaking that
     gives wrong states, never an access out of bounds.
 
-    Writes the state after each step as float64 to its row of ``history``,
-    a C-contiguous (steps, len(x)) array, unless it is None."""
+    Writes the state after each step to its row of ``history``, a
+    C-contiguous (steps, len(x)) uint8 array, unless it is None."""
     _require(x, _U8, "x")
     _require_taps(dr, dc, w)
     _require(table, _U8, "table")
@@ -220,8 +220,8 @@ def _network_steps_u8(x, steps, history, indices, width, folded):
     that breaks the caller's guarantees gives wrong states, never an access
     out of bounds.
 
-    Writes the state after each step as float64 to its row of ``history``,
-    a C-contiguous (steps, len(x)) array, unless it is None."""
+    Writes the state after each step to its row of ``history``, a
+    C-contiguous (steps, len(x)) uint8 array, unless it is None."""
     _require(x, _U8, "x")
     _require(indices, _I32, "indices")
     _require(folded, _U8, "folded")
@@ -236,14 +236,14 @@ def _network_steps_u8(x, steps, history, indices, width, folded):
 
 
 def _history_rows(history, steps, n):
-    """The flat float64 buffer of a C-contiguous (steps, n) history, or an
+    """The flat uint8 buffer of a C-contiguous (steps, n) history, or an
     empty one for None."""
     if history is None:
-        return np.empty(0, dtype=np.float64)
+        return np.empty(0, dtype=np.uint8)
     if not (history.flags.c_contiguous and history.shape == (steps, n)):
         raise ValueError(f"history must be a C-contiguous ({steps}, {n}) array")
     rows = history.reshape(-1)
-    _require(rows, _F64, "history")
+    _require(rows, _U8, "history")
     return rows
 
 

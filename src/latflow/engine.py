@@ -7,8 +7,9 @@ diffusively coupled lattices come out right.  There is no bias term and no
 per-step external input.
 
 A lookup-table rule with a uint8 table keeps its state as uint8, so each
-step is an integer matvec and an integer-keyed lookup; the state and the
-recorded histories are float64 all the same.
+step is an integer matvec and an integer-keyed lookup.  Such a system
+records its history as bytes too; ``StateHistory.states`` and the state
+are float64 all the same, made from the bytes when they are read.
 
 ``step()`` is always ``apply_rule(rule, matrix.matvec(state))``, and
 ``run()`` advances by it, except for two-state systems under the compiled
@@ -25,10 +26,10 @@ call for many steps, with the same states, in one of two lanes:
   every pattern's key has a next state and the folded tables are no
   larger than the larger of the rule's own table and the int32 weights.
 
-This is decided from ``matrix`` and ``rule`` on every call, as either may
-be assigned, so a table with a reachable hole runs ``step()``, which
-raises on it.  A subclass or wrapper that replaces ``step`` is called once
-per step.
+This is decided from ``matrix`` and ``rule``, and decided again when
+either is assigned or the rule's ``lo`` changes, so a table with a
+reachable hole runs ``step()``, which raises on it.  A subclass or
+wrapper that replaces ``step`` is called once per step.
 """
 
 import operator
@@ -46,23 +47,42 @@ from .rules import MAP_THEN_MIX, TableRule, apply_rule
 _FUSED_CELL_UPDATES = 1 << 22
 # values per block of the CSV writer
 _CSV_BLOCK = 1 << 15
+# float64 values per block that the LFST writer converts from bytes
+_LFST_BLOCK = 1 << 16
 
 
 class StateHistory:
-    """Record of states over time, one row per step, row 0 the initial state."""
+    """Record of states over time, one row per step, row 0 the initial state.
+
+    A byte-state system's history keeps the uint8 rows it was recorded in.
+    ``states`` is float64 whatever was recorded: it is made from the bytes
+    on its first read and kept, and from then on every reader uses it, so
+    edits to it are seen.  Until then the length, the width, a row, the CSV
+    and LFST writers and ``detect_cycle(tol=0)`` read the bytes."""
 
     def __init__(self, states):
-        self.states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        rows = np.asarray(states)
+        if rows.dtype != np.uint8:
+            rows = rows.astype(np.float64, copy=False)
+        # uint8 until ``states`` is first read, float64 from then on
+        self._rows = np.atleast_2d(rows)
+
+    @property
+    def states(self):
+        """The states as a float64 array, one row per step."""
+        if self._rows.dtype != np.float64:
+            self._rows = self._rows.astype(np.float64)
+        return self._rows
 
     @property
     def n(self):
-        return self.states.shape[1]
+        return self._rows.shape[1]
 
     def __len__(self):
-        return self.states.shape[0]
+        return self._rows.shape[0]
 
     def __getitem__(self, i):
-        return self.states[i]
+        return self._rows[i].astype(np.float64, copy=False)
 
     # -- CSV: one row per step, comma-separated reals ---------------------
 
@@ -79,9 +99,10 @@ class StateHistory:
         small whatever the length of the history."""
         step = max(1, _CSV_BLOCK // max(self.n, 1))
         for start in range(0, len(self), step):
-            block = self.states[start : start + step]
+            block = self._rows[start : start + step]
             flat = block.reshape(-1)
-            if flat.size and np.all(np.abs(flat) < 1e16) and np.array_equal(flat, np.rint(flat)):
+            if flat.size and (block.dtype == np.uint8 or (
+                    np.all(np.abs(flat) < 1e16) and np.array_equal(flat, np.rint(flat)))):
                 yield _integer_csv(block)
             else:
                 yield "".join(",".join(map(repr, row.tolist())) + "\n" for row in block)
@@ -112,11 +133,20 @@ class StateHistory:
     # -- binary: magic LFST, u32 row count, u32 width, f64 LE row-major ---
 
     def save_binary(self, path):
-        rows, n = self.states.shape
+        rows, n = self._rows.shape
         with open(path, "wb") as f:
             f.write(struct.pack("<4sII", b"LFST", rows, n))
-            # the array's own buffer: no copy of the payload as bytes
-            f.write(np.ascontiguousarray(self.states, dtype="<f8").data)
+            if self._rows.dtype == np.float64:
+                # the array's own buffer: no copy of the payload as bytes
+                f.write(np.ascontiguousarray(self._rows, dtype="<f8").data)
+                return
+            # bytes as float64 a block at a time, through one small buffer
+            flat = np.ascontiguousarray(self._rows).reshape(-1)
+            buf = np.empty(_LFST_BLOCK, dtype="<f8")
+            for start in range(0, len(flat), _LFST_BLOCK):
+                block = buf[: len(flat) - start]
+                np.copyto(block, flat[start : start + _LFST_BLOCK])
+                f.write(block.data)
 
     @classmethod
     def load_binary(cls, path):
@@ -189,6 +219,8 @@ class DynamicalSystem:
         self.rule = rule
         self._state = self._checked(state)
         self.t = 0
+        # (matrix, rule, rule.lo, the fused lane they gave), see _fused_lane
+        self._lane = None
 
     @property
     def state(self):
@@ -237,6 +269,9 @@ class DynamicalSystem:
         """Advance ``steps`` steps; optionally record the trajectory.
 
         The returned history has steps + 1 rows, the initial state included.
+        A uint8 state under a rule with a uint8 table, stepped by the
+        engine's own ``step``, is recorded as bytes; the history's
+        ``states`` are float64 all the same.
 
         Each step is ``step()``, except that under the compiled backend a
         two-state lattice automaton or fixed-width network (see the module
@@ -253,7 +288,10 @@ class DynamicalSystem:
             raise BadStateValue(f"cannot run {steps} steps")
         rows = None
         if record:
-            rows = np.empty((steps + 1, self.n), dtype=np.float64)
+            # every step of such a system gives a uint8 state
+            byte = (self._state.dtype == np.uint8 and type(self).step is _STEP
+                    and isinstance(self.rule, TableRule) and self.rule._table8 is not None)
+            rows = np.empty((steps + 1, self.n), dtype=np.uint8 if byte else np.float64)
             rows[0] = self._state
         lane = self._fused_lane()
         if lane is not None:
@@ -287,9 +325,16 @@ class DynamicalSystem:
         # 0 and 1 only, as after a rule of more states was replaced it may not
         if len(x) and x.max() > 1:
             return None
-        if matrix._stencil is not None:
-            return _stencil_lane(matrix._stencil, rule)
-        return _network_lane(matrix, rule)
+        # the lane follows from the matrix and the rule alone, so it is
+        # kept while both are the same objects and the rule's lo is unchanged
+        kept = self._lane
+        if kept is None or kept[0] is not matrix or kept[1] is not rule or kept[2] != rule.lo:
+            if matrix._stencil is not None:
+                lane = _stencil_lane(matrix._stencil, rule)
+            else:
+                lane = _network_lane(matrix, rule)
+            kept = self._lane = (matrix, rule, rule.lo, lane)
+        return kept[3]
 
 
 def _stencil_lane(view, rule):
@@ -322,7 +367,7 @@ def _network_lane(matrix, rule):
     number W >= 1 of integer weights, or None.
 
     Each node's weights are folded into its table, n * 2**W bytes indexed
-    by the pattern of its W inputs, once per call.  The folded table is
+    by the pattern of its W inputs.  The folded table is
     made only when it is no larger than the larger of the rule's own uint8
     table and the n * 4W bytes of int32 weights it replaces, and used only
     when every pattern's key has a next state."""

@@ -34,6 +34,7 @@ from .errors import (
     DuplicateEntry,
     FileFormatError,
     IndexOutOfBounds,
+    NoConvergence,
     NonFiniteWeight,
     NotSquare,
     read_text,
@@ -285,6 +286,29 @@ def _weights(values):
         raise NonFiniteWeight(f"a weight is not a number: {exc}") from None
 
 
+def _acyclic(m, max_steps):
+    """Whether the nonzero weights of the square matrix m form no cycle,
+    decided in at most max_steps matvecs, False when undecided.
+
+    The cells that a walk of k steps ends at are fewer for each k: none
+    once k passes the longest path when there is no cycle, and the same
+    for every k from the first k that repeats them when there is one."""
+    size = np.abs(m.data)
+    reached = np.ones(m.n_rows)
+    for _ in range(max_steps):
+        now = (backend._csr_matvec(size, m.indices, m.indptr, reached) > 0).astype(np.float64)
+        if not now.any():
+            return True
+        if np.array_equal(now, reached):
+            return False
+        reached = now
+    return False
+
+
+# the most vectors of spectral_radius's Krylov basis
+_ARNOLDI_BASIS = 60
+
+
 @dataclass
 class PowerIterationResult:
     value: float
@@ -330,13 +354,75 @@ def power_iteration(m, max_iters=1000, tol=1e-10, restart_seed=0):
     return PowerIterationResult(prev if prev is not None else 0.0, False, max_iters)
 
 
-def spectral_radius(m, max_iters=1000, tol=1e-10):
-    """Power-iteration estimate of the dominant eigenvalue magnitude.
+def spectral_radius(m, max_iters=10000, tol=1e-10):
+    """The largest eigenvalue magnitude of a square matrix, by Arnoldi with
+    thick restarts (Stewart 2001, Krylov-Schur).
 
-    Returns the last estimate whether or not the iteration converged; use
-    :func:`power_iteration` when the convergence flag matters.
+    Each cycle extends an orthonormal basis of a Krylov space, from a
+    seeded random vector, to at most ``_ARNOLDI_BASIS`` vectors, Gram-Schmidt
+    applied twice.  The Ritz value of largest magnitude has converged when
+    its Ritz residual |h_{k+1,k} y_k| is at most ``tol`` times its
+    magnitude, or when the space is invariant.  Otherwise the next cycle
+    keeps the real span of the largest half of the Ritz vectors, which the
+    projected matrix maps into itself.  Raises NoConvergence, carrying the
+    last estimate, after ``max_iters`` matrix-vector products.
+
+    A matrix whose nonzero weights form no cycle is nilpotent, and its Ritz
+    values would be rounding noise: its radius is 0, found from its
+    structure first.
     """
-    return power_iteration(m, max_iters=max_iters, tol=tol).value
+    if not m.is_square:
+        raise NotSquare("spectral radius needs a square matrix")
+    n = m.n_rows
+    if n == 0 or _acyclic(m, max_iters):
+        return 0.0
+    size = min(_ARNOLDI_BASIS, n)
+    basis = np.zeros((size + 1, n))  # orthonormal rows
+    h = np.zeros((size + 1, size))  # A basis[:size].T = basis.T h
+    start = np.random.default_rng(0).standard_normal(n)
+    basis[0] = start / np.linalg.norm(start)
+    kept, products = 0, 0
+    while True:
+        for j in range(kept, size):
+            w = m.matvec(basis[j])
+            products += 1
+            norm = np.linalg.norm(w)
+            for _ in range(2):
+                c = basis[: j + 1] @ w
+                w -= c @ basis[: j + 1]
+                h[: j + 1, j] += c
+            h[j + 1, j] = np.linalg.norm(w)
+            invariant = h[j + 1, j] <= 1e-13 * norm
+            if invariant or products == max_iters:
+                break
+            basis[j + 1] = w / h[j + 1, j]
+        d = j + 1
+        theta, y = np.linalg.eig(h[:d, :d])
+        order = np.argsort(-np.abs(theta), kind="stable")
+        theta, y = theta[order], y[:, order]
+        estimate = float(abs(theta[0]))
+        if invariant or h[d, d - 1] * abs(y[-1, 0]) <= tol * estimate:
+            return estimate
+        if products >= max_iters:
+            raise NoConvergence(
+                f"spectral radius not converged after {products} matrix-vector products",
+                estimate=estimate,
+            )
+        # the real span of the leading Ritz vectors, a conjugate pair kept whole
+        keep = d // 2
+        if theta[keep - 1].imag and theta[keep] == theta[keep - 1].conjugate():
+            keep += 1
+        vectors = [part for t, v in zip(theta[:keep], y[:, :keep].T) if t.imag >= 0
+                   for part in ((v.real, v.imag) if t.imag else (v.real,))]
+        q = np.linalg.qr(np.array(vectors).T)[0]
+        kept = q.shape[1]
+        small = q.T @ h[:d, :d] @ q
+        coupling = h[d, :d] @ q
+        basis[:kept] = q.T @ basis[:d]
+        basis[kept] = basis[d]
+        h[:] = 0.0
+        h[:kept, :kept] = small
+        h[kept, :kept] = coupling
 
 
 # -- Matrix Market I/O -----------------------------------------------------

@@ -133,7 +133,7 @@ def random_sparse_uniform(n, density, seed, low=-1.0, high=1.0):
 
 def echo_state_network(n, density, rho_target, seed, init=None):
     """Reservoir: uniform(-1, 1) weights at the given density, rescaled so the
-    estimated spectral radius hits rho_target, tanh applied after mixing."""
+    spectral radius hits rho_target, tanh applied after mixing."""
     if rho_target <= 0.0:
         raise ArgumentTooSmall(f"target spectral radius {rho_target} must be positive")
     if density * n * n < 1.0:
@@ -141,16 +141,11 @@ def echo_state_network(n, density, rho_target, seed, init=None):
             f"density {density} gives no connections for {n} nodes"
         )
     matrix = random_sparse_uniform(n, density, seed)
-    # The estimate may not fully converge (complex dominant pair), but it is
-    # deterministic and scales homogeneously, so correcting against the same
-    # estimator, at default parameters, pins the measured radius to the target.
-    for _ in range(8):
-        sr = spectral_radius(matrix)
-        if sr == 0.0:
-            raise ArgumentTooSmall("spectral radius is zero; cannot rescale")
-        if abs(sr - rho_target) <= 1e-9 * max(1.0, rho_target):
-            break
-        matrix = matrix.scaled(rho_target / sr)
+    # a converged radius, or NoConvergence: one rescale hits the target
+    sr = spectral_radius(matrix)
+    if sr == 0.0:
+        raise ArgumentTooSmall("spectral radius is zero; cannot rescale")
+    matrix = matrix.scaled(rho_target / sr)
     if init is None:
         init = np.zeros(n)
     return DynamicalSystem(matrix, ContinuousMap("tanh"), init)

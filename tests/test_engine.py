@@ -1,4 +1,6 @@
+import os
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
+from latflow import backend
+from latflow.analysis import CycleReport, detect_cycle
 from latflow.engine import DynamicalSystem, StateHistory, load_history
 from latflow.errors import (
     BadStateValue,
@@ -18,6 +22,9 @@ from latflow.errors import (
 from latflow.rules import ContinuousMap, elementary_rule
 from latflow.sparse import SparseMatrix
 from latflow.systems import elementary_ca, game_of_life
+
+
+BACKENDS = ("python", "c") if backend.compiled_available() else ("python",)
 
 
 def identity_matrix(n):
@@ -311,3 +318,74 @@ def test_non_utf8_state_text_is_a_format_error(tmp_path):
         StateHistory.load_csv(path)
     with pytest.raises(FileFormatError, match="UTF-8"):
         load_history(path)
+
+
+# -- histories recorded as bytes --------------------------------------------
+
+
+def lfst_bytes(history):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "h.lfst")
+        history.save_binary(path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+def readings(history):
+    """What every reader of a history but ``states`` gives."""
+    rows = [history[i] for i in range(len(history))]
+    return (len(history), history.n, [(r.dtype, r.tobytes()) for r in rows],
+            lfst_bytes(history), history.to_csv(), detect_cycle(history))
+
+
+# uint8 payloads: any bytes, bytes that repeat often, and single rows
+BYTE_PAYLOADS = (
+    arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9))
+    | arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+             elements=st.sampled_from([0, 1, 255]))
+    | arrays(np.uint8, array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=9))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(BYTE_PAYLOADS)
+def test_a_byte_history_reads_as_its_float64_copy(payload):
+    for which in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(backend, "BACKEND", which)
+            history, wide = StateHistory(payload), StateHistory(payload.astype(np.float64))
+            assert readings(history) == readings(wide)
+            # none of those readers made the float64 array
+            assert history._rows.dtype == np.uint8
+            assert history.states.dtype == np.float64
+            assert history.states.tobytes() == wide.states.tobytes()
+
+
+@pytest.mark.parametrize("which", BACKENDS)
+def test_edits_to_the_states_of_a_byte_history_reach_every_reader(monkeypatch, which):
+    monkeypatch.setattr(backend, "BACKEND", which)
+    init = np.random.default_rng(8).integers(0, 2, 31).astype(np.float64)
+    history = elementary_ca(31, 30, True, init).run(6, record=True)
+    assert history._rows.dtype == np.uint8
+    assert detect_cycle(history) == CycleReport(0, 0)
+    history.states[6] = history.states[2]
+    history.states[0, 0] = 0.5
+    edited = StateHistory(history.states.copy())
+    assert detect_cycle(history) == detect_cycle(edited) == CycleReport(2, 4)
+    assert history.to_csv() == edited.to_csv()
+    assert history.to_csv().startswith("0.5,")
+    assert lfst_bytes(history) == lfst_bytes(edited)
+    assert history[0][0] == 0.5
+
+
+def test_a_byte_history_is_written_through_a_small_buffer(tmp_path):
+    history = StateHistory(np.random.default_rng(2).integers(0, 2, (200, 10000), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        history.save_binary(tmp_path / "h.lfst")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert history._rows.dtype == np.uint8
+    assert peak < 1 << 20  # the 512 KB buffer, not the 16 MB of float64
+    assert np.array_equal(StateHistory.load_binary(tmp_path / "h.lfst").states, history.states)

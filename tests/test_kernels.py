@@ -136,11 +136,12 @@ def test_a_build_of_another_kernel_version_counts_as_absent(monkeypatch):
     assert backend._import_compiled() is None
     # builds of version 3 exist with another interface, so the stencil
     # kernels came with version 4, builds of 4 lack the fused lattice
-    # kernel of version 5, and builds of 5 the fused network kernel of 6
-    for version in (2, 3, 4, 5):
+    # kernel of version 5, builds of 5 the fused network kernel of 6, and
+    # builds of 6 write float64 history rows where 7 writes bytes
+    for version in (2, 3, 4, 5, 6):
         stale.VERSION = version
         assert backend._import_compiled() is None
-    stale.VERSION = 6
+    stale.VERSION = 7
     assert backend._import_compiled() is stale
     if backend.compiled_available():
         monkeypatch.delitem(sys.modules, "latflow._ckernels")

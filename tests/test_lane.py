@@ -580,14 +580,18 @@ def test_fused_wrapper_rejects_wrong_buffers(monkeypatch):
     for args in (
         (x[:63], 2, None, *lane),
         (x.astype(np.int32), 2, None, *lane),
-        (x, 2, np.zeros((3, 64)), *lane),
-        (x, 2, np.zeros((2, 64), dtype=np.float32), *lane),
-        (x, 2, np.zeros((2, 128))[:, ::2], *lane),
+        (x, 2, np.zeros((3, 64), dtype=np.uint8), *lane),
+        (x, 2, np.zeros((2, 64)), *lane),
+        (x, 2, np.zeros((2, 64), dtype=np.int8), *lane),
+        (x, 2, np.zeros((2, 128), dtype=np.uint8)[:, ::2], *lane),
         (x, 2, None, *lane[:6], lane[6][:31], lane[7]),
         (x, 2, None, *lane[:5], lane[5].astype(np.int32), *lane[6:]),
     ):
         with pytest.raises(ValueError):
             backend._stencil_steps_u8(*args)
+    history = np.zeros((2, 64), dtype=np.uint8)
+    backend._stencil_steps_u8(x, 2, history, *lane)
+    assert np.array_equal(history.astype(np.float64), stepped(system, 2)[1:])
     far = lane[3].copy()
     far[0] = 8
     with pytest.raises(ValueError, match="past the grid"):
@@ -613,8 +617,9 @@ def test_a_table_that_breaks_the_coverage_guarantee_stays_in_bounds(monkeypatch,
             table[: int(np.abs(lane[5]).sum()) + 1 : 2] = 255
         else:
             table[:] = np.random.default_rng(width).integers(0, 256, 32)
-        history = np.empty((7, system.n))
+        history = np.empty((7, system.n), dtype=np.uint8)
         state = backend._stencil_steps_u8(system._state, 7, history, *lane[:6], table, lane[7])
+        assert np.array_equal(history[-1], state)
         assert state.shape == system._state.shape and state.dtype == np.uint8
 
 
@@ -737,6 +742,48 @@ def test_a_fused_network_run_uses_the_rule_and_matrix_assigned_last(monkeypatch,
             DynamicalSystem(second.matrix, second.rule, state), 8)[-1].tobytes()
 
 
+def count_folds(monkeypatch):
+    """The list that gets one entry per call of backend._fold_tables."""
+    calls, fold = [], backend._fold_tables
+    monkeypatch.setattr(backend, "_fold_tables", lambda *args: calls.append(1) or fold(*args))
+    return calls
+
+
+@needs_compiled
+def test_a_loop_of_single_step_runs_folds_the_tables_once(monkeypatch):
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    calls = count_folds(monkeypatch)
+    init = init_bits(100000, 4)
+    system = random_boolean_network(100000, 2, 7, init)
+    for _ in range(6):
+        system.run(1)
+    assert len(calls) == 1
+    want = stepped(random_boolean_network(100000, 2, 7, init), 6)
+    assert system.state.tobytes() == want[-1].tobytes() and system.t == 6
+
+
+@needs_compiled
+def test_assigning_a_rule_or_matrix_folds_the_tables_again(monkeypatch):
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    calls = count_folds(monkeypatch)
+    first, second = random_boolean_network(300, 3, 1), random_boolean_network(300, 3, 2)
+    system = DynamicalSystem(first.matrix, first.rule, init_bits(300, 5))
+    for assign, folds in ((None, 1), (("rule", second.rule), 2), (None, 2),
+                          (("matrix", second.matrix), 3), (("rule", first.rule), 4)):
+        if assign:
+            setattr(system, *assign)
+        state = system.state
+        system.run(3)
+        assert len(calls) == folds, assign
+        want = stepped(DynamicalSystem(system.matrix, system.rule, state), 3)
+        assert system.state.tobytes() == want[-1].tobytes(), assign
+    # every key is 0 or more, so from lo = 1 key 0 has no next state
+    system.rule.lo = 1
+    with pytest.raises(KeyOutOfTable):
+        system.run(3)
+    assert len(calls) == 5
+
+
 @needs_compiled
 def test_network_wrappers_reject_wrong_buffers(monkeypatch):
     monkeypatch.setattr(backend, "BACKEND", "c")
@@ -747,9 +794,10 @@ def test_network_wrappers_reject_wrong_buffers(monkeypatch):
     for args in (
         (x[:63], 2, None, indices, width, folded),
         (x.astype(np.int32), 2, None, indices, width, folded),
-        (x, 2, np.zeros((3, 64)), indices, width, folded),
-        (x, 2, np.zeros((2, 64), dtype=np.float32), indices, width, folded),
-        (x, 2, np.zeros((2, 128))[:, ::2], indices, width, folded),
+        (x, 2, np.zeros((3, 64), dtype=np.uint8), indices, width, folded),
+        (x, 2, np.zeros((2, 64)), indices, width, folded),
+        (x, 2, np.zeros((2, 64), dtype=np.int8), indices, width, folded),
+        (x, 2, np.zeros((2, 128), dtype=np.uint8)[:, ::2], indices, width, folded),
         (x, 2, None, indices.astype(np.int64), width, folded),
         (x, 2, None, indices[:-1], width, folded),
         (x, 2, None, indices, 2, folded),
@@ -759,6 +807,9 @@ def test_network_wrappers_reject_wrong_buffers(monkeypatch):
     ):
         with pytest.raises(ValueError):
             backend._network_steps_u8(*args)
+    history = np.zeros((2, 64), dtype=np.uint8)
+    backend._network_steps_u8(x, 2, history, indices, width, folded)
+    assert np.array_equal(history.astype(np.float64), stepped(system, 2)[1:])
     weights, table = system.matrix._int32[0], system.rule._table8
     assert np.array_equal(backend._fold_tables(weights, width, table, 0), folded)
     for args in (
@@ -794,6 +845,7 @@ def test_a_folded_table_that_breaks_its_guarantee_stays_in_bounds(monkeypatch, n
             folded = rng.integers(0, 256, len(folded)).astype(np.uint8)
         else:
             x = rng.integers(0, 256, len(x)).astype(np.uint8)
-        history = np.empty((7, len(x)))
+        history = np.empty((7, len(x)), dtype=np.uint8)
         state = kernel(x, 7, history, indices, width, folded)
+        assert np.array_equal(history[-1], state)
         assert state.shape == x.shape and state.dtype == np.uint8

@@ -10,6 +10,7 @@ from latflow.errors import (
     FileFormatError,
     IndexOutOfBounds,
     LatflowError,
+    NoConvergence,
     NonFiniteWeight,
     NotSquare,
 )
@@ -188,6 +189,39 @@ def test_spectral_radius_homogeneity(rng):
         assert spectral_radius(m.scaled(c), max_iters=1000, tol=1e-10) == pytest.approx(
             abs(c) * base, abs=1e-8, rel=1e-8
         )
+
+
+@pytest.mark.parametrize("n", [12, 60, 61, 300])
+def test_spectral_radius_matches_dense_eigenvalues(n):
+    # a complex dominant pair at 3 +- 4j and rotations of smaller radii
+    rng = np.random.default_rng(n)
+    dense = np.diag(rng.uniform(-2.0, 2.0, n))
+    dense[:2, :2] = [[3.0, -4.0], [4.0, 3.0]]
+    dense[2:, 2:] += np.triu(rng.uniform(-0.5, 0.5, (n - 2, n - 2)), 1)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    dense = q @ dense @ q.T
+    m = SparseMatrix.from_dense(dense)
+    want = np.abs(np.linalg.eigvals(dense)).max()
+    assert abs(want - 5.0) <= 1e-9
+    assert spectral_radius(m) == pytest.approx(want, abs=1e-9)
+
+
+def test_spectral_radius_of_a_nilpotent_matrix_is_zero(rng):
+    # strictly lower triangular: every eigenvalue is 0
+    triplets = [(i, j, w) for i, j, w in random_triplets(rng, 200, 200, 600) if i > j]
+    m = SparseMatrix.from_triplets(200, 200, triplets)
+    assert spectral_radius(m) == 0.0
+    one = SparseMatrix.from_triplets(100, 100, [(3, 70, 0.5)])
+    assert spectral_radius(one) == 0.0
+
+
+def test_spectral_radius_raises_with_its_estimate_when_not_converged():
+    m = random_sparse_uniform(300, 0.03, 13)
+    with pytest.raises(NoConvergence) as caught:
+        spectral_radius(m, max_iters=30)
+    true = np.abs(np.linalg.eigvals(m.to_dense())).max()
+    assert 0.0 < caught.value.estimate <= 1.5 * true
+    assert spectral_radius(m) == pytest.approx(true, abs=1e-9)
 
 
 def test_matrix_market_round_trip(tmp_path, rng):

@@ -204,6 +204,20 @@ def test_esn_radius_hits_target():
     assert spectral_radius(system.matrix) == pytest.approx(0.9, abs=1e-6)
 
 
+def test_esn_true_radius_hits_the_target_by_a_dense_oracle():
+    for n, density in ((200, 0.05), (300, 0.03)):
+        for seed in range(20):
+            dense = echo_state_network(n, density, 0.9, seed).matrix.to_dense()
+            radius = np.abs(np.linalg.eigvals(dense)).max()
+            assert abs(radius - 0.9) <= 1e-6, (n, seed, radius)
+
+
+def test_esn_of_a_nilpotent_matrix_cannot_be_rescaled():
+    # a single weight off the diagonal: the radius is 0
+    with pytest.raises(ArgumentTooSmall, match="spectral radius is zero"):
+        echo_state_network(100, 1e-4, 0.9, seed=1)
+
+
 def test_esn_zero_state_is_fixed_point():
     system = echo_state_network(50, 0.1, 0.8, seed=1)
     system.run(5)
