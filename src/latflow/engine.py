@@ -8,8 +8,9 @@ per-step external input.
 
 A lookup-table rule with a uint8 table keeps its state as uint8, so each
 step is an integer matvec and an integer-keyed lookup.  Such a system
-records its history as bytes too; ``StateHistory.states`` and the state
-are float64 all the same, made from the bytes when they are read.
+records its history as bytes too, and saves it as bytes (the LFST layout
+``LFS8``); ``StateHistory.states`` and the state are float64 all the same,
+made from the bytes when they are read.
 
 ``step()`` is always ``apply_rule(rule, matrix.matvec(state))``, and
 ``run()`` advances by it, except for two-state systems under the compiled
@@ -47,18 +48,19 @@ from .rules import MAP_THEN_MIX, TableRule, apply_rule
 _FUSED_CELL_UPDATES = 1 << 22
 # values per block of the CSV writer
 _CSV_BLOCK = 1 << 15
-# float64 values per block that the LFST writer converts from bytes
-_LFST_BLOCK = 1 << 16
+# the LFST layouts: the element type of the payload after each magic
+_LFST_DTYPES = {b"LFST": np.dtype("<f8"), b"LFS8": np.dtype(np.uint8)}
 
 
 class StateHistory:
     """Record of states over time, one row per step, row 0 the initial state.
 
-    A byte-state system's history keeps the uint8 rows it was recorded in.
-    ``states`` is float64 whatever was recorded: it is made from the bytes
-    on its first read and kept, and from then on every reader uses it, so
-    edits to it are seen.  Until then the length, the width, a row, the CSV
-    and LFST writers and ``detect_cycle(tol=0)`` read the bytes."""
+    A byte-state system's history, or one read from an ``LFS8`` file, keeps
+    its uint8 rows.  ``states`` is float64 whatever was recorded: it is made
+    from the bytes on its first read and kept, and from then on every reader
+    uses it, so edits to it are seen.  Until then the length, the width, a
+    row, the CSV writer, ``detect_cycle(tol=0)`` and the LFST writer, which
+    saves them as ``LFS8``, read the bytes."""
 
     def __init__(self, states):
         rows = np.asarray(states)
@@ -130,23 +132,15 @@ class StateHistory:
     def load_csv(cls, path):
         return cls.from_csv(read_text(path))
 
-    # -- binary: magic LFST, u32 row count, u32 width, f64 LE row-major ---
+    # -- binary: magic, u32 row count, u32 width, payload row-major --------
 
     def save_binary(self, path):
         rows, n = self._rows.shape
+        magic = b"LFS8" if self._rows.dtype == np.uint8 else b"LFST"
         with open(path, "wb") as f:
-            f.write(struct.pack("<4sII", b"LFST", rows, n))
-            if self._rows.dtype == np.float64:
-                # the array's own buffer: no copy of the payload as bytes
-                f.write(np.ascontiguousarray(self._rows, dtype="<f8").data)
-                return
-            # bytes as float64 a block at a time, through one small buffer
-            flat = np.ascontiguousarray(self._rows).reshape(-1)
-            buf = np.empty(_LFST_BLOCK, dtype="<f8")
-            for start in range(0, len(flat), _LFST_BLOCK):
-                block = buf[: len(flat) - start]
-                np.copyto(block, flat[start : start + _LFST_BLOCK])
-                f.write(block.data)
+            f.write(struct.pack("<4sII", magic, rows, n))
+            # the array's own buffer: no copy of the payload as bytes
+            f.write(np.ascontiguousarray(self._rows, dtype=_LFST_DTYPES[magic]).data)
 
     @classmethod
     def load_binary(cls, path):
@@ -155,19 +149,21 @@ class StateHistory:
             if len(head) != 12:
                 raise FileFormatError("truncated state file")
             magic, rows, n = struct.unpack("<4sII", head)
-            if magic != b"LFST":
+            dtype = _LFST_DTYPES.get(magic)
+            if dtype is None:
                 raise FileFormatError(f"bad magic {magic!r}")
             # the size is checked before anything of it is allocated, and the
             # payload is read straight into the one array that keeps it
-            expected = rows * n * 8
+            expected = rows * n * dtype.itemsize
             found = os.fstat(f.fileno()).st_size - 12
             if found != expected:
                 raise FileFormatError(f"expected {expected} payload bytes, found {found}")
-            states = np.empty((rows, n), dtype="<f8")
+            states = np.empty((rows, n), dtype=dtype)
             found = f.readinto(states.reshape(-1).view(np.uint8))
         if found != expected:
             raise FileFormatError(f"expected {expected} payload bytes, found {found}")
-        return cls(states)._finite("LFST state file")
+        # bytes are always finite, and reading their states would widen them
+        return cls(states) if dtype == np.uint8 else cls(states)._finite("LFST state file")
 
 
 def _integer_csv(block):
@@ -201,10 +197,10 @@ def _integer_csv(block):
 
 
 def load_history(path):
-    """Read a state file, sniffing binary vs CSV by the LFST magic."""
+    """Read a state file, sniffing binary vs CSV by the LFST magics."""
     with open(path, "rb") as f:
         magic = f.read(4)
-    if magic == b"LFST":
+    if magic in _LFST_DTYPES:
         return StateHistory.load_binary(path)
     return StateHistory.load_csv(path)
 

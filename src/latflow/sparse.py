@@ -367,9 +367,11 @@ def spectral_radius(m, max_iters=10000, tol=1e-10):
     projected matrix maps into itself.  Raises NoConvergence, carrying the
     last estimate, after ``max_iters`` matrix-vector products.
 
-    A matrix whose nonzero weights form no cycle is nilpotent, and its Ritz
-    values would be rounding noise: its radius is 0, found from its
-    structure first.
+    A nilpotent matrix's Ritz values would be rounding noise, so its radius
+    of 0 is found exactly: from its structure, when its nonzero weights form
+    no cycle (a path longer than the basis keeps the space from becoming
+    invariant), or else when the space is invariant, of dimension d, and
+    A^d of the start is exactly zero, as it is under cancellation too.
     """
     if not m.is_square:
         raise NotSquare("spectral radius needs a square matrix")
@@ -401,7 +403,12 @@ def spectral_radius(m, max_iters=10000, tol=1e-10):
         order = np.argsort(-np.abs(theta), kind="stable")
         theta, y = theta[order], y[:, order]
         estimate = float(abs(theta[0]))
-        if invariant or h[d, d - 1] * abs(y[-1, 0]) <= tol * estimate:
+        if invariant:
+            power = start
+            for _ in range(d):
+                power = m.matvec(power)
+            return estimate if power.any() else 0.0
+        if h[d, d - 1] * abs(y[-1, 0]) <= tol * estimate:
             return estimate
         if products >= max_iters:
             raise NoConvergence(

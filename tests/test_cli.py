@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -424,6 +426,31 @@ def test_cycle_command_non_finite_lfst_exits_3(tmp_path, capsys):
     StateHistory(np.array([[1.0, np.nan], [np.inf, 0.0]])).save_binary(record)
     assert run_cli("cycle", "--states", record) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_a_life_run_recorded_as_lfst_writes_bytes_that_read_as_its_csv(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    printed = {}
+    for record in ("h.lfst", "h.csv"):
+        (tmp_path / "run.cfg").write_text(
+            "system = life\nwidth = 16\nheight = 16\nwrapped = true\nsteps = 120\n"
+            f"init = random\nseed = 2\nrecord = {record}\n"
+        )
+        assert run_cli("run", "--config", "run.cfg") == 0
+        capsys.readouterr()
+        assert run_cli("cycle", "--states", record) == 0
+        assert run_cli("render", "--states", record, "--width", 16, "--height", 16,
+                       "--format", "txt") == 0
+        printed[record] = capsys.readouterr().out
+    raw = (tmp_path / "h.lfst").read_bytes()
+    # the byte layout: its header, then one byte per cell of the 121 rows
+    assert raw[:12] == struct.pack("<4sII", b"LFS8", 121, 256) and len(raw) == 12 + 121 * 256
+    assert printed["h.lfst"] == printed["h.csv"]
+    assert printed["h.csv"].startswith("transient=32 period=2\n")
+    (tmp_path / "h.lfst").write_bytes(raw[:-1])
+    assert run_cli("cycle", "--states", "h.lfst") == 3
+    assert "expected 30976 payload bytes, found 30975" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["pca", "cycle", "render"])

@@ -331,11 +331,25 @@ def lfst_bytes(history):
             return f.read()
 
 
+def loaded_back(history):
+    """The ``states`` of the history that an LFST file of ``history`` gives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "h.lfst")
+        history.save_binary(path)
+        states = StateHistory.load_binary(path).states
+    return states.dtype, states.shape, states.tobytes()
+
+
+def lfst_oracle(magic, payload):
+    """The LFST file of the 2-D array ``payload``, written field by field."""
+    return struct.pack("<4sII", magic, *payload.shape) + payload.tobytes()
+
+
 def readings(history):
     """What every reader of a history but ``states`` gives."""
     rows = [history[i] for i in range(len(history))]
     return (len(history), history.n, [(r.dtype, r.tobytes()) for r in rows],
-            lfst_bytes(history), history.to_csv(), detect_cycle(history))
+            loaded_back(history), history.to_csv(), detect_cycle(history))
 
 
 # uint8 payloads: any bytes, bytes that repeat often, and single rows
@@ -355,6 +369,7 @@ def test_a_byte_history_reads_as_its_float64_copy(payload):
             mp.setattr(backend, "BACKEND", which)
             history, wide = StateHistory(payload), StateHistory(payload.astype(np.float64))
             assert readings(history) == readings(wide)
+            assert lfst_bytes(history) == lfst_oracle(b"LFS8", np.atleast_2d(payload))
             # none of those readers made the float64 array
             assert history._rows.dtype == np.uint8
             assert history.states.dtype == np.float64
@@ -387,5 +402,77 @@ def test_a_byte_history_is_written_through_a_small_buffer(tmp_path):
     finally:
         tracemalloc.stop()
     assert history._rows.dtype == np.uint8
-    assert peak < 1 << 20  # the 512 KB buffer, not the 16 MB of float64
+    assert peak < 1 << 20  # written from the array's own buffer, not as 16 MB of float64
     assert np.array_equal(StateHistory.load_binary(tmp_path / "h.lfst").states, history.states)
+
+
+# -- the two LFST layouts ----------------------------------------------------
+
+# uint8 and float64 payloads, empty ones included
+FLOAT_PAYLOADS = arrays(
+    np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(BYTE_PAYLOADS | FLOAT_PAYLOADS)
+def test_both_lfst_layouts_round_trip(payload):
+    rows = np.atleast_2d(payload)
+    magic, layout = (b"LFS8", np.uint8) if payload.dtype == np.uint8 else (b"LFST", "<f8")
+    for which in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(backend, "BACKEND", which)
+            path = os.path.join(tmp, "h.lfst")
+            StateHistory(payload).save_binary(path)
+            with open(path, "rb") as f:
+                assert f.read() == lfst_oracle(magic, rows.astype(layout))
+            back = load_history(path)
+            assert back._rows.dtype == payload.dtype
+            assert back._rows.shape == rows.shape
+            assert back._rows.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("which", BACKENDS)
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda raw: raw[:-1], "expected 12 payload bytes, found 11", id="truncated"),
+    pytest.param(lambda raw: raw + b"\x00", "expected 12 payload bytes, found 13", id="extra"),
+    pytest.param(lambda raw: raw[:8], "truncated state file", id="short-header"),
+    pytest.param(lambda raw: struct.pack("<4sII", b"LFS8", 2**32 - 1, 2**32 - 1), "found 0",
+                 id="huge-shape"),
+])
+def test_a_bad_byte_layout_file_is_refused_before_allocating(
+        monkeypatch, tmp_path, which, edit, message):
+    monkeypatch.setattr(backend, "BACKEND", which)
+    path = tmp_path / "h.lfst"
+    StateHistory(np.arange(12, dtype=np.uint8).reshape(3, 4)).save_binary(path)
+    path.write_bytes(edit(path.read_bytes()))
+    tracemalloc.start()
+    try:
+        for load in (StateHistory.load_binary, load_history):
+            with pytest.raises(FileFormatError, match=message):
+                load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("which", BACKENDS)
+def test_a_byte_layout_load_stays_bytes_through_detect_cycle(monkeypatch, tmp_path, which):
+    monkeypatch.setattr(backend, "BACKEND", which)
+    # 380 random rows, then rows 360-379 once more: transient 360, period 20
+    rows = np.random.default_rng(4).integers(0, 256, (400, 10000), dtype=np.uint8)
+    rows[380:] = rows[360:380]
+    StateHistory(rows).save_binary(tmp_path / "h.lfst")
+    tracemalloc.start()
+    try:
+        back = load_history(tmp_path / "h.lfst")
+        report = detect_cycle(back)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == CycleReport(360, 20)
+    assert back._rows.dtype == np.uint8
+    assert peak < 1.5 * rows.nbytes
+    assert np.array_equal(back.states, rows)

@@ -7,6 +7,7 @@ OverflowError, a UnicodeDecodeError, a silent change on the second read)
 is a failure.
 """
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from latflow.sparse import load_matrix_market, save_matrix_market
 EDIT_BYTES = b"0123456789 .-+eE%:,=#\n\t\rnaifkx\x00\x80\xc3\xff"
 
 _HISTORY = StateHistory([[0.0, 1.0, -0.5], [2.5e-3, -0.0, 1e300]])
+_BYTE_HISTORY = StateHistory(np.array([[0, 1, 255], [7, 0, 3]], dtype=np.uint8))
 
 
 MM_SEEDS = [
@@ -46,8 +48,11 @@ def _seed_bytes(kind, tmp_path):
         return [rule_to_text(rule).encode() for rule in rules]
     if kind == "csv":
         return [_HISTORY.to_csv().encode(), b"1,2\n\n3,4\n"]
-    _HISTORY.save_binary(tmp_path / "seed")
-    return [(tmp_path / "seed").read_bytes()]
+    seeds = []
+    for history in (_HISTORY, _BYTE_HISTORY):  # the float64 and the byte layout
+        history.save_binary(tmp_path / "seed")
+        seeds.append((tmp_path / "seed").read_bytes())
+    return seeds
 
 
 @st.composite
@@ -133,7 +138,8 @@ def test_mutated_files_are_refused_or_round_trip(tmp_path, kind, which, edits):
 @FUZZ
 @given(
     kind=KINDS,
-    prefix=st.sampled_from([b"", b"LFST", b"%%MatrixMarket matrix coordinate real general\n",
+    prefix=st.sampled_from([b"", b"LFST", b"LFS8",
+                            b"%%MatrixMarket matrix coordinate real general\n",
                             b"# latflow rule v1 tables=index0first\nrule "]),
     raw=st.binary(max_size=48),
 )

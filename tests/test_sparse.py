@@ -215,6 +215,15 @@ def test_spectral_radius_of_a_nilpotent_matrix_is_zero(rng):
     assert spectral_radius(one) == 0.0
 
 
+def test_spectral_radius_of_a_matrix_nilpotent_by_cancellation_is_zero():
+    # each block's square is zero, though its weights form cycles
+    block = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    assert spectral_radius(SparseMatrix.from_dense(block)) == 0.0
+    assert spectral_radius(SparseMatrix.from_dense(np.kron(np.eye(100), block))) == 0.0
+    near = SparseMatrix.from_dense(block + 1e-3 * np.eye(2))
+    assert spectral_radius(near) == pytest.approx(1e-3, abs=1e-7)
+
+
 def test_spectral_radius_raises_with_its_estimate_when_not_converged():
     m = random_sparse_uniform(300, 0.03, 13)
     with pytest.raises(NoConvergence) as caught:

@@ -283,7 +283,8 @@ def _history():
     return game_of_life(64, 64, init=init).run(20, record=True)
 
 
-# SHA-256 of the files as the per-line writers wrote them
+# SHA-256 of the files as the per-line writers wrote them; the byte LFST's
+# as its header packed field by field and then the rows' bytes
 PINNED = {
     "rbn-2000-3.mtx": "b716a2ce4506912883854eb2273368ea89da04e53b7db5691a43b47e1f711030",
     "rbn-2000-3.rule": "5f47b1f8329706cc74ba3b0432135f09ff48e0481594556eae485581aa459f34",
@@ -294,6 +295,7 @@ PINNED = {
     "life-256.mtx": "0654cf6713b2529f5e4f73c2a84d14bebfc28c3f5ea04e5bdfcad7ce6478c5de",
     "uniform-2000.mtx": "4b44e92a281ba4d22d4a2a2e65348ca09e2d57dde071b9c69d93f2103a1c382c",
     "life-64.lfst": "f99173f973d7fb751c06a96d83b94159a494148512361593457358cc5993a132",
+    "life-64-bytes.lfst": "59a5a62e725de8b6efc5cebc7c2ea3490a4af4a9087794733bb29813a10d4120",
 }
 WRITERS = {
     "rbn-2000-3.mtx": lambda p: save_matrix_market(p, random_boolean_network(2000, 3, 1).matrix),
@@ -304,7 +306,10 @@ WRITERS = {
     "n12.rule": lambda p: save_rule(p, _n12_rule()),
     "life-256.mtx": lambda p: save_matrix_market(p, game_of_life(256, 256).matrix),
     "uniform-2000.mtx": lambda p: save_matrix_market(p, random_sparse_uniform(2000, 0.01, 3)),
-    "life-64.lfst": lambda p: _history().save_binary(p),
+    # the float64 layout, as every earlier release wrote it
+    "life-64.lfst": lambda p: StateHistory(_history().states).save_binary(p),
+    # the byte layout of a history recorded as bytes
+    "life-64-bytes.lfst": lambda p: _history().save_binary(p),
 }
 
 
