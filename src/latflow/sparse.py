@@ -404,10 +404,15 @@ def spectral_radius(m, max_iters=10000, tol=1e-10):
         theta, y = theta[order], y[:, order]
         estimate = float(abs(theta[0]))
         if invariant:
+            # rescaled by powers of two, which round nothing, so it cannot
+            # underflow to zero and a zero is exact
             power = start
             for _ in range(d):
                 power = m.matvec(power)
-            return estimate if power.any() else 0.0
+                if not power.any():
+                    return 0.0
+                power = np.ldexp(power, -np.frexp(np.abs(power).max())[1])
+            return estimate
         if h[d, d - 1] * abs(y[-1, 0]) <= tol * estimate:
             return estimate
         if products >= max_iters:

@@ -211,12 +211,61 @@ def test_csv_accepts_only_ascii_decimal_numbers(field):
         StateHistory.from_csv(f"1.0,2.0\n3.0,{field}\n")
 
 
-def test_binary_round_trip_exact(tmp_path, rng):
-    data = rng.uniform(-1, 1, (7, 4))
-    path = tmp_path / "h.lfst"
-    StateHistory(data).save_binary(path)
-    back = StateHistory.load_binary(path)
-    assert np.array_equal(back.states, data)
+# -- the two LFST layouts: float64 rows as LFST, uint8 rows as LFS8 ----------
+
+LAYOUTS = ((b"LFST", np.dtype("<f8")), (b"LFS8", np.dtype(np.uint8)))
+
+# uint8 payloads: any bytes, bytes that repeat often, and single rows
+BYTE_PAYLOADS = (
+    arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9))
+    | arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+             elements=st.sampled_from([0, 1, 255]))
+    | arrays(np.uint8, array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=9))
+)
+FLOAT_PAYLOADS = arrays(
+    np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def lfst_oracle(magic, payload):
+    """The LFST file of the 2-D array ``payload``, written field by field."""
+    return struct.pack("<4sII", magic, *payload.shape) + payload.tobytes()
+
+
+def saved_in_each_layout(monkeypatch, path):
+    """Save a 3 x 4 history to ``path`` in each layout on each backend,
+    yielding the file's bytes and the size of its payload."""
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        for _, dtype in LAYOUTS:
+            StateHistory(np.arange(12, dtype=dtype).reshape(3, 4)).save_binary(path)
+            yield path.read_bytes(), 12 * dtype.itemsize
+
+
+def refused_by_both_loaders(path, message):
+    for load in (StateHistory.load_binary, load_history):
+        with pytest.raises(FileFormatError, match=message):
+            load(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(BYTE_PAYLOADS | FLOAT_PAYLOADS)
+def test_binary_round_trip_exact(payload):
+    rows = np.atleast_2d(payload)
+    magic, layout = LAYOUTS[1] if payload.dtype == np.uint8 else LAYOUTS[0]
+    for which in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(backend, "BACKEND", which)
+            path = os.path.join(tmp, "h.lfst")
+            StateHistory(payload).save_binary(path)
+            with open(path, "rb") as f:
+                assert f.read() == lfst_oracle(magic, rows.astype(layout))
+            for load in (StateHistory.load_binary, load_history):
+                back = load(path)
+                assert back._rows.dtype == payload.dtype
+                assert back._rows.shape == rows.shape
+                assert back._rows.tobytes() == rows.tobytes()
 
 
 def test_load_history_sniffs_format(tmp_path, rng):
@@ -249,48 +298,58 @@ def test_csv_empty_rejected(tmp_path):
         StateHistory.load_csv(path)
 
 
-def test_binary_truncated_rejected(tmp_path, rng):
+def test_binary_truncated_rejected(monkeypatch, tmp_path):
     path = tmp_path / "h.lfst"
-    StateHistory(rng.uniform(0, 1, (3, 3))).save_binary(path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(FileFormatError):
-        StateHistory.load_binary(path)
+    for raw, size in saved_in_each_layout(monkeypatch, path):
+        path.write_bytes(raw[:-1])
+        refused_by_both_loaders(path, f"expected {size} payload bytes, found {size - 1}")
+        path.write_bytes(raw[:8])
+        refused_by_both_loaders(path, "truncated state file")
 
 
-def test_binary_extra_payload_bytes_rejected(tmp_path, rng):
+def test_binary_extra_payload_bytes_rejected(monkeypatch, tmp_path):
     path = tmp_path / "h.lfst"
-    StateHistory(rng.uniform(0, 1, (3, 3))).save_binary(path)
-    path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(FileFormatError, match="expected 72 payload bytes, found 73"):
-        StateHistory.load_binary(path)
+    for raw, size in saved_in_each_layout(monkeypatch, path):
+        path.write_bytes(raw + b"\x00")
+        refused_by_both_loaders(path, f"expected {size} payload bytes, found {size + 1}")
 
 
-def test_binary_huge_declared_shape_refused_before_allocating(tmp_path):
+def test_binary_huge_declared_shape_refused_before_allocating(monkeypatch, tmp_path):
     path = tmp_path / "h.lfst"
-    path.write_bytes(struct.pack("<4sII", b"LFST", 2**32 - 1, 2**32 - 1))
-    tracemalloc.start()
-    try:
-        with pytest.raises(FileFormatError, match="found 0"):
-            StateHistory.load_binary(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        for magic, _ in LAYOUTS:
+            path.write_bytes(struct.pack("<4sII", magic, 2**32 - 1, 2**32 - 1))
+            tracemalloc.start()
+            try:
+                refused_by_both_loaders(path, "found 0")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
-def test_binary_load_holds_the_payload_about_once(tmp_path, rng):
+def test_binary_load_holds_the_payload_about_once(monkeypatch, tmp_path):
+    # 380 random rows, then rows 360-379 once more: transient 360, period 20
+    rows = np.random.default_rng(4).integers(0, 256, (400, 1000), dtype=np.uint8)
+    rows[380:] = rows[360:380]
     path = tmp_path / "h.lfst"
-    states = rng.uniform(0, 1, (400, 1000))
-    StateHistory(states).save_binary(path)
-    tracemalloc.start()
-    try:
-        back = StateHistory.load_binary(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(back.states, states)
-    assert peak < 1.5 * states.nbytes
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        for _, dtype in LAYOUTS:
+            states = rows.astype(dtype)
+            StateHistory(states).save_binary(path)
+            tracemalloc.start()
+            try:
+                back = StateHistory.load_binary(path)
+                report = detect_cycle(back)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report == CycleReport(360, 20)
+            assert back._rows.dtype == dtype  # bytes stay bytes, not widened
+            assert peak < 1.5 * states.nbytes
+            assert np.array_equal(back.states, states)
 
 
 def test_binary_bad_magic_rejected(tmp_path):
@@ -340,25 +399,11 @@ def loaded_back(history):
     return states.dtype, states.shape, states.tobytes()
 
 
-def lfst_oracle(magic, payload):
-    """The LFST file of the 2-D array ``payload``, written field by field."""
-    return struct.pack("<4sII", magic, *payload.shape) + payload.tobytes()
-
-
 def readings(history):
     """What every reader of a history but ``states`` gives."""
     rows = [history[i] for i in range(len(history))]
     return (len(history), history.n, [(r.dtype, r.tobytes()) for r in rows],
             loaded_back(history), history.to_csv(), detect_cycle(history))
-
-
-# uint8 payloads: any bytes, bytes that repeat often, and single rows
-BYTE_PAYLOADS = (
-    arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9))
-    | arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
-             elements=st.sampled_from([0, 1, 255]))
-    | arrays(np.uint8, array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=9))
-)
 
 
 @settings(max_examples=200, deadline=None)
@@ -369,7 +414,6 @@ def test_a_byte_history_reads_as_its_float64_copy(payload):
             mp.setattr(backend, "BACKEND", which)
             history, wide = StateHistory(payload), StateHistory(payload.astype(np.float64))
             assert readings(history) == readings(wide)
-            assert lfst_bytes(history) == lfst_oracle(b"LFS8", np.atleast_2d(payload))
             # none of those readers made the float64 array
             assert history._rows.dtype == np.uint8
             assert history.states.dtype == np.float64
@@ -405,74 +449,3 @@ def test_a_byte_history_is_written_through_a_small_buffer(tmp_path):
     assert peak < 1 << 20  # written from the array's own buffer, not as 16 MB of float64
     assert np.array_equal(StateHistory.load_binary(tmp_path / "h.lfst").states, history.states)
 
-
-# -- the two LFST layouts ----------------------------------------------------
-
-# uint8 and float64 payloads, empty ones included
-FLOAT_PAYLOADS = arrays(
-    np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9),
-    elements=st.floats(allow_nan=False, allow_infinity=False),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(BYTE_PAYLOADS | FLOAT_PAYLOADS)
-def test_both_lfst_layouts_round_trip(payload):
-    rows = np.atleast_2d(payload)
-    magic, layout = (b"LFS8", np.uint8) if payload.dtype == np.uint8 else (b"LFST", "<f8")
-    for which in BACKENDS:
-        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-            mp.setattr(backend, "BACKEND", which)
-            path = os.path.join(tmp, "h.lfst")
-            StateHistory(payload).save_binary(path)
-            with open(path, "rb") as f:
-                assert f.read() == lfst_oracle(magic, rows.astype(layout))
-            back = load_history(path)
-            assert back._rows.dtype == payload.dtype
-            assert back._rows.shape == rows.shape
-            assert back._rows.tobytes() == rows.tobytes()
-
-
-@pytest.mark.parametrize("which", BACKENDS)
-@pytest.mark.parametrize("edit, message", [
-    pytest.param(lambda raw: raw[:-1], "expected 12 payload bytes, found 11", id="truncated"),
-    pytest.param(lambda raw: raw + b"\x00", "expected 12 payload bytes, found 13", id="extra"),
-    pytest.param(lambda raw: raw[:8], "truncated state file", id="short-header"),
-    pytest.param(lambda raw: struct.pack("<4sII", b"LFS8", 2**32 - 1, 2**32 - 1), "found 0",
-                 id="huge-shape"),
-])
-def test_a_bad_byte_layout_file_is_refused_before_allocating(
-        monkeypatch, tmp_path, which, edit, message):
-    monkeypatch.setattr(backend, "BACKEND", which)
-    path = tmp_path / "h.lfst"
-    StateHistory(np.arange(12, dtype=np.uint8).reshape(3, 4)).save_binary(path)
-    path.write_bytes(edit(path.read_bytes()))
-    tracemalloc.start()
-    try:
-        for load in (StateHistory.load_binary, load_history):
-            with pytest.raises(FileFormatError, match=message):
-                load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
-@pytest.mark.parametrize("which", BACKENDS)
-def test_a_byte_layout_load_stays_bytes_through_detect_cycle(monkeypatch, tmp_path, which):
-    monkeypatch.setattr(backend, "BACKEND", which)
-    # 380 random rows, then rows 360-379 once more: transient 360, period 20
-    rows = np.random.default_rng(4).integers(0, 256, (400, 10000), dtype=np.uint8)
-    rows[380:] = rows[360:380]
-    StateHistory(rows).save_binary(tmp_path / "h.lfst")
-    tracemalloc.start()
-    try:
-        back = load_history(tmp_path / "h.lfst")
-        report = detect_cycle(back)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report == CycleReport(360, 20)
-    assert back._rows.dtype == np.uint8
-    assert peak < 1.5 * rows.nbytes
-    assert np.array_equal(back.states, rows)

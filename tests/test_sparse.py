@@ -224,6 +224,13 @@ def test_spectral_radius_of_a_matrix_nilpotent_by_cancellation_is_zero():
     assert spectral_radius(near) == pytest.approx(1e-3, abs=1e-7)
 
 
+def test_spectral_radius_of_a_tiny_matrix_is_not_rounded_away():
+    # A^60 of the start is far below the smallest double
+    dense = np.random.default_rng(1).standard_normal((60, 60))
+    dense *= 1e-6 / np.abs(np.linalg.eigvals(dense)).max()
+    assert spectral_radius(SparseMatrix.from_dense(dense)) == pytest.approx(1e-6, rel=1e-9)
+
+
 def test_spectral_radius_raises_with_its_estimate_when_not_converged():
     m = random_sparse_uniform(300, 0.03, 13)
     with pytest.raises(NoConvergence) as caught:
