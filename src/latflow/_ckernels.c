@@ -1,15 +1,11 @@
 /* Compiled kernels: the CSR matvec, in float64 and in integers, the
  * stencil matvec of lattice automata, the integer-keyed table lookup, and
- * whole steps of two-state lattice automata and networks.
- *
- * The integer matvec has one loop per row width from 1 to MAX_FIXED_WIDTH:
- * when every row holds the same number w of entries, row i is
- * data[i*w : (i+1)*w], so the loop reads no row pointers and the compiler
- * unrolls each row fully, as the ELL format does (Bell & Garland, SC'09).
- * Every lattice automaton and random Boolean network has such a matrix.
+ * whole steps of two-state lattice automata and networks.  The fused steps
+ * are the ones that DynamicalSystem.step and run take; the matvecs and the
+ * lookup serve the systems that have no fused kernel, and are plain loops.
  *
  * A lattice automaton's matrix is one stencil shifted to every cell of a
- * grid, the DIA format of the same paper: stencil_matvec_u8 reads no
+ * grid, the DIA format (Bell & Garland, SC'09): stencil_matvec_u8 reads no
  * column indices and no per-entry weights.  It first copies the grid into
  * rows padded on each side with the columns that wrap, or with zeros, so
  * that for each grid row and each tap it adds weight * the padded source
@@ -41,19 +37,15 @@
  *
  * Plain C over the buffer protocol, so the extension builds with nothing
  * but a C compiler.  The loops trust their buffers: latflow.backend checks
- * dtypes, contiguity and lengths, and that a row width spans the entries,
- * before every call, and SparseMatrix validates its column indices when it
- * is built.
+ * dtypes, contiguity and lengths before every call, and SparseMatrix
+ * validates its column indices when it is built.
  *
- * The build names no -march, so on x86 with GCC or Clang three kernels
- * have a second version that module init selects once from the CPU's
- * features: the stencil's row loop compiled for AVX2; the fused steps' row
- * loop in AVX2 registers, 32 cells a register, the lookup by two byte
- * shuffles; and, for a table shared by all cells with at most 32 entries, a
- * lookup of 16 keys at a time by SSE4.1 byte shuffles.  All give the same
- * bytes as the plain loops, which every other compiler and CPU runs.
- * target_clones would pick by ifunc, which musl lacks, so the choice is
- * made here by __builtin_cpu_supports.
+ * The build names no -march, so on x86 with GCC or Clang the fused steps of
+ * a lattice automaton have a second row loop, which module init selects
+ * once when the CPU has AVX2: 32 cells a register, the lookup by two byte
+ * shuffles.  It gives the same bytes as the plain loop, which every other
+ * compiler and CPU runs.  target_clones would pick by ifunc, which musl
+ * lacks, so the choice is made here by __builtin_cpu_supports.
  *
  * Build with -ffp-contract=off: each float64 row is summed in order, one
  * rounded multiply and one rounded add per entry, never a fused
@@ -68,13 +60,13 @@
 #define X86_DISPATCH 1
 #include <immintrin.h>
 /* set once by PyInit__ckernels */
-static int have_avx2, have_sse41;
+static int have_avx2;
 #endif
 
 /* The interface version: latflow.backend uses the extension only when its
    VERSION equals the one it was written for, so a build of older source,
    whose functions take other arguments, counts as absent. */
-#define KERNELS_VERSION 7
+#define KERNELS_VERSION 8
 #define MAX_FIXED_WIDTH 9
 
 static PyObject *
@@ -106,44 +98,14 @@ csr_matvec(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* Rows of exactly W entries each, W a constant, so each row unrolls. */
-#define FIXED_WIDTH_ROWS(W)                                               \
-    static void rows_##W(const int32_t *d, const int32_t *col,            \
-                         const uint8_t *xv, int32_t *y, Py_ssize_t n_rows) \
-    {                                                                     \
-        for (Py_ssize_t i = 0; i < n_rows; i++, d += W, col += W) {       \
-            int32_t acc = 0;                                              \
-            for (int j = 0; j < W; j++)                                   \
-                acc += d[j] * xv[col[j]];                                 \
-            y[i] = acc;                                                   \
-        }                                                                 \
-    }
-FIXED_WIDTH_ROWS(1)
-FIXED_WIDTH_ROWS(2)
-FIXED_WIDTH_ROWS(3)
-FIXED_WIDTH_ROWS(4)
-FIXED_WIDTH_ROWS(5)
-FIXED_WIDTH_ROWS(6)
-FIXED_WIDTH_ROWS(7)
-FIXED_WIDTH_ROWS(8)
-FIXED_WIDTH_ROWS(9)
-
-static void (*const fixed_width_rows[MAX_FIXED_WIDTH + 1])(
-    const int32_t *, const int32_t *, const uint8_t *, int32_t *, Py_ssize_t) = {
-    NULL, rows_1, rows_2, rows_3, rows_4, rows_5, rows_6, rows_7, rows_8, rows_9,
-};
-
 /* The caller guarantees that no row's sum of |weight| * 255 reaches 2^31,
-   so the int32 accumulator cannot overflow and the product is exact, and
-   that a width from 1 to MAX_FIXED_WIDTH is the length of every row.  Any
-   other width runs the CSR loop over the row pointers. */
+   so the int32 accumulator cannot overflow and the product is exact. */
 static PyObject *
 csr_matvec_u8(PyObject *self, PyObject *args)
 {
     Py_buffer data, indices, indptr, x, out;
-    Py_ssize_t width;
-    if (!PyArg_ParseTuple(args, "y*y*y*y*w*n:csr_matvec_u8",
-                          &data, &indices, &indptr, &x, &out, &width))
+    if (!PyArg_ParseTuple(args, "y*y*y*y*w*:csr_matvec_u8",
+                          &data, &indices, &indptr, &x, &out))
         return NULL;
     const int32_t *d = data.buf, *col = indices.buf;
     const int64_t *ptr = indptr.buf;
@@ -152,15 +114,11 @@ csr_matvec_u8(PyObject *self, PyObject *args)
     Py_ssize_t n_rows = indptr.len / (Py_ssize_t)sizeof(int64_t) - 1;
 
     Py_BEGIN_ALLOW_THREADS
-    if (width > 0 && width <= MAX_FIXED_WIDTH) {
-        fixed_width_rows[width](d, col, xv, y, n_rows);
-    } else {
-        for (Py_ssize_t i = 0; i < n_rows; i++) {
-            int32_t acc = 0;
-            for (int64_t j = ptr[i]; j < ptr[i + 1]; j++)
-                acc += d[j] * xv[col[j]];
-            y[i] = acc;
-        }
+    for (Py_ssize_t i = 0; i < n_rows; i++) {
+        int32_t acc = 0;
+        for (int64_t j = ptr[i]; j < ptr[i + 1]; j++)
+            acc += d[j] * xv[col[j]];
+        y[i] = acc;
     }
     Py_END_ALLOW_THREADS
 
@@ -214,61 +172,13 @@ pad_grid(uint8_t *pad, const uint8_t *x, Py_ssize_t height, Py_ssize_t width,
     }
 }
 
-/* Bodies that the AVX2 version inlines, so that they are compiled for it. */
-#ifdef X86_DISPATCH
-#define INLINED static inline __attribute__((always_inline))
-#else
-#define INLINED static inline
-#endif
-
 /* acc[c] += w * src[c] for c < n, in int16 */
-INLINED void
+static void
 add_tap(int16_t *restrict acc, const uint8_t *restrict src, int16_t w, Py_ssize_t n)
 {
     for (Py_ssize_t c = 0; c < n; c++)
         acc[c] = (int16_t)(acc[c] + w * src[c]);
 }
-
-/* A stencil and its grid, copied into rows padded by halo >= max |dc|
-   bytes on each side, which hold the columns that wrap or zeros. */
-struct padded_grid {
-    const uint8_t *pad; /* height rows of width + 2 * halo bytes */
-    Py_ssize_t height, width, halo, n_taps;
-    int wrapped;
-    const int32_t *dr, *dc;
-    const int16_t *w;
-};
-
-/* Row r of y sums w[t] * padded row r + dr[t], shifted by dc[t], over the
-   taps whose row lands in the grid or, wrapped, wraps back into it. */
-INLINED void
-stencil_rows(int32_t *restrict y, int16_t *restrict acc, struct padded_grid g)
-{
-    Py_ssize_t stride = g.width + 2 * g.halo;
-    for (Py_ssize_t r = 0; r < g.height; r++) {
-        memset(acc, 0, g.width * sizeof(int16_t));
-        for (Py_ssize_t t = 0; t < g.n_taps; t++) {
-            Py_ssize_t sr = r + g.dr[t];
-            if (sr < 0 || sr >= g.height) {
-                if (!g.wrapped)
-                    continue;
-                sr += sr < 0 ? g.height : -g.height;
-            }
-            add_tap(acc, g.pad + sr * stride + g.halo + g.dc[t], g.w[t], g.width);
-        }
-        int32_t *yr = y + r * g.width;
-        for (Py_ssize_t c = 0; c < g.width; c++)
-            yr[c] = acc[c];
-    }
-}
-
-#ifdef X86_DISPATCH
-__attribute__((target("avx2"))) static void
-stencil_rows_avx2(int32_t *y, int16_t *acc, struct padded_grid g)
-{
-    stencil_rows(y, acc, g);
-}
-#endif
 
 /* Cell (r, c) of a height x width grid, flattened row-major, sums
    w[t] * x[r + dr[t], c + dc[t]] over the taps t; on a wrapped grid the
@@ -304,13 +214,24 @@ stencil_matvec_u8(PyObject *self, PyObject *args)
     }
     Py_BEGIN_ALLOW_THREADS
     pad_grid(pad, x.buf, height, width, halo, wrapped);
-    struct padded_grid g = {pad, height, width, halo, n_taps, wrapped, dr, dc, weights.buf};
-#ifdef X86_DISPATCH
-    if (have_avx2)
-        stencil_rows_avx2(out.buf, acc, g);
-    else
-#endif
-        stencil_rows(out.buf, acc, g);
+    const int16_t *w = weights.buf;
+    int32_t *y = out.buf;
+    /* row r of y sums w[t] * padded row r + dr[t], shifted by dc[t], over
+       the taps whose row lands in the grid or, wrapped, wraps back into it */
+    for (Py_ssize_t r = 0; r < height; r++, y += width) {
+        memset(acc, 0, width * sizeof(int16_t));
+        for (Py_ssize_t t = 0; t < n_taps; t++) {
+            Py_ssize_t sr = r + dr[t];
+            if (sr < 0 || sr >= height) {
+                if (!wrapped)
+                    continue;
+                sr += sr < 0 ? height : -height;
+            }
+            add_tap(acc, pad + sr * stride + halo + dc[t], w[t], width);
+        }
+        for (Py_ssize_t c = 0; c < width; c++)
+            y[c] = acc[c];
+    }
     Py_END_ALLOW_THREADS
     result = Py_None;
     Py_INCREF(result);
@@ -326,14 +247,14 @@ done:
     return result;
 }
 
-/* out[i] = t[i * stride + k[i] - lo] for i from start on; returns the
+/* out[i] = t[i * stride + k[i] - lo] for i < n; returns the
    first index whose key lies outside [lo, lo + width) or hits a 255 entry,
    else -1.  Arguments by value, so the uint8 stores cannot alias them. */
 static Py_ssize_t
 lookup_scalar(const int32_t *restrict k, const uint8_t *restrict t, uint8_t *restrict y,
-              Py_ssize_t start, Py_ssize_t n, uint64_t lo, uint64_t width, Py_ssize_t stride)
+              Py_ssize_t n, uint64_t lo, uint64_t width, Py_ssize_t stride)
 {
-    for (Py_ssize_t i = start; i < n; i++) {
+    for (Py_ssize_t i = 0; i < n; i++) {
         /* modulo 2^64 a key below lo wraps above every width, so one
            unsigned compare checks both ends of the range */
         uint64_t j = (uint64_t)(int64_t)k[i] - lo;
@@ -347,43 +268,6 @@ lookup_scalar(const int32_t *restrict k, const uint8_t *restrict t, uint8_t *res
     return -1;
 }
 
-#ifdef X86_DISPATCH
-/* The lookup in one table of 1 to 32 entries, 16 keys at a time, while
-   every key of the 16 finds an entry; returns how many keys it looked up.
-   The caller guarantees that lo and lo + width - 1 are int32, so that
-   modulo 2^32 a key below lo wraps above width - 1: one unsigned compare of
-   k - lo in int32 lanes then checks the range as lookup_scalar's does. */
-__attribute__((target("sse4.1"))) static Py_ssize_t
-lookup_shuffle(const int32_t *k, const uint8_t *t, uint8_t *y, Py_ssize_t n,
-               int32_t lo, int width)
-{
-    uint8_t padded[32];
-    memset(padded, 255, sizeof padded);
-    memcpy(padded, t, width);
-    const __m128i low = _mm_loadu_si128((const __m128i *)padded);
-    const __m128i high = _mm_loadu_si128((const __m128i *)(padded + 16));
-    const __m128i base = _mm_set1_epi32(lo), top = _mm_set1_epi32(width - 1);
-    const __m128i fifteen = _mm_set1_epi8(15), hole = _mm_set1_epi8((char)255);
-    Py_ssize_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        __m128i j[4], ok = _mm_set1_epi32(-1);
-        for (int q = 0; q < 4; q++) {
-            j[q] = _mm_sub_epi32(_mm_loadu_si128((const __m128i *)(k + i + 4 * q)), base);
-            ok = _mm_and_si128(ok, _mm_cmpeq_epi32(_mm_max_epu32(j[q], top), top));
-        }
-        /* in range, each j is below 32 and survives the saturating packs */
-        __m128i idx = _mm_packus_epi16(_mm_packs_epi32(j[0], j[1]),
-                                       _mm_packs_epi32(j[2], j[3]));
-        __m128i v = _mm_blendv_epi8(_mm_shuffle_epi8(low, idx), _mm_shuffle_epi8(high, idx),
-                                    _mm_cmpgt_epi8(idx, fifteen));
-        if (!_mm_test_all_ones(ok) || _mm_movemask_epi8(_mm_cmpeq_epi8(v, hole)))
-            break;
-        _mm_storeu_si128((__m128i *)(y + i), v);
-    }
-    return i;
-}
-#endif
-
 static PyObject *
 table_lookup(PyObject *self, PyObject *args)
 {
@@ -393,18 +277,10 @@ table_lookup(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "y*y*Lnnw*:table_lookup",
                           &keys, &table, &lo, &width, &stride, &out))
         return NULL;
-    Py_ssize_t n = keys.len / (Py_ssize_t)sizeof(int32_t), done = 0, bad;
+    Py_ssize_t n = keys.len / (Py_ssize_t)sizeof(int32_t), bad;
 
     Py_BEGIN_ALLOW_THREADS
-#ifdef X86_DISPATCH
-    if (have_sse41 && stride == 0 && 1 <= width && width <= 32 && lo >= INT32_MIN
-        && lo <= INT32_MAX - (width - 1))
-        done = lookup_shuffle(keys.buf, table.buf, out.buf, n, (int32_t)lo, (int)width);
-#endif
-    /* the keys after the last full block, or a block with a miss, rescanned
-       for the first bad index */
-    bad = lookup_scalar(keys.buf, table.buf, out.buf, done, n, (uint64_t)lo,
-                        (uint64_t)width, stride);
+    bad = lookup_scalar(keys.buf, table.buf, out.buf, n, (uint64_t)lo, (uint64_t)width, stride);
     Py_END_ALLOW_THREADS
 
     PyBuffer_Release(&keys);
@@ -419,6 +295,14 @@ table_lookup(PyObject *self, PyObject *args)
    [0, LANE_KEYS), and indexes the table, which the caller guarantees has a
    next state for every key that can occur. */
 #define LANE_KEYS 32
+
+/* Bodies that an AVX2 version or a fixed width inlines, so that they are
+   compiled for it. */
+#ifdef X86_DISPATCH
+#define INLINED static inline __attribute__((always_inline))
+#else
+#define INLINED static inline
+#endif
 
 /* One grid row of the next state, columns start to n: the keys summed in
    y, then looked up in place through the table padded to 256 entries with
@@ -729,10 +613,9 @@ static PyMethodDef methods[] = {
      "csr_matvec(data, indices, indptr, x, out): out = A @ x for a float64 "
      "CSR matrix, each row summed in order."},
     {"csr_matvec_u8", csr_matvec_u8, METH_VARARGS,
-     "csr_matvec_u8(data, indices, indptr, x, out, width): out = A @ x in "
-     "int32 for int32 weights and column indices and a uint8 vector; a "
-     "width from 1 to 9 is the length of every row and runs that width's "
-     "unrolled loop, any other width the CSR loop."},
+     "csr_matvec_u8(data, indices, indptr, x, out): out = A @ x in int32 for "
+     "int32 weights and column indices and a uint8 vector, each row summed "
+     "over its row pointers."},
     {"stencil_matvec_u8", stencil_matvec_u8, METH_VARARGS,
      "stencil_matvec_u8(x, out, height, width, wrapped, dr, dc, w): out = A @ x "
      "in int32 for the matrix of a stencil on a height x width grid, whose tap "
@@ -775,7 +658,6 @@ PyInit__ckernels(void)
 #ifdef X86_DISPATCH
     __builtin_cpu_init();
     have_avx2 = __builtin_cpu_supports("avx2");
-    have_sse41 = __builtin_cpu_supports("sse4.1");
 #endif
     if (m != NULL && PyModule_AddIntConstant(m, "VERSION", KERNELS_VERSION) < 0) {
         Py_DECREF(m);

@@ -18,17 +18,17 @@ A lattice automaton's matrix carries the taps of its stencil from
 construction, and its arrays are read-only, so the taps stay its exact
 description: it runs a kernel over them that reads no column index.  A
 two-state automaton on such a matrix also runs whole steps in one kernel,
-``_stencil_steps_u8``, which ``DynamicalSystem.run`` calls for many steps
-at a time: the stencil sum and the table lookup in byte lanes, with no key
-vector between them, and no key checked: ``run`` calls it only when every
-key that cells of 0 or 1 can produce has a next state.  A two-state
-network whose rows all hold W weights runs whole steps in
+``_stencil_steps_u8``, which ``DynamicalSystem.step`` calls for one step
+and ``run`` for many: the stencil sum and the table lookup in byte lanes,
+with no key vector between them, and no key checked: it is called only
+when every key that cells of 0 or 1 can produce has a next state.  A
+two-state network whose rows all hold W weights runs whole steps in
 ``_network_steps_u8``, after ``_fold_tables`` has folded each node's
 weights into its table, one entry per pattern of its W inputs, once for
 a system's matrix and rule: the steps read no weight and make no key.
-On x86 the extension picks, once at import from the CPU's features, AVX2
-builds of the stencil and of the fused steps and an SSE4.1 lookup for
-tables of at most 32 entries shared by every cell: the same bytes, faster.
+On x86 with AVX2 the extension runs the fused lattice steps in vector
+registers, picked once at import: the same bytes, faster.  The integer
+matvecs and the lookup are plain loops.
 """
 
 import importlib
@@ -39,7 +39,7 @@ import numpy as np
 from . import _kernels_py
 
 # the interface of _ckernels.c that this module calls
-_KERNELS_VERSION = 7
+_KERNELS_VERSION = 8
 
 
 def _import_compiled():
@@ -128,11 +128,10 @@ def _row_width(indptr):
     return int(lengths[0])
 
 
-def _csr_matvec_u8(data, indices, indptr, x, width):
+def _csr_matvec_u8(data, indices, indptr, x):
     """y = A @ x in int32 for int32 weights, int32 column indices that lie
-    inside x, a uint8 vector and the ``width`` that ``_row_width(indptr)``
-    gives; the caller guarantees that no row's sum of |weight| * 255
-    reaches 2**31, so the product is exact."""
+    inside x and a uint8 vector; the caller guarantees that no row's sum of
+    |weight| * 255 reaches 2**31, so the product is exact."""
     if BACKEND != "c":
         return _kernels_py.csr_matvec(data, indices, indptr, x, np.int32)
     _require(data, _I32, "data")
@@ -140,10 +139,8 @@ def _csr_matvec_u8(data, indices, indptr, x, width):
     _require(indptr, _I64, "indptr")
     _require(x, _U8, "x")
     _require_span(data, indices, indptr)
-    if width and width * (len(indptr) - 1) != len(data):
-        raise ValueError(f"rows of width {width} do not span data")
     out = np.empty(len(indptr) - 1, dtype=np.int32)
-    _ckernels.csr_matvec_u8(data, indices, indptr, x, out, width)
+    _ckernels.csr_matvec_u8(data, indices, indptr, x, out)
     return out
 
 

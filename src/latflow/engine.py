@@ -7,16 +7,16 @@ diffusively coupled lattices come out right.  There is no bias term and no
 per-step external input.
 
 A lookup-table rule with a uint8 table keeps its state as uint8, so each
-step is an integer matvec and an integer-keyed lookup.  Such a system
-records its history as bytes too, and saves it as bytes (the LFST layout
-``LFS8``); ``StateHistory.states`` and the state are float64 all the same,
-made from the bytes when they are read.
+step is an integer matvec and an integer-keyed lookup, or a fused kernel
+(below).  Such a system records its history as bytes too, and saves it as
+bytes (the LFST layout ``LFS8``); ``StateHistory.states`` and the state
+are float64 all the same, made from the bytes when they are read.
 
-``step()`` is always ``apply_rule(rule, matrix.matvec(state))``, and
-``run()`` advances by it, except for two-state systems under the compiled
-backend whose class keeps ``DynamicalSystem.step``, whose state holds only
-0 and 1 and whose rule is a ``TableRule`` of 2 states.  Those make one C
-call for many steps, with the same states, in one of two lanes:
+A step is ``apply_rule(rule, matrix.matvec(state))``, except that under
+the compiled backend a two-state system whose class keeps
+``DynamicalSystem.step``, whose state holds only 0 and 1 and whose rule is
+a ``TableRule`` of 2 states makes one C call per ``step()`` and one per
+many steps of ``run()``, with the same states, in one of two lanes:
 
 - a lattice automaton, whose matrix has a stencil view, with a 1-D table:
   the stencil sum and the lookup fused in byte lanes, when every key that
@@ -29,8 +29,8 @@ call for many steps, with the same states, in one of two lanes:
 
 This is decided from ``matrix`` and ``rule``, and decided again when
 either is assigned or the rule's ``lo`` changes, so a table with a
-reachable hole runs ``step()``, which raises on it.  A subclass or
-wrapper that replaces ``step`` is called once per step.
+reachable hole takes the matvec and the lookup, which raise on it.  A
+subclass or wrapper that replaces ``step`` is called once per step.
 """
 
 import operator
@@ -253,8 +253,10 @@ class DynamicalSystem:
 
     def step(self):
         """Advance one synchronous step."""
-        rule = self.rule
-        if rule.n_states is None and rule.order == MAP_THEN_MIX:
+        rule, lane = self.rule, self._fused_lane()
+        if lane is not None:
+            self._state = lane[0](self._state, 1, None, *lane[1])
+        elif rule.n_states is None and rule.order == MAP_THEN_MIX:
             self._state = self.matrix.matvec(rule.map_values(self._state))
         else:
             self._state = apply_rule(rule, self.matrix.matvec(self._state))
@@ -269,12 +271,11 @@ class DynamicalSystem:
         engine's own ``step``, is recorded as bytes; the history's
         ``states`` are float64 all the same.
 
-        Each step is ``step()``, except that under the compiled backend a
-        two-state lattice automaton or fixed-width network (see the module
-        docstring) whose class keeps ``DynamicalSystem.step`` runs many
-        steps per call of a fused kernel, with the same states; a reachable
-        hole is left to ``step()``, which raises on it.  A subclass or
-        wrapper that replaces ``step`` is called once per step.
+        Each step is ``step()``, except that a system with a fused kernel
+        (see the module docstring) runs many steps per call of it, with the
+        same states.  A subclass or wrapper that replaces ``step`` is
+        called once per step.  A history too large to allocate raises
+        BadStateValue before any step.
         """
         try:
             steps = operator.index(steps)
@@ -287,7 +288,10 @@ class DynamicalSystem:
             # every step of such a system gives a uint8 state
             byte = (self._state.dtype == np.uint8 and type(self).step is _STEP
                     and isinstance(self.rule, TableRule) and self.rule._table8 is not None)
-            rows = np.empty((steps + 1, self.n), dtype=np.uint8 if byte else np.float64)
+            try:
+                rows = np.empty((steps + 1, self.n), dtype=np.uint8 if byte else np.float64)
+            except (ValueError, MemoryError):  # numpy refuses the size, or malloc does
+                raise BadStateValue(f"no memory to record {steps} steps") from None
             rows[0] = self._state
         lane = self._fused_lane()
         if lane is not None:
@@ -308,8 +312,8 @@ class DynamicalSystem:
 
     def _fused_lane(self):
         """``(kernel, args)``, a fused kernel and its arguments after the
-        state, the step count and the history, or None when ``run`` must
-        call ``step()``."""
+        state, the step count and the history, or None when the system
+        steps by the matvec and the lookup."""
         if backend.BACKEND != "c" or type(self).step is not _STEP:
             return None
         x, matrix, rule = self._state, self.matrix, self.rule
@@ -382,5 +386,5 @@ def _network_lane(matrix, rule):
     return backend._network_steps_u8, (indices, width, folded)
 
 
-# run() takes the fused kernel only while a system's step is this one
+# step() and run() take the fused kernel only while a system's step is this one
 _STEP = DynamicalSystem.step

@@ -7,11 +7,10 @@ Every duplicate coordinate is an error because the lattice generators
 never legitimately produce one, and accumulating silently would hide
 generator bugs.  Weights are stored as float64.  A matrix of small integer
 weights, as every lookup-table system has, also keeps an int32 copy of its
-weights and column indices, made on its first uint8 matvec, so that
+weights and column indices, made when first needed, so that
 discrete states are mixed in exact integer arithmetic at a fraction of the
 memory traffic.  With the copy it keeps the common length of its rows,
-which lets the compiled kernel run a fully unrolled loop without row
-pointers.
+which the fused steps of a two-state network need.
 
 A matrix that a lattice generator built from a stencil of small integer
 weights carries, from its construction, a stencil view of the stencil's
@@ -190,8 +189,7 @@ class SparseMatrix:
                 return backend._stencil_matvec_u8(v, *self._stencil)
             view = self._cached_int32_view()
             if view:
-                data, indices, width = view
-                return backend._csr_matvec_u8(data, indices, self.indptr, v, width)
+                return backend._csr_matvec_u8(view[0], view[1], self.indptr, v)
             v = v.astype(np.float64)
         return backend._csr_matvec(self.data, self.indices, self.indptr, v)
 

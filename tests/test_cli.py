@@ -200,6 +200,13 @@ def test_malformed_run_config_exits_3(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_run_of_a_history_too_large_to_allocate_exits_3(tmp_path, capsys):
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"system = elementary_ca\nwidth = 64\nrule = 30\nsteps = {2**52}\n")
+    assert run_cli("run", "--config", conf) == 3
+    assert capsys.readouterr().err.startswith("error: no memory to record")
+
+
 def test_run_missing_file_exits_3(tmp_path, capsys):
     assert run_cli("run", "--config", tmp_path / "nope.conf") == 3
     assert "error" in capsys.readouterr().err

@@ -99,6 +99,18 @@ def test_run_without_record_returns_none():
     assert system.t == 3
 
 
+# 2**62 rows numpy refuses to size; 2**52 rows of 64 bytes or more exceed any
+# address space, so malloc refuses them whatever the host overcommits
+@pytest.mark.parametrize("steps", [2**62, 2**52])
+@pytest.mark.parametrize("rule", [elementary_rule(30), ContinuousMap("tanh")],
+                         ids=["bytes", "float64"])
+def test_a_history_too_large_to_allocate_raises_before_any_step(steps, rule):
+    system = DynamicalSystem(elementary_ca(64, 30).matrix, rule, np.zeros(64))
+    with pytest.raises(BadStateValue, match="no memory to record"):
+        system.run(steps, record=True)
+    assert system.t == 0
+
+
 def test_set_state_resets_step_counter():
     system = elementary_ca(8, 110)
     system.run(5)

@@ -129,19 +129,21 @@ def test_kernel_handles_leading_and_trailing_empty_rows():
 
 
 def test_a_build_of_another_kernel_version_counts_as_absent(monkeypatch):
-    # a build of older source has csr_matvec_u8 but not its width argument
+    # a build of older source has csr_matvec_u8 with the row width argument
+    # that version 8 dropped
     stale = types.ModuleType("latflow._ckernels")
-    stale.csr_matvec_u8 = lambda data, indices, indptr, x, out: None
+    stale.csr_matvec_u8 = lambda data, indices, indptr, x, out, width: None
     monkeypatch.setitem(sys.modules, "latflow._ckernels", stale)
     assert backend._import_compiled() is None
     # builds of version 3 exist with another interface, so the stencil
     # kernels came with version 4, builds of 4 lack the fused lattice
-    # kernel of version 5, builds of 5 the fused network kernel of 6, and
-    # builds of 6 write float64 history rows where 7 writes bytes
-    for version in (2, 3, 4, 5, 6):
+    # kernel of version 5, builds of 5 the fused network kernel of 6,
+    # builds of 6 write float64 history rows where 7 writes bytes, and
+    # builds of 7 take a row width in csr_matvec_u8, which 8 is not passed
+    for version in (2, 3, 4, 5, 6, 7):
         stale.VERSION = version
         assert backend._import_compiled() is None
-    stale.VERSION = 7
+    stale.VERSION = 8
     assert backend._import_compiled() is stale
     if backend.compiled_available():
         monkeypatch.delitem(sys.modules, "latflow._ckernels")
@@ -351,8 +353,8 @@ def misses(lo, width, key):
 
 @pytest.mark.parametrize("width", range(1, 34))
 def test_count_table_lookup_at_every_width_matches_the_dict_oracle(monkeypatch, width):
-    # 1-D tables of at most 32 entries whose keys are int32 from lo to
-    # lo + width - 1 take the byte-shuffle lookup on CPUs with SSE4.1; the
+    # 1-D tables of 1 to 33 entries whose keys are int32 from lo to
+    # lo + width - 1, against the compiled loop's one unsigned compare; the
     # last two starts put a key past INT32_MAX and wrap modulo 2**32
     rng = np.random.default_rng(width)
     values = rng.integers(0, 3, width)
@@ -393,13 +395,13 @@ def test_compiled_wrappers_reject_wrong_buffers(monkeypatch, rng):
     d32, i32 = m.data.astype(np.int32), m.indices.astype(np.int32)
     x8 = np.zeros(12, dtype=np.uint8)
     with pytest.raises(ValueError):
-        backend._csr_matvec_u8(m.data, i32, m.indptr, x8[:6], 0)  # float64 weights
+        backend._csr_matvec_u8(m.data, i32, m.indptr, x8[:6])  # float64 weights
     with pytest.raises(ValueError):
-        backend._csr_matvec_u8(d32, m.indices, m.indptr, x8[:6], 0)  # int64 indices
+        backend._csr_matvec_u8(d32, m.indices, m.indptr, x8[:6])  # int64 indices
     with pytest.raises(ValueError):
-        backend._csr_matvec_u8(d32, i32, m.indptr, x8[::2], 0)  # strided
+        backend._csr_matvec_u8(d32, i32, m.indptr, x8[::2])  # strided
     with pytest.raises(ValueError):
-        backend._csr_matvec_u8(d32[:-1], i32[:-1], m.indptr, x8[:6], 0)
+        backend._csr_matvec_u8(d32[:-1], i32[:-1], m.indptr, x8[:6])
     with pytest.raises(ValueError):
         backend.table_lookup(np.zeros(2, dtype=np.int32), np.zeros(8, dtype=np.int64), 0)
 
@@ -424,7 +426,7 @@ def test_public_matvec_wrappers_check_columns_on_both_backends(column):
             wrapper(np.ones(1), np.array([column]), indptr, np.ones(2))
 
 
-# -- the integer matvec: fixed-width unrolled rows and the CSR loop ---------
+# -- the integer matvec over row pointers ------------------------------------
 
 
 def rows_of_lengths(rng, lengths, n_cols=40):
@@ -438,16 +440,12 @@ def rows_of_lengths(rng, lengths, n_cols=40):
     return SparseMatrix.from_coo(len(lengths), n_cols, rows, cols, vals)
 
 
-def widths_passed(monkeypatch):
-    """The width of every call into the compiled integer kernel."""
-    real, widths = backend._ckernels.csr_matvec_u8, []
-
-    def recording(*args):
-        widths.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(backend._ckernels, "csr_matvec_u8", recording)
-    return widths
+def compiled_u8_calls(monkeypatch):
+    """The list that gets one entry per call of the compiled integer kernel."""
+    real, calls = backend._ckernels.csr_matvec_u8, []
+    monkeypatch.setattr(backend._ckernels, "csr_matvec_u8",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
 
 
 def u8_products_agree(monkeypatch, m, x):
@@ -480,11 +478,11 @@ def test_u8_matvec_matches_the_float_product_on_every_row_shape(monkeypatch, rng
     lengths = LENGTH_CASES[case]
     m = rows_of_lengths(rng, lengths)
     x = rng.integers(0, 256, m.n_cols).astype(np.uint8)
-    widths = widths_passed(monkeypatch) if backend.compiled_available() else []
+    calls = compiled_u8_calls(monkeypatch) if backend.compiled_available() else []
     width = lengths[0] if len(set(lengths)) == 1 else 0
     assert u8_products_agree(monkeypatch, m, x) == width
-    # SparseMatrix.matvec passes the kernel the width it found once
-    assert set(widths) == ({width} if backend.compiled_available() else set())
+    # the product under the compiled backend is the C loop's
+    assert len(calls) == backend.compiled_available()
 
 
 def test_u8_matvec_on_life_wrapped_and_unwrapped(monkeypatch, rng):
@@ -492,18 +490,6 @@ def test_u8_matvec_on_life_wrapped_and_unwrapped(monkeypatch, rng):
         m = game_of_life(13, 11, wrapped).matrix
         x = rng.integers(0, 2, m.n_cols).astype(np.uint8)
         assert u8_products_agree(monkeypatch, m, x) == width
-
-
-@needs_compiled
-def test_a_width_that_does_not_span_the_entries_is_refused(monkeypatch, rng):
-    # the unrolled loop would read past the entries
-    monkeypatch.setattr(backend, "BACKEND", "c")
-    m = rows_of_lengths(rng, [3, 0, 9, 1, 4])
-    data, indices, _ = m._int32_view()
-    x = rng.integers(0, 256, m.n_cols).astype(np.uint8)
-    for width in (2, 5, 9, -1):
-        with pytest.raises(ValueError, match="do not span"):
-            backend._csr_matvec_u8(data, indices, m.indptr, x, width)
 
 
 # -- the stencil matvec of lattice matrices ----------------------------------

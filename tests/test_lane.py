@@ -304,8 +304,8 @@ def test_integer_step_counts_of_any_integer_type_run(steps):
 needs_compiled = pytest.mark.skipif("c" not in BACKENDS, reason="the extension is not built")
 
 
-def stepped(system, steps):
-    """The history of ``steps`` calls of system.step(), the per-step path."""
+def step_loop(system, steps):
+    """The history of ``steps`` calls of system.step()."""
     rows = [system.state]
     for _ in range(steps):
         system.step()
@@ -313,10 +313,20 @@ def stepped(system, steps):
     return np.array(rows)
 
 
+def stepped(system, steps):
+    """step_loop under the numpy backend, whose step is the matvec and the
+    lookup: a reference that no fused kernel takes part in."""
+    which, backend.BACKEND = backend.BACKEND, "python"
+    try:
+        return step_loop(system, steps)
+    finally:
+        backend.BACKEND = which
+
+
 def assert_fused_matches_per_step(monkeypatch, make, steps):
-    """run() on each backend, and run() without a history, give the bytes,
-    final state and t of step() called in a loop; under the compiled
-    backend run() takes the fused kernel."""
+    """run() and a loop of step() on each backend, and run() without a
+    history, give the bytes, final state and t of the numpy per-step path;
+    under the compiled backend both take the fused kernel."""
     want = stepped(make(), steps)
     for which in BACKENDS:
         monkeypatch.setattr(backend, "BACKEND", which)
@@ -324,6 +334,7 @@ def assert_fused_matches_per_step(monkeypatch, make, steps):
         assert (system._fused_lane() is not None) == (which == "c")
         history = system.run(steps, record=True)
         assert history.states.tobytes() == want.tobytes(), which
+        assert step_loop(make(), steps).tobytes() == want.tobytes(), which
         assert system._state.dtype == np.uint8 and system.t == steps
         again = make()
         assert again.run(steps) is None
@@ -432,6 +443,34 @@ def test_a_hole_hit_in_a_fused_run_raises_as_the_per_step_path(monkeypatch, chun
         assert system.state.tobytes() == want.state.tobytes()
 
 
+def three_state_count(width):
+    """A three-state count rule on a wrapped ring from one cell of 1, whose
+    key 9, both neighbors 2 around a cell of 1, is a hole first reached at
+    step 17."""
+    matrix = generate_ca_1d(GridSpec(width), NeighborhoodSpec1D((1, 5, 1), 1))
+    table = (np.arange(15) * 7 + 1) % 3
+    table[9] = -1
+    init = np.zeros(width)
+    init[0] = 1
+    return DynamicalSystem(matrix, TableRule(table, n_states=3, center_weight=5), init)
+
+
+@pytest.mark.parametrize("make, t", [(lambda: growing_block(31), 29),
+                                     (lambda: three_state_count(31), 17)],
+                         ids=["reachable hole", "three states"])
+def test_a_step_loop_without_a_lane_raises_as_the_numpy_path(monkeypatch, make, t):
+    outcomes = []
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        system = make()
+        assert system._fused_lane() is None
+        with pytest.raises(KeyOutOfTable) as info:
+            step_loop(system, 40)
+        outcomes.append((str(info.value), system.t, system.state.tobytes()))
+    assert outcomes[0][1] == t
+    assert outcomes == outcomes[:1] * len(BACKENDS)
+
+
 @needs_compiled
 def test_the_fused_kernel_is_called_in_chunks(monkeypatch):
     from latflow import engine
@@ -469,17 +508,31 @@ def test_run_calls_an_overriding_step_once_per_step(monkeypatch):
 
 
 def test_run_calls_a_step_wrapped_on_the_class_once_per_step(monkeypatch):
-    # as a tracer that replaces DynamicalSystem.step does
+    # as a tracer that replaces DynamicalSystem.step, SparseMatrix.matvec and
+    # the engine's apply_rule does: the step it wraps takes no fused kernel,
+    # so each step has a matvec and a lookup for the tracer to time
+    from latflow import engine
+
     calls = []
-    step = DynamicalSystem.step
+    step, matvec, apply = DynamicalSystem.step, SparseMatrix.matvec, engine.apply_rule
 
     def wrapped(self):
         calls.append(self.t)
         return step(self)
 
     monkeypatch.setattr(DynamicalSystem, "step", wrapped)
-    game_of_life(16, 16, True, init_bits(256, 4)).run(6)
-    assert calls == [0, 1, 2, 3, 4, 5]
+    monkeypatch.setattr(SparseMatrix, "matvec",
+                        lambda self, v: calls.append("matvec") or matvec(self, v))
+    monkeypatch.setattr(engine, "apply_rule",
+                        lambda rule, pre: calls.append("apply_rule") or apply(rule, pre))
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        for system in (game_of_life(16, 16, True, init_bits(256, 4)),
+                       random_boolean_network(300, 2, 3, init_bits(300, 4))):
+            calls.clear()
+            system.run(6)
+            system.step()
+            assert calls == [x for t in range(7) for x in (t, "matvec", "apply_rule")], which
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -760,6 +813,41 @@ def test_a_loop_of_single_step_runs_folds_the_tables_once(monkeypatch):
     assert len(calls) == 1
     want = stepped(random_boolean_network(100000, 2, 7, init), 6)
     assert system.state.tobytes() == want[-1].tobytes() and system.t == 6
+
+
+def fused_calls(monkeypatch):
+    """The list that gets (kernel name, step count) per call of a fused
+    kernel of the backend."""
+    calls = []
+    for name in ("_stencil_steps_u8", "_network_steps_u8"):
+        kernel = getattr(backend, name)
+        monkeypatch.setattr(backend, name, lambda x, steps, *args, name=name, kernel=kernel:
+                            calls.append((name, steps)) or kernel(x, steps, *args))
+    return calls
+
+
+@needs_compiled
+def test_a_loop_of_steps_calls_the_fused_kernel_one_step_a_call(monkeypatch):
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    calls, folds = fused_calls(monkeypatch), count_folds(monkeypatch)
+    rbn = random_boolean_network(500, 3, 4, init_bits(500, 2))
+    cases = (
+        (game_of_life(24, 17, True, init_bits(24 * 17, 1)), "_stencil_steps_u8",
+         lambda s: oracles.life_step(s.reshape(17, 24)).reshape(-1)),
+        (elementary_ca(101, 30, True, init_bits(101, 3)), "_stencil_steps_u8",
+         lambda s: oracles.eca_step(s, 30)),
+        (rbn, "_network_steps_u8",
+         lambda s: oracles.rbn_step(s, rbn.node_inputs, rbn.rule.table)),
+    )
+    for system, kernel, oracle in cases:
+        calls.clear()
+        want = system.state
+        for t in range(1, 13):
+            system.step()
+            want = oracle(want)
+            assert system.state.tobytes() == want.tobytes() and system.t == t, kernel
+        assert calls == [(kernel, 1)] * 12
+    assert len(folds) == 1
 
 
 @needs_compiled
