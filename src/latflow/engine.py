@@ -253,7 +253,12 @@ class DynamicalSystem:
 
     def step(self):
         """Advance one synchronous step."""
-        rule, lane = self.rule, self._fused_lane()
+        return self._advance(self._fused_lane())
+
+    def _advance(self, lane):
+        """One step by the fused lane ``lane``, or by the matvec and the
+        lookup when it is None."""
+        rule = self.rule
         if lane is not None:
             self._state = lane[0](self._state, 1, None, *lane[1])
         elif rule.n_states is None and rule.order == MAP_THEN_MIX:
@@ -273,9 +278,10 @@ class DynamicalSystem:
 
         Each step is ``step()``, except that a system with a fused kernel
         (see the module docstring) runs many steps per call of it, with the
-        same states.  A subclass or wrapper that replaces ``step`` is
-        called once per step.  A history too large to allocate raises
-        BadStateValue before any step.
+        same states; whether it has one is decided once per call.  A
+        subclass or wrapper that replaces ``step`` is called once per step.
+        A history too large to allocate raises BadStateValue before any
+        step.
         """
         try:
             steps = operator.index(steps)
@@ -304,8 +310,10 @@ class DynamicalSystem:
                 self._state = kernel(self._state, m, history, *args)
                 self.t += m
         else:
+            # the engine's own step without asking for the lane again
+            step = self.step if type(self).step is not _STEP else lambda: self._advance(None)
             for k in range(steps):
-                self.step()
+                step()
                 if rows is not None:
                     rows[k + 1] = self._state
         return None if rows is None else StateHistory(rows)

@@ -1,11 +1,11 @@
 """Procedural adjacency-matrix generation for lattices and random digraphs.
 
-The 1D and 2D lattice generators loop over the stencil offsets, not over the
-cells: each nonzero stencil weight contributes one block of entries, the
-weight at the shifted index of every cell.  On a wrapped grid the shifted
-indices are reduced modulo the grid size, so the first and last cells become
-neighbors; on an unwrapped grid the out-of-range ones are masked out (no
-padding, no ghost cells).
+The 1D and 2D lattice generators write the CSR arrays directly, with no
+loop over the cells or the stencil offsets: a cell's columns are the sum of
+a grid row's and a grid column's shifted indices, one per nonzero stencil
+weight.  On a wrapped grid the shifted indices are reduced modulo the grid
+size, so the first and last cells become neighbors; on an unwrapped grid
+the out-of-range ones are masked out (no padding, no ghost cells).
 
 Cells of a 2D grid are flattened row-major: cell (r, c) has index
 r * width + c, and a stencil offset (dr, dc) relative to the center targets
@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentTooSmall, DegreeTooLarge, StencilWiderThanGrid, check_seed
+from .errors import (
+    ArgumentTooSmall,
+    DegreeTooLarge,
+    IndexOutOfBounds,
+    NonFiniteWeight,
+    StencilWiderThanGrid,
+    check_seed,
+)
 from .sparse import SparseMatrix
 
 
@@ -117,8 +124,16 @@ def generate_ca_2d(grid, nb):
 
 
 def _stencil_matrix(grid, weights, center):
-    """One block of entries per nonzero weight, a tap, of a 2D stencil that
-    fits the grid, so no two blocks share a (row, col) even when wrapped.
+    """The CSR matrix of a 2D stencil that fits the grid: row i holds each
+    nonzero weight, a tap, at the cell that the tap shifts cell i to, when
+    that cell is on the grid (always, when wrapped).  Two taps of a
+    stencil no larger than the grid never shift a cell to the same cell,
+    even wrapped (generate_ca_2d raises StencilWiderThanGrid otherwise), so
+    no row holds a column twice.  Taps come in (dr, dc) order, which is
+    column order in every row whose taps neither wrap nor leave the grid;
+    only the rows of the wrapped border are sorted.  A weight that is not
+    finite raises NonFiniteWeight, and a grid whose entries cannot be
+    allocated IndexOutOfBounds.
 
     When the weights are integers whose |w| sum to less than 2**15 / 255,
     so that int16 sums of uint8 states are exact, the matrix gets its
@@ -126,25 +141,43 @@ def _stencil_matrix(grid, weights, center):
     (dr, dc) from a cell to the cell it reads, in int32, and its weight, in
     int16.  The view is built from the same taps as the entries, and the
     entries are read-only, so the two always agree."""
-    height, width = grid.height, grid.width
-    cells = np.arange(grid.n_cells)
-    r, c = np.divmod(cells, width)
+    height, width, n = grid.height, grid.width, grid.n_cells
     sr, sc = np.nonzero(weights)
     dr, dc, w = sr - center[0], sc - center[1], weights[sr, sc]
-    rows, cols, vals = [], [], []
-    for tap_dr, tap_dc, tap_w in zip(dr, dc, w):
-        tr, tc = r + tap_dr, c + tap_dc
+    taps = len(w)
+    if not np.all(np.isfinite(w)):
+        bad = int(np.argmin(np.isfinite(w)))
+        raise NonFiniteWeight(
+            f"non-finite weight {w[bad]} at stencil entry ({sr[bad]}, {sc[bad]})")
+    try:
+        # the (n, taps) columns first, so a grid too large fails before the rest
+        indices = np.empty(n * taps, dtype=np.int64)
+        tr, tc = np.arange(height)[:, None] + dr, np.arange(width)[:, None] + dc
+        off_r, off_c = (tr < 0) | (tr >= height), (tc < 0) | (tc >= width)
         if grid.wrapped:
-            tr, tc, keep = tr % height, tc % width, slice(None)
+            tr, tc = tr % height, tc % width
+        else:  # a tap off the grid gets a column >= n
+            tr, tc = np.where(off_r, height, tr), np.where(off_c, n, tc)
+        np.add((tr * width)[:, None], tc, out=indices.reshape(height, width, taps))
+        block = indices.reshape(n, taps)
+        if grid.wrapped:
+            data = np.tile(w, n)
+            wraps = np.flatnonzero(off_r.any(1)[:, None] | off_c.any(1))
+            edge = block[wraps]
+            order = np.argsort(edge, axis=1)
+            block[wraps] = np.take_along_axis(edge, order, axis=1)
+            data.reshape(n, taps)[wraps] = w[order]
+            indptr = np.arange(0, n * taps + 1, taps)
         else:
-            keep = (tr >= 0) & (tr < height) & (tc >= 0) & (tc < width)
-        rows.append(cells[keep])
-        cols.append((tr * width + tc)[keep])
-        vals.append(np.full(len(rows[-1]), tap_w))
-    m = SparseMatrix.from_coo(
-        grid.n_cells, grid.n_cells, np.concatenate(rows), np.concatenate(cols),
-        np.concatenate(vals),
-    )
+            keep = block < n
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(keep.sum(1), out=indptr[1:])
+            indices, data = block[keep], np.broadcast_to(w, (n, taps))[keep]
+    except (ValueError, MemoryError):  # numpy refuses the size, or malloc does
+        raise IndexOutOfBounds(
+            f"no memory for the {taps} taps of a {height}x{width} grid"
+        ) from None
+    m = SparseMatrix(n, n, indptr, indices, data)
     if np.array_equal(w, np.rint(w)) and np.abs(w).sum() * 255 < 2**15:
         m._stencil = (height, width, grid.wrapped, dr.astype(np.int32), dc.astype(np.int32),
                       w.astype(np.int16))

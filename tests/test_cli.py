@@ -76,6 +76,22 @@ def test_gen_ca1d_bad_stencil_weight_exits_3(tmp_path, capsys, stencil, bad):
     assert capsys.readouterr().err == f"error: bad value for stencil weight: {bad!r}\n"
 
 
+def test_gen_ca1d_non_finite_stencil_weight_exits_3(tmp_path, capsys):
+    code = run_cli("gen", "ca1d", "--width", 8, "--stencil", "1,nan,1", "--center", 1,
+                   "-o", tmp_path / "m.mtx")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: non-finite weight nan")
+
+
+def test_gen_ca1d_grid_too_large_to_build_exits_3(tmp_path, capsys):
+    # 2**54 cells of 3 taps: more bytes than any address space holds
+    code = run_cli("gen", "ca1d", "--width", 2**54, "--stencil", "1,1,1", "--center", 1,
+                   "-o", tmp_path / "m.mtx")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: no memory for the 3 taps")
+    assert not (tmp_path / "m.mtx").exists()
+
+
 def test_gen_rbn_and_esn(tmp_path, capsys):
     assert run_cli("gen", "rbn", "--nodes", 12, "--in-degree", 2,
                    "--seed", 5, "-o", tmp_path / "r.mtx") == 0

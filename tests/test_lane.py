@@ -507,6 +507,27 @@ def test_run_calls_an_overriding_step_once_per_step(monkeypatch):
                                                    9).tobytes()
 
 
+def test_run_asks_for_the_lane_once(monkeypatch):
+    # a system without a lane steps by the matvec and the lookup in run()
+    # without asking step by step whether it has one
+    calls, lane = [], DynamicalSystem._fused_lane
+    monkeypatch.setattr(DynamicalSystem, "_fused_lane",
+                        lambda self: calls.append(self.t) or lane(self))
+    three = np.random.default_rng(8).integers(0, 3, 64).astype(np.float64)
+    rule = TableRule(np.arange(27) % 3, n_states=3)
+    makes = (lambda: echo_state_network(40, 0.2, 0.9, 3),
+             lambda: DynamicalSystem(ring(64, [1, 3, 9]), rule, three))
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        for make in makes:
+            want = stepped(make(), 50)
+            system = make()
+            calls.clear()
+            history = system.run(50, record=True)
+            assert calls == [0], which
+            assert history.states.tobytes() == want.tobytes() and system.t == 50
+
+
 def test_run_calls_a_step_wrapped_on_the_class_once_per_step(monkeypatch):
     # as a tracer that replaces DynamicalSystem.step, SparseMatrix.matvec and
     # the engine's apply_rule does: the step it wraps takes no fused kernel,

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from latflow import topology
 from latflow.errors import (
     ArgumentTooSmall,
     DegreeTooLarge,
+    IndexOutOfBounds,
+    NonFiniteWeight,
     StencilWiderThanGrid,
 )
+from latflow.sparse import SparseMatrix
+from latflow.systems import elementary_ca, game_of_life
 from latflow.topology import (
     GridSpec,
     NeighborhoodSpec1D,
@@ -337,3 +344,96 @@ def test_ca_matches_dense_stencil_shift(height, width, weights, center, wrapped)
         # no explicit zeros, and rows stored in column order
         assert m.nnz == np.count_nonzero(want)
         assert all(np.all(np.diff(m.indices[a:b]) > 0) for a, b in zip(m.indptr, m.indptr[1:]))
+
+
+def _tap_triplets(height, width, weights, center, wrapped):
+    """(rows, cols, vals) of a stencil matrix, tap by tap and cell by cell."""
+    rows, cols, vals = [], [], []
+    for (sr, sc), w in np.ndenumerate(weights):
+        for r, c in np.ndindex(height, width):
+            tr, tc = r + sr - center[0], c + sc - center[1]
+            if wrapped:
+                tr, tc = tr % height, tc % width
+            if w != 0 and 0 <= tr < height and 0 <= tc < width:
+                rows.append(r * width + c)
+                cols.append(tr * width + tc)
+                vals.append(w)
+    return rows, cols, vals
+
+
+@st.composite
+def _lattices(draw):
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    sh, sw = draw(st.integers(1, height)), draw(st.integers(1, width))
+    weights = draw(arrays(np.float64, (sh, sw), elements=st.sampled_from(
+        [0.0, 0.0, 1.0, -1.0, 2.0, -3.0, 9.0, 0.5, -2.25, 200.0])))
+    if not weights.any():
+        weights[draw(st.integers(0, sh - 1)), draw(st.integers(0, sw - 1))] = 1.0
+    center = (draw(st.integers(0, sh - 1)), draw(st.integers(0, sw - 1)))
+    return height, width, weights, center, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattices())
+def test_lattice_csr_matches_the_sorted_triplets_array_for_array(lattice):
+    height, width, weights, center, wrapped = lattice
+    n = height * width
+    want = SparseMatrix.from_coo(n, n, *_tap_triplets(*lattice))
+    grid = GridSpec(width, height, wrapped)
+    ms = [generate_ca_2d(grid, NeighborhoodSpec2D(weights, center))]
+    if height == 1:
+        ms.append(generate_ca_1d(grid, NeighborhoodSpec1D(weights[0], center[1])))
+    taps = weights[np.nonzero(weights)]
+    view = None
+    if np.array_equal(taps, np.rint(taps)) and np.abs(taps).sum() * 255 < 2**15:
+        dr, dc = (np.nonzero(weights)[axis] - center[axis] for axis in (0, 1))
+        view = (height, width, wrapped, dr.astype(np.int32), dc.astype(np.int32),
+                taps.astype(np.int16))
+    for m in ms:
+        assert m.shape == (n, n)
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64), ("data", np.float64)):
+            got, expected = getattr(m, name), getattr(want, name)
+            assert got.dtype == dtype and got.tobytes() == expected.tobytes(), name
+            assert got.flags.c_contiguous and not got.flags.writeable, name
+        assert (m._stencil is None) == (view is None)
+        if view is not None:
+            assert m._stencil[:3] == view[:3]
+            for got, expected in zip(m._stencil[3:], view[3:]):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_lattice_generators_build_no_coordinate_list(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("from_coo called")
+
+    monkeypatch.setattr(SparseMatrix, "from_coo", classmethod(refuse))
+    # each cell of a 9x7 grid reads the cells of its 3x3 block on the grid
+    assert game_of_life(9, 7, True).matrix.nnz == 9 * 7 * 9
+    assert game_of_life(9, 7, False).matrix.nnz == (3 * 9 - 2) * (3 * 7 - 2)
+    assert elementary_ca(10, 30, True).matrix.nnz == 30
+    assert generate_ca_1d(GridSpec(10, 1, False), ECA).nnz == 28
+    assert generate_ca_2d(GridSpec(4, 5, False), VON_NEUMANN).nnz == 2 * 4 * 4 + 2 * 3 * 5
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generate_ca_2d(GridSpec(8, 8), NeighborhoodSpec2D([[1.0, np.inf]], (0, 0))),
+    lambda: generate_ca_2d(GridSpec(8, 8, False), NeighborhoodSpec2D([[1.0], [-np.inf]], (0, 0))),
+    lambda: generate_ca_1d(GridSpec(8), NeighborhoodSpec1D((1.0, np.nan, 1.0), 1)),
+], ids=["inf", "-inf unwrapped", "nan 1d"])
+def test_a_non_finite_stencil_weight_raises(build):
+    with pytest.raises(NonFiniteWeight, match="non-finite weight"):
+        build()
+
+
+# sizes that numpy refuses to size (more than 2**63 bytes, or cells past
+# int64) or that no address space holds (2**58 bytes and more): nothing is
+# allocated, under any overcommit policy
+@pytest.mark.parametrize("build", [
+    lambda: generate_ca_1d(GridSpec(2**62), ECA),
+    lambda: generate_ca_1d(GridSpec(2**54, 1, False), ECA),
+    lambda: game_of_life(2**26, 2**26),
+    lambda: generate_ca_2d(GridSpec(2**40, 2**40, False), VON_NEUMANN),
+], ids=["numpy refuses", "beyond the address space", "life", "cells past int64"])
+def test_a_grid_too_large_to_build_raises(build):
+    with pytest.raises(IndexOutOfBounds, match="no memory for the"):
+        build()
