@@ -1,6 +1,7 @@
 /* Compiled kernels: the CSR matvec, in float64 and in integers, the
- * stencil matvec of lattice automata, the integer-keyed table lookup, and
- * whole steps of two-state lattice automata and networks.  The fused steps
+ * stencil matvec of lattice automata, the integer-keyed table lookup,
+ * whole steps of two-state lattice automata and networks, and the line
+ * assembler and entry scanners of the text formats.  The fused steps
  * are the ones that DynamicalSystem.step and run take; the matvecs and the
  * lookup serve the systems that have no fused kernel, and are plain loops.
  *
@@ -35,6 +36,17 @@
  * each cell for its low bit, so a caller that breaks that guarantee gets
  * wrong states but no access out of bounds.
  *
+ * Three kernels serve the text formats.  assemble builds the lines of the
+ * Matrix Market and rule text writers from their fields, with the contract
+ * of _textcodec.assemble.  mm_entries reads Matrix Market entry lines into
+ * index and weight arrays, each weight by PyOS_string_to_double, the
+ * correctly rounded reader that numpy's loadtxt calls, so it keeps its
+ * bits.  node_lines reads the node lines of a per-node rule into the spans
+ * of their tables, indexed by node.  The two scanners take only the exact
+ * shape the writers emit and decline anything else, never reading past
+ * the text: the caller then runs the numpy path on the whole text, so
+ * every result and every error stays that path's.
+ *
  * Plain C over the buffer protocol, so the extension builds with nothing
  * but a C compiler.  The loops trust their buffers: latflow.backend checks
  * dtypes, contiguity and lengths before every call, and SparseMatrix
@@ -49,7 +61,9 @@
  *
  * Build with -ffp-contract=off: each float64 row is summed in order, one
  * rounded multiply and one rounded add per entry, never a fused
- * multiply-add.
+ * multiply-add.  And with -falign-loops=32: unaligned, the inner loop of
+ * csr_matvec_u8, the same instructions, ran 40% slower once code added
+ * before it had moved it across a 32-byte boundary.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -66,7 +80,7 @@ static int have_avx2;
 /* The interface version: latflow.backend uses the extension only when its
    VERSION equals the one it was written for, so a build of older source,
    whose functions take other arguments, counts as absent. */
-#define KERNELS_VERSION 8
+#define KERNELS_VERSION 9
 #define MAX_FIXED_WIDTH 9
 
 static PyObject *
@@ -608,6 +622,296 @@ done:
     return result;
 }
 
+/* -- text: line assembly and the entry scanners -------------------------- */
+
+static const uint64_t POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
+    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL, 10000000000000000000ULL,
+};
+
+static inline Py_ssize_t
+digit_count(uint64_t v)
+{
+    Py_ssize_t d = 1;
+    while (d < 20 && v >= POW10[d])
+        d++;
+    return d;
+}
+
+/* One field of assemble: the same bytes on every line, the decimal digits
+   of values[i], or pool[offsets[i] : offsets[i] + lengths[i]]. */
+typedef struct {
+    Py_buffer views[3];
+    int n_views;
+    const char *bytes;
+    Py_ssize_t len;
+    const int64_t *values, *offsets, *lengths;
+    const uint8_t *pool;
+} Field;
+
+static Py_ssize_t
+field_width(const Field *f, Py_ssize_t i)
+{
+    if (f->bytes != NULL)
+        return f->len;
+    if (f->values != NULL)
+        return digit_count((uint64_t)f->values[i]);
+    return (Py_ssize_t)f->lengths[i];
+}
+
+static char *
+put_field(char *p, const Field *f, Py_ssize_t i)
+{
+    if (f->bytes != NULL) {
+        memcpy(p, f->bytes, f->len);
+        return p + f->len;
+    }
+    if (f->values != NULL) {
+        uint64_t v = (uint64_t)f->values[i];
+        char *end = p + digit_count(v);
+        p = end;
+        do {
+            *--p = (char)('0' + v % 10);
+            v /= 10;
+        } while (v);
+        return end;
+    }
+    memcpy(p, f->pool + f->offsets[i], f->lengths[i]);
+    return p + f->lengths[i];
+}
+
+/* A field given as bytes, as an int64 buffer of n values, or as a tuple of
+   a pool and int64 buffers of n offsets and n lengths; 0 with an exception
+   set for anything else. */
+static int
+get_field(PyObject *item, Py_ssize_t n, Field *f)
+{
+    if (PyBytes_Check(item)) {
+        f->bytes = PyBytes_AS_STRING(item);
+        f->len = PyBytes_GET_SIZE(item);
+        return 1;
+    }
+    int pooled = PyTuple_Check(item);
+    if (pooled && PyTuple_GET_SIZE(item) != 3) {
+        PyErr_SetString(PyExc_ValueError, "a pooled field is (pool, offsets, lengths)");
+        return 0;
+    }
+    for (int k = 0; k < (pooled ? 3 : 1); k++) {
+        PyObject *obj = pooled ? PyTuple_GET_ITEM(item, k) : item;
+        if (PyObject_GetBuffer(obj, &f->views[k], PyBUF_SIMPLE) < 0)
+            return 0;
+        f->n_views++;
+        if ((!pooled || k > 0) && f->views[k].len != n * (Py_ssize_t)sizeof(int64_t)) {
+            PyErr_SetString(PyExc_ValueError, "a field does not hold one int64 per line");
+            return 0;
+        }
+    }
+    if (pooled) {
+        f->pool = f->views[0].buf;
+        f->offsets = f->views[1].buf;
+        f->lengths = f->views[2].buf;
+    } else {
+        f->values = f->views[0].buf;
+    }
+    return 1;
+}
+
+/* The bytes of n lines, line i the concatenation of field i of each field.
+   The caller guarantees that values, offsets and lengths are non-negative
+   and that every pooled span lies inside its pool. */
+static PyObject *
+assemble(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n;
+    PyObject *items, *result = NULL;
+    if (!PyArg_ParseTuple(args, "nO!:assemble", &n, &PyTuple_Type, &items))
+        return NULL;
+    Py_ssize_t n_fields = PyTuple_GET_SIZE(items);
+    Field *fields = PyMem_Calloc(n_fields > 0 ? n_fields : 1, sizeof(Field));
+    if (fields == NULL)
+        return PyErr_NoMemory();
+    for (Py_ssize_t k = 0; k < n_fields; k++)
+        if (!get_field(PyTuple_GET_ITEM(items, k), n, &fields[k]))
+            goto done;
+    Py_ssize_t total = 0;
+    int too_long = 0;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i = 0; i < n && !too_long; i++)
+        for (Py_ssize_t k = 0; k < n_fields; k++) {
+            Py_ssize_t width = field_width(&fields[k], i);
+            if (width > PY_SSIZE_T_MAX - total) {
+                too_long = 1;
+                break;
+            }
+            total += width;
+        }
+    Py_END_ALLOW_THREADS
+    if (too_long) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    result = PyBytes_FromStringAndSize(NULL, total);
+    if (result == NULL)
+        goto done;
+    char *p = PyBytes_AS_STRING(result);
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t i = 0; i < n; i++)
+        for (Py_ssize_t k = 0; k < n_fields; k++)
+            p = put_field(p, &fields[k], i);
+    Py_END_ALLOW_THREADS
+
+done:
+    for (Py_ssize_t k = 0; k < n_fields; k++)
+        for (int v = 0; v < fields[k].n_views; v++)
+            PyBuffer_Release(&fields[k].views[v]);
+    PyMem_Free(fields);
+    return result;
+}
+
+static inline int
+is_digit(char c)
+{
+    return (unsigned char)(c - '0') <= 9;
+}
+
+static inline int
+is_gap(const char *p, const char *end)
+{
+    return p < end && (*p == ' ' || *p == '\t');
+}
+
+static inline int
+is_weight_byte(char c)
+{
+    return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-';
+}
+
+/* An integer of the form -?[0-9]{1,18} at *p followed by a space or a tab,
+   which it passes; 0 for anything else, a longer run of digits included. */
+static int
+scan_int(const char **p, const char *end, int64_t *value)
+{
+    const char *s = *p;
+    int negative = s < end && *s == '-';
+    s += negative;
+    const char *digits = s;
+    int64_t v = 0;
+    while (s < end && s - digits < 18 && is_digit(*s))
+        v = 10 * v + (*s++ - '0');
+    if (s == digits || !is_gap(s, end))
+        return 0;
+    *value = negative ? -v : v;
+    *p = s + 1;
+    return 1;
+}
+
+/* A line end at *p, LF or CRLF, which it passes, or the end of the text;
+   0 for anything else. */
+static int
+scan_eol(const char **p, const char *end)
+{
+    const char *s = *p;
+    if (s == end)
+        return 1;
+    s += *s == '\r';
+    if (s == end || *s != '\n')
+        return 0;
+    *p = s + 1;
+    return 1;
+}
+
+/* Reads the entry lines "i j w" of a Matrix Market file from text[start:]
+   into rows, cols and weights, which hold one entry per line.  The weight
+   goes through PyOS_string_to_double, the correctly rounded reader that
+   numpy's loadtxt calls.  Returns False, with the outputs undefined, for a
+   text of any other shape: another line count, a comment, a blank line,
+   other whitespace, an integer that is not -?[0-9]{1,18}, a weight of
+   other bytes than [0-9.eE+-] or of 64 or more. */
+static PyObject *
+mm_entries(PyObject *self, PyObject *args)
+{
+    Py_buffer text, rows, cols, weights;
+    Py_ssize_t start;
+    if (!PyArg_ParseTuple(args, "s*nw*w*w*:mm_entries", &text, &start, &rows, &cols, &weights))
+        return NULL;
+    int ok = 0 <= start && start <= text.len;
+    const char *base = text.buf, *end = base + text.len, *p = ok ? base + start : end;
+    int64_t *i = rows.buf, *j = cols.buf;
+    double *w = weights.buf;
+    Py_ssize_t nnz = rows.len / (Py_ssize_t)sizeof(int64_t);
+    for (Py_ssize_t k = 0; ok && k < nnz; k++) {
+        ok = scan_int(&p, end, &i[k]) && scan_int(&p, end, &j[k]);
+        if (!ok)
+            break;
+        const char *weight = p;
+        while (p < end && p - weight < 64 && is_weight_byte(*p))
+            p++;
+        char digits[64];
+        Py_ssize_t len = p - weight;
+        ok = 0 < len && len < 64 && scan_eol(&p, end);
+        if (!ok)
+            break;
+        memcpy(digits, weight, len);
+        digits[len] = '\0';
+        w[k] = PyOS_string_to_double(digits, NULL, NULL);
+        if (w[k] == -1.0 && PyErr_Occurred()) {
+            PyErr_Clear();
+            ok = 0;
+        }
+    }
+    ok = ok && p == end;
+    PyBuffer_Release(&text);
+    PyBuffer_Release(&rows);
+    PyBuffer_Release(&cols);
+    PyBuffer_Release(&weights);
+    return PyBool_FromLong(ok);
+}
+
+/* Reads the node lines "node <i> table=<digits>" of a per-node rule from
+   text[start:], one per entry of starts and ends: the table of node i
+   spans text[starts[i]:ends[i]].  Returns False, with the outputs
+   undefined, for a text of any other shape: another line count, an index
+   that is not -?[0-9]{1,18}, outside [0, nodes) or given twice, a comment,
+   a blank line or other whitespace. */
+static PyObject *
+node_lines(PyObject *self, PyObject *args)
+{
+    Py_buffer text, starts, ends;
+    Py_ssize_t start;
+    if (!PyArg_ParseTuple(args, "s*nw*w*:node_lines", &text, &start, &starts, &ends))
+        return NULL;
+    int ok = 0 <= start && start <= text.len && ends.len == starts.len;
+    const char *base = text.buf, *end = base + text.len, *p = ok ? base + start : end;
+    int64_t *lo = starts.buf, *hi = ends.buf;
+    Py_ssize_t nodes = starts.len / (Py_ssize_t)sizeof(int64_t);
+    for (Py_ssize_t k = 0; ok && k < nodes; k++)
+        lo[k] = -1;
+    for (Py_ssize_t k = 0; ok && k < nodes; k++) {
+        int64_t index;
+        ok = end - p > 4 && memcmp(p, "node", 4) == 0 && is_gap(p + 4, end);
+        if (!ok)
+            break;
+        p += 5;
+        ok = scan_int(&p, end, &index) && 0 <= index && index < nodes && lo[index] < 0
+             && end - p >= 6 && memcmp(p, "table=", 6) == 0;
+        if (!ok)
+            break;
+        p += 6;
+        lo[index] = p - base;
+        while (p < end && is_digit(*p))
+            p++;
+        hi[index] = p - base;
+        ok = scan_eol(&p, end);
+    }
+    ok = ok && p == end;
+    PyBuffer_Release(&text);
+    PyBuffer_Release(&starts);
+    PyBuffer_Release(&ends);
+    return PyBool_FromLong(ok);
+}
+
 static PyMethodDef methods[] = {
     {"csr_matvec", csr_matvec, METH_VARARGS,
      "csr_matvec(data, indices, indptr, x, out): out = A @ x for a float64 "
@@ -644,6 +948,20 @@ static PyMethodDef methods[] = {
      "as bit j of a pattern p, and takes folded[(i << W) | p].  Writes the final "
      "state to out and, unless hist is empty, the state after each step as uint8 "
      "to its row of hist."},
+    {"assemble", assemble, METH_VARARGS,
+     "assemble(n, fields): the bytes of n lines, line i the concatenation of field i "
+     "of each field: bytes, the same on every line; an int64 buffer, its non-negative "
+     "value in decimal; or (pool, offsets, lengths), pool[offsets[i] : offsets[i] + "
+     "lengths[i]]."},
+    {"mm_entries", mm_entries, METH_VARARGS,
+     "mm_entries(text, start, rows, cols, weights): reads the Matrix Market entry "
+     "lines of text[start:] into the int64 rows and cols and the float64 weights, one "
+     "line per entry.  False when the text has any other shape than the writer's."},
+    {"node_lines", node_lines, METH_VARARGS,
+     "node_lines(text, start, starts, ends): reads the lines 'node <i> table=<digits>' "
+     "of text[start:], one per entry of the int64 starts and ends, the table of node i "
+     "spanning text[starts[i]:ends[i]].  False when the text has any other shape than "
+     "the writer's."},
     {NULL, NULL, 0, NULL},
 };
 

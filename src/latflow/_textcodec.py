@@ -5,9 +5,17 @@ Text is handled as a numpy uint8 array, never as one Python object per line
 or per number: the tokenizer finds the span of every token and its line,
 decimal tokens become int64 values, and output lines are assembled from
 their fields in one buffer.
+
+Under the compiled backend ``assemble`` is the C kernel of that name, and
+the readers try the C scanners ``mm_entries`` and ``node_lines`` first.  A
+scanner declines any text not in the writers' exact shape, and the reader
+then runs the numpy path on the whole text, so results and errors are the
+same on both backends.
 """
 
 import numpy as np
+
+from . import backend
 
 # the most digits a decimal token may have: every such value fits int64
 MAX_DIGITS = 18
@@ -88,6 +96,8 @@ def assemble(n, *fields):
     ``(pool, offsets, lengths)`` of a uint8 pool and two int64 arrays, line
     i taking ``pool[offsets[i]:offsets[i] + lengths[i]]``.
     """
+    if backend.BACKEND == "c":
+        return backend.assemble(n, fields)
     widths = []
     for field in fields:
         if isinstance(field, bytes):

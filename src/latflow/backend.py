@@ -29,6 +29,10 @@ a system's matrix and rule: the steps read no weight and make no key.
 On x86 with AVX2 the extension runs the fused lattice steps in vector
 registers, picked once at import: the same bytes, faster.  The integer
 matvecs and the lookup are plain loops.
+
+The text formats have three kernels: ``assemble``, and the scanners
+``mm_entries`` and ``node_lines``, which give None for any text not in
+the writers' exact shape, so that the reader runs its numpy path.
 """
 
 import importlib
@@ -39,7 +43,7 @@ import numpy as np
 from . import _kernels_py
 
 # the interface of _ckernels.c that this module calls
-_KERNELS_VERSION = 8
+_KERNELS_VERSION = 9
 
 
 def _import_compiled():
@@ -274,6 +278,54 @@ def table_lookup(keys, table, lo):
     if _ckernels.table_lookup(keys, flat, lo, width, width if table.ndim == 2 else 0, out) >= 0:
         return None
     return out
+
+
+def assemble(n, fields):
+    """``_textcodec.assemble(n, *fields)`` by the compiled kernel, as a
+    read-only uint8 array.  Checks first that every array field is a
+    C-contiguous int64 array of n non-negative values, and that every span
+    of a pooled field lies inside its uint8 pool."""
+    for field in fields:
+        if isinstance(field, bytes):
+            continue
+        pool, *arrays = field if isinstance(field, tuple) else (None, field)
+        if pool is not None:
+            _require(pool, _U8, "pool")
+        for array in arrays:
+            _require(array, _I64, "a field")
+            if len(array) != n or (n and array.min() < 0):
+                raise ValueError(f"a field is not {n} non-negative values")
+        if pool is not None and (arrays[1] > len(pool) - arrays[0]).any():
+            raise ValueError(f"a span reaches past its pool of {len(pool)} bytes")
+    return np.frombuffer(_ckernels.assemble(n, tuple(fields)), dtype=np.uint8)
+
+
+def mm_entries(text, start, nnz):
+    """The int64 rows and columns and float64 weights of the ``nnz`` Matrix
+    Market entry lines of ``text[start:]``, by the compiled scanner.  None
+    when the numpy fallback is active, and when the text is not ASCII, has
+    fewer than 6 bytes an entry, or has any other shape than the writer
+    emits: the caller's numpy path then gives the result or the precise
+    error."""
+    if BACKEND != "c" or not text.isascii() or not 0 <= nnz <= (len(text) - start) // 6:
+        return None
+    entries = np.empty(nnz, _I64), np.empty(nnz, _I64), np.empty(nnz, _F64)
+    return entries if _ckernels.mm_entries(text, start, *entries) else None
+
+
+def node_lines(raw, start, nodes, n_states):
+    """The spans in the bytes ``raw`` of the digit tables of the ``nodes``
+    per-node rule lines from ``start`` to the end, indexed by node, as the
+    caller's numpy path gives them, by the compiled scanner.  None when the
+    numpy fallback is active, for more than 10 states, when the text from
+    ``start`` does not hold ``nodes`` lines, and when the lines have any
+    other shape than the writer emits."""
+    # one line a LF, and one after the last LF
+    if (BACKEND != "c" or n_states > 10
+            or raw.count(b"\n", start) + (not raw.endswith(b"\n")) != nodes):
+        return None
+    spans = np.empty(nodes, _I64), np.empty(nodes, _I64)
+    return spans if _ckernels.node_lines(raw, start, *spans) else None
 
 
 def compiled_available():

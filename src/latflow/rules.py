@@ -325,10 +325,11 @@ def _node_tables(raw, starts, ends, first, count):
     return starts[lines] + len(b"table="), ends[lines]
 
 
-def rule_to_text(rule):
-    """Serialize a rule; tables are always listed index-0-first."""
+def _rule_text(rule):
+    """The rule text of ``rule`` as its header lines, a str, and the node
+    lines of a per-node rule, a uint8 array of ASCII."""
     n = rule.n_states
-    body = ""
+    body = b""
     if n is None:
         parts = [f"rule map name={rule.name}"]
         if rule.name == "logistic":
@@ -342,7 +343,6 @@ def rule_to_text(rule):
         lines = [head if k is None else f"{head} k={k}"]
         nodes = np.arange(len(t), dtype=np.int64)
         body = _textcodec.assemble(len(t), b"node ", nodes, b" table=", _row_texts(t, n), b"\n")
-        body = body.tobytes().decode()
     elif rule.center_weight is not None:
         keys = np.flatnonzero(rule.table >= 0).tolist()
         entries = ",".join(f"{key + rule.lo}:{rule.table[key]}" for key in keys)
@@ -351,7 +351,13 @@ def rule_to_text(rule):
         t = rule.table
         digits = _textcodec.assemble(1, _row_texts(t[None], n)).tobytes().decode()
         lines = [f"rule pattern n={n} k={_k(len(t), n)} table={digits}"]
-    return "\n".join([_HEADER] + lines) + "\n" + body
+    return "\n".join([_HEADER] + lines) + "\n", body
+
+
+def rule_to_text(rule):
+    """Serialize a rule; tables are always listed index-0-first."""
+    head, body = _rule_text(rule)
+    return head + bytes(body).decode()
 
 
 def _fields(tokens):
@@ -401,8 +407,20 @@ def rule_from_text(text):
             f"rule text holds {other[0]!r}: only space, tab, CR and LF may separate tokens"
         )
     raw = text.encode("utf-8", "surrogatepass")
+    # under the compiled backend the node lines of a written per-node rule
+    # are read by the scanner, and only the lines before them tokenized
+    cut = raw.find(b"\nnode ") + 1 if backend.BACKEND == "c" else 0
+    rule = _rule_from_bytes(raw, cut) if cut else None
+    return rule if rule is not None else _rule_from_bytes(raw, len(raw))
+
+
+def _rule_from_bytes(raw, end):
+    """The rule of the text ``raw``, its tokens taken up to ``end``, just
+    after a line break.  Below ``len(raw)``, None when the rule line lies
+    beyond ``end``, or when the rule is per-node and the lines from ``end``
+    on are not node lines that the compiled scanner reads."""
     buf = np.frombuffer(raw, dtype=np.uint8)
-    starts, ends, line_of = _textcodec.tokenize(buf)
+    starts, ends, line_of = _textcodec.tokenize(buf[:end])
     # the first token of each non-blank line, and its token count
     first = np.flatnonzero(np.diff(line_of, prepend=-1))
     count = np.diff(first, append=len(starts))
@@ -415,6 +433,8 @@ def rule_from_text(text):
         raise FileFormatError(f"missing header {_HEADER!r}")
     kept = 1 + np.flatnonzero(buf[starts[first[1:]]] != ord("#"))
     if not len(kept):
+        if end < len(raw):
+            return None
         raise FileFormatError("empty rule file")
     rule_line = range(first[kept[0]], first[kept[0]] + count[kept[0]])
     head = [_str(raw, starts[t], ends[t]) for t in rule_line]
@@ -438,9 +458,15 @@ def rule_from_text(text):
             nodes = int(f["nodes"])
             k = _text_k(f) if "k" in f else None
             body = kept[1:]
-            if nodes != len(body):
+            if end < len(raw):
+                spans = None if len(body) else backend.node_lines(raw, end, nodes, n)
+                if spans is None:
+                    return None
+            elif nodes != len(body):
                 raise FileFormatError(f"{len(body)} node lines for nodes={nodes}")
-            table = _table(raw, *_node_tables(raw, starts, ends, first[body], count[body]), n)
+            else:
+                spans = _node_tables(raw, starts, ends, first[body], count[body])
+            table = _table(raw, *spans, n)
             lengths = (table >= 0).sum(axis=1)
             if k is not None and (lengths != n**k).any():
                 idx = int(np.flatnonzero(lengths != n**k)[0])
@@ -459,8 +485,10 @@ def rule_from_text(text):
 
 
 def save_rule(path, rule):
-    with open(path, "w") as f:
-        f.write(rule_to_text(rule))
+    head, body = _rule_text(rule)
+    with open(path, "wb") as f:
+        f.write(head.encode())
+        f.write(body)
 
 
 def load_rule(path):

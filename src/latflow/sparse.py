@@ -456,18 +456,21 @@ def save_matrix_market(path, m):
     pool = np.frombuffer(b"".join(reprs), dtype=np.uint8)
     weights = (pool, (np.cumsum(lengths) - lengths)[inverse], lengths[inverse])
     body = _textcodec.assemble(m.nnz, rows, b" ", m.indices + 1, b" ", weights, b"\n")
-    with open(path, "w") as f:
-        f.write(f"{_MM_HEADER}\n{m.n_rows} {m.n_cols} {m.nnz}\n")
-        f.write(body.tobytes().decode())
+    with open(path, "wb") as f:
+        f.write(f"{_MM_HEADER}\n{m.n_rows} {m.n_cols} {m.nnz}\n".encode())
+        f.write(body)
 
 
 def load_matrix_market(path):
     """Read a coordinate-format Matrix Market file; entries may be in any order.
 
-    After the size line, a ``%`` starts a comment anywhere on a line.
+    After the size line, a ``%`` starts a comment anywhere on a line.  The
+    weights of an ``integer`` file must be whole numbers.
     """
-    lines = io.StringIO(read_text(path))
-    header = lines.readline().strip()
+    text = read_text(path)
+    # lines end at LF, as io.StringIO(text) reads them
+    pos = text.find("\n") + 1 or len(text)
+    header = text[:pos].strip()
     parts = header.lower().split()
     if (
         len(parts) != 5
@@ -479,8 +482,9 @@ def load_matrix_market(path):
     ):
         raise FileFormatError(f"unsupported Matrix Market header: {header!r}")
     size_line = None
-    for line in lines:
-        line = line.strip()
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        line, pos = text[pos:end].strip(), end
         if not line or line.startswith("%"):
             continue
         size_line = line
@@ -495,18 +499,25 @@ def load_matrix_market(path):
         raise FileFormatError(
             f"{n_rows} rows need more than {_MAX_READ_BYTES} bytes of row pointers"
         )
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 parses an integer field through a float with only a
-            # DeprecationWarning ("1.5" -> 1); as an error it is a ValueError
-            warnings.simplefilter("error", DeprecationWarning)
-            # a file without entries is valid
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            entries = np.loadtxt(lines, dtype=_MM_ENTRY, comments="%", ndmin=1)
-    except ValueError as exc:
-        raise FileFormatError(f"bad entry line: {exc}") from exc
-    if len(entries) != nnz:
-        raise FileFormatError(f"expected {nnz} entries, found {len(entries)}")
-    return SparseMatrix.from_coo(
-        n_rows, n_cols, entries["i"] - 1, entries["j"] - 1, entries["w"]
-    )
+    entries = backend.mm_entries(text, pos, nnz)
+    if entries is None:
+        try:
+            with warnings.catch_warnings():
+                # numpy < 2 parses an integer field through a float with only a
+                # DeprecationWarning ("1.5" -> 1); as an error it is a ValueError
+                warnings.simplefilter("error", DeprecationWarning)
+                # a file without entries is valid
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(io.StringIO(text[pos:]), dtype=_MM_ENTRY, comments="%",
+                                   ndmin=1)
+        except ValueError as exc:
+            raise FileFormatError(f"bad entry line: {exc}") from exc
+        if len(table) != nnz:
+            raise FileFormatError(f"expected {nnz} entries, found {len(table)}")
+        entries = table["i"], table["j"], table["w"]
+    rows, cols, weights = entries
+    whole = weights == np.rint(weights) if parts[3] == "integer" else True
+    if not np.all(whole):
+        bad = weights[np.argmin(whole)]
+        raise FileFormatError(f"weight {bad} of an integer matrix is not an integer")
+    return SparseMatrix.from_coo(n_rows, n_cols, rows - 1, cols - 1, weights)

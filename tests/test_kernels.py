@@ -139,11 +139,12 @@ def test_a_build_of_another_kernel_version_counts_as_absent(monkeypatch):
     # kernels came with version 4, builds of 4 lack the fused lattice
     # kernel of version 5, builds of 5 the fused network kernel of 6,
     # builds of 6 write float64 history rows where 7 writes bytes, and
-    # builds of 7 take a row width in csr_matvec_u8, which 8 is not passed
-    for version in (2, 3, 4, 5, 6, 7):
+    # builds of 7 take a row width in csr_matvec_u8, which 8 is not passed,
+    # and builds of 8 lack the text kernels of 9
+    for version in (2, 3, 4, 5, 6, 7, 8):
         stale.VERSION = version
         assert backend._import_compiled() is None
-    stale.VERSION = 8
+    stale.VERSION = 9
     assert backend._import_compiled() is stale
     if backend.compiled_available():
         monkeypatch.delitem(sys.modules, "latflow._ckernels")
@@ -677,6 +678,6 @@ def test_the_extension_exports_only_what_the_backend_calls():
         called = set(re.findall(r"_ckernels\.(\w+)\(", f.read()))
     exported = {name for name in dir(backend._ckernels)
                 if not name.startswith("_") and callable(getattr(backend._ckernels, name))}
-    assert exported == called == {"csr_matvec", "csr_matvec_u8", "fold_tables",
-                                  "network_steps_u8", "stencil_matvec_u8",
-                                  "stencil_steps_u8", "table_lookup"}
+    assert exported == called == {"assemble", "csr_matvec", "csr_matvec_u8", "fold_tables",
+                                  "mm_entries", "network_steps_u8", "node_lines",
+                                  "stencil_matvec_u8", "stencil_steps_u8", "table_lookup"}

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from latflow import backend
 from latflow.engine import StateHistory, load_history
 from latflow.errors import LatflowError
 from latflow.rules import (
@@ -23,6 +24,8 @@ from latflow.rules import (
     save_rule,
 )
 from latflow.sparse import load_matrix_market, save_matrix_market
+
+BACKENDS = ("python", "c") if backend.compiled_available() else ("python",)
 
 # bytes a mutation inserts or writes over: the tokens of every format, and
 # bytes that are not UTF-8 on their own
@@ -146,3 +149,31 @@ def test_mutated_files_are_refused_or_round_trip(tmp_path, kind, which, edits):
 def test_raw_bytes_are_refused_or_round_trip(tmp_path, kind, prefix, raw):
     _refused_or_round_trips(kind, prefix + raw, tmp_path)
 
+
+
+def _read(kind, path):
+    """What the text loader of ``kind`` gives: a comparable form of its
+    value, or the class and message of the LatflowError it raised."""
+    try:
+        if kind == "mm":
+            m = load_matrix_market(path)
+            return m.shape, m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()
+        return rule_to_text(load_rule(path))
+    except LatflowError as exc:
+        return type(exc), str(exc)
+
+
+@FUZZ
+@given(kind=st.sampled_from(["mm", "rule"]), which=st.integers(0, 3), edits=mutations())
+def test_mutated_text_reads_alike_with_and_without_the_scanners(monkeypatch, tmp_path, kind,
+                                                               which, edits):
+    # the compiled scanners decline what they do not take, so the compiled
+    # backend gives the numpy readers' value or error on every input
+    seeds = _seed_bytes(kind, tmp_path)
+    path = tmp_path / "in"
+    path.write_bytes(_mutate(seeds[which % len(seeds)], edits))
+    read = []
+    for name in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", name)
+        read.append(_read(kind, path))
+    assert read.count(read[0]) == len(read)

@@ -1,4 +1,4 @@
-"""The kernel and lane tests against a build of the C kernels under
+"""The kernel, lane and text I/O tests against a build of the C kernels under
 AddressSanitizer and UndefinedBehaviorSanitizer.
 
 The sanitized extension is built into a copy of the package and the tests
@@ -16,7 +16,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SANITIZE = "-fsanitize=address,undefined"
-TESTS = ("test_kernels.py", "test_lane.py")
+# the kernels, the lanes and the text scanners, which parse outside input
+TESTS = ("test_kernels.py", "test_lane.py", "test_text_io.py", "test_loaders_fuzz.py")
 
 
 def runtime(name):
@@ -58,6 +59,9 @@ def test_kernel_tests_pass_under_address_and_undefined_sanitizers(tmp_path):
     assert build.returncode == 0, build.stderr
     env.update(
         LD_PRELOAD=f"{LIBASAN} {LIBUBSAN}",
+        # every object from malloc, so that ASan bounds the bytes and str
+        # objects the text scanners read, not only numpy buffers
+        PYTHONMALLOC="malloc",
         ASAN_OPTIONS=f"detect_leaks=0:log_path={logs / 'asan'}",
         UBSAN_OPTIONS=f"print_stacktrace=1:log_path={logs / 'ubsan'}",
     )

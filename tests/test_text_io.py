@@ -3,6 +3,7 @@ code in oracles.py, and the bytes they write pinned by SHA-256."""
 
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from latflow import _textcodec, backend, rules
 from latflow.engine import StateHistory
 from latflow.errors import FileFormatError, LatflowError
 from latflow.rules import TableRule, rule_from_text, rule_to_text, save_rule
-from latflow.sparse import SparseMatrix, save_matrix_market
+from latflow.sparse import SparseMatrix, load_matrix_market, save_matrix_market
 from latflow.systems import game_of_life, random_boolean_network, random_sparse_uniform
 
 HEADER = oracles.PERNODE_HEADER + "\n"
@@ -113,6 +114,23 @@ def pernode_texts(draw):
     return n, rows, text
 
 
+@st.composite
+def written_pernode_texts(draw):
+    """(n_states, rows, text): the rule in the shape the writer emits, the
+    one the compiled scanner reads, with nodes in any order and LF or CRLF
+    line ends."""
+    n, rows = draw(pernode_rules())
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    sep = "," if n > 10 else ""
+    lines = [oracles.PERNODE_HEADER, f"rule pernode n={n} nodes={len(rows)}"]
+    lines += [f"node {i} table={sep.join(map(str, rows[i]))}"
+              for i in draw(st.permutations(range(len(rows))))]
+    return n, rows, end.join(lines) + end
+
+
+PERNODE_TEXTS = st.one_of(pernode_texts(), written_pernode_texts())
+
+
 def _padded(rows):
     width = max((len(row) for row in rows), default=0)
     table = np.full((len(rows), width), -1, dtype=np.int64)
@@ -122,14 +140,16 @@ def _padded(rows):
 
 
 @FUZZ
-@given(pernode_texts())
-def test_pernode_reader_matches_the_per_line_reader(case):
+@given(PERNODE_TEXTS)
+def test_pernode_reader_matches_the_per_line_reader(monkeypatch, case):
     n, rows, text = case
-    rule = rule_from_text(text)
     n_ref, table_ref = oracles.pernode_table_from_text(text)
-    assert rule.n_states == n_ref == n
-    assert np.array_equal(rule.table, table_ref)
-    assert np.array_equal(rule.table, _padded(rows))
+    for name in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", name)
+        rule = rule_from_text(text)
+        assert rule.n_states == n_ref == n
+        assert np.array_equal(rule.table, table_ref)
+        assert np.array_equal(rule.table, _padded(rows))
 
 
 # what a mutation inserts or writes: the tokens of the format, and what
@@ -176,23 +196,39 @@ def _narrowed(text):
     return False
 
 
-@FUZZ
-@given(pernode_texts(), edits())
-def test_mutated_pernode_text_is_read_as_the_per_line_reader_reads_it(case, mutation):
-    text = _mutate(case[2], mutation)
+def _read(read, *args):
+    """What ``read(*args)`` gives: a comparable form of its value, or the
+    class and message of the LatflowError it raised."""
     try:
-        rule = rule_from_text(text)
-    except LatflowError:
-        rule = None
+        value = read(*args)
+    except LatflowError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, SparseMatrix):
+        return value.shape, value.indptr.tobytes(), value.indices.tobytes(), value.data.tobytes()
+    if value.n_states is None:
+        return rule_to_text(value)
+    return value.n_states, value.table.shape, value.table.tobytes(), rule_to_text(value)
+
+
+@FUZZ
+@given(PERNODE_TEXTS, edits())
+def test_mutated_pernode_text_is_read_as_the_per_line_reader_reads_it(monkeypatch, case, mutation):
+    text = _mutate(case[2], mutation)
     try:
         want = oracles.pernode_table_from_text(text)
     except oracles.Refused:
         want = None
-    if rule is not None:
+    read = []
+    for name in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", name)
+        read.append(_read(rule_from_text, text))
+    # the node-line scanner gives the numpy reader's table, or its error
+    assert read.count(read[0]) == len(read), text
+    if isinstance(read[0][0], type):
+        assert want is None or _narrowed(text), text
+    else:
         assert want is not None, text
-        assert rule.n_states == want[0] and np.array_equal(rule.table, want[1])
-    elif want is not None:
-        assert _narrowed(text), text
+        assert read[0][:3] == (want[0], want[1].shape, want[1].tobytes())
 
 
 @pytest.mark.parametrize("line", [
@@ -238,6 +274,204 @@ def test_first_bad_node_line_gives_the_message_of_its_first_failed_check(line, m
     text = HEADER + "rule pernode n=2 nodes=3\nnode 0 table=10\n" + line + "\nnode 9 table=1\n"
     with pytest.raises(FileFormatError, match=match):
         rule_from_text(text)
+
+
+# -- the compiled text kernels against the numpy path ----------------------
+
+needs_c = pytest.mark.skipif("c" not in BACKENDS, reason="compiled kernels not built")
+DIGITS = st.one_of(st.sampled_from([0, 9, 10, 10**18 - 1, 10**18, 2**63 - 1]),
+                   st.integers(0, 2**63 - 1))
+
+
+@st.composite
+def line_fields(draw):
+    """(n, fields) for assemble: constant, decimal and pooled fields."""
+    n = draw(st.sampled_from([0, 1, 2, 7]))
+    fields = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["bytes", "digits", "pool"]))
+        if kind == "bytes":
+            fields.append(draw(st.binary(max_size=4)))
+        elif kind == "digits":
+            fields.append(np.array(draw(st.lists(DIGITS, min_size=n, max_size=n)), dtype=np.int64))
+        else:
+            pool = np.frombuffer(draw(st.binary(max_size=12)), dtype=np.uint8)
+            spans = draw(st.lists(
+                st.tuples(st.integers(0, len(pool)), st.integers(0, len(pool))),
+                min_size=n, max_size=n,
+            ))
+            offsets = np.array([min(a, b) for a, b in spans], dtype=np.int64)
+            lengths = np.array([abs(a - b) for a, b in spans], dtype=np.int64)
+            fields.append((pool, offsets, lengths))
+    return n, fields
+
+
+@needs_c
+@FUZZ
+@given(line_fields())
+def test_compiled_assemble_gives_the_numpy_bytes(monkeypatch, case):
+    n, fields = case
+    monkeypatch.setattr(backend, "BACKEND", "python")
+    want = _textcodec.assemble(n, *fields)
+    assert backend.assemble(n, fields).tobytes() == want.tobytes()
+
+
+class _Unreachable:
+    def __getattr__(self, name):
+        raise AssertionError(f"_ckernels.{name} was called")
+
+
+@pytest.mark.parametrize("fields", [
+    [(np.zeros(4, np.uint8), np.array([0, 3]), np.array([1, 2]))],  # past the pool
+    [(np.zeros(4, np.uint8), np.array([5, 0]), np.array([0, 0]))],  # offset past it
+    [(np.zeros(4, np.uint8), np.array([-1, 0]), np.array([1, 1]))],
+    [(np.zeros(4, np.uint8), np.array([0, 0]), np.array([-1, 1]))],
+    [(np.zeros(4, np.uint8), np.array([2**62, 0]), np.array([2**62, 0]))],  # wraps int64
+    [(np.zeros(4, np.int8), np.array([0, 0]), np.array([1, 1]))],
+    [(np.zeros(4, np.uint8), np.array([0, 0], np.int32), np.array([1, 1]))],
+    [np.array([1, 2], np.int32)],
+    [np.array([1.0, 2.0])],
+    [np.array([1, -2])],
+    [np.array([1, 2, 3])],
+    [np.arange(4)[::2]],
+])
+def test_assemble_wrapper_refuses_bad_fields_before_the_kernel(monkeypatch, fields):
+    monkeypatch.setattr(backend, "_ckernels", _Unreachable())
+    with pytest.raises(ValueError):
+        backend.assemble(2, [b"x", *fields, b"\n"])
+
+
+MM_REAL = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def _mm_read(monkeypatch, tmp_path, text):
+    """What load_matrix_market gives on each backend for the file ``text``."""
+    path = tmp_path / "m.mtx"
+    path.write_bytes(text.encode())
+    read = []
+    for name in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", name)
+        read.append(_read(load_matrix_market, path))
+    return read
+
+
+@pytest.mark.parametrize("body, nnz, scanned", [
+    ("1 1 .5\n", 1, True),
+    ("1 1 5.\n", 1, True),
+    ("1 1 +1.5\n", 1, True),
+    ("1 1 1e500\n", 1, True),  # inf, refused as a weight on both paths
+    ("1 1 4.9e-324\n", 1, True),
+    ("1 1 -0\r\n2\t2\t0.1\r\n", 2, True),
+    ("1 1 1\n2 2 2.5", 2, True),  # no newline after the last line
+    ("1 1 1\n2 2 2", 2, False),  # under 6 bytes an entry
+    ("-1 1 1\n", 1, True),
+    ("1 1 1_0\n", 1, False),
+    ("1 1 0x10\n", 1, False),
+    ("1 1 nan\n", 1, False),
+    ("1 1 1\r2 2 2\r", 2, False),
+    ("1\v1\v1.5\n", 1, False),
+    ("1 1 1 % a comment\n", 1, False),
+    ("% a comment\n1 1 1\n", 1, False),
+    ("1 1 1\n\n2 2 2\n", 2, False),
+    (" 1 1 1\n", 1, False),
+    ("1  1 1\n", 1, False),
+    ("1 1 1 \n", 1, False),
+    ("+1 1 1\n", 1, False),
+    ("1 1.0 1\n", 1, False),
+    ("1000000000000000001 1 1\n", 1, False),  # 19 digits
+    ("1 1 1." + "0" * 62 + "\n", 1, False),  # a weight of 64 bytes
+    ("1 1 1e5e5\n", 1, False),
+    ("1 1 -\n", 1, False),
+    ("1 1 1\n2 2 2\n", 1, False),  # more lines than entries
+    ("1 1 1\n", 2, False),  # fewer
+    ("1 1 1\n", -1, False),
+])
+def test_matrix_market_scanner_reads_what_loadtxt_reads(monkeypatch, tmp_path, body, nnz,
+                                                        scanned):
+    head = MM_REAL + f"3 3 {nnz}\n"
+    read = _mm_read(monkeypatch, tmp_path, head + body)
+    assert read.count(read[0]) == len(read), read
+    if "c" in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", "c")
+        assert (backend.mm_entries(head + body, len(head), nnz) is not None) == scanned
+
+
+PERNODE_2 = HEADER + "rule pernode n=2 nodes=2\n"
+
+
+@pytest.mark.parametrize("text, scanned", [
+    (PERNODE_2 + "node 1 table=01\nnode 0 table=10\n", True),
+    (PERNODE_2 + "node 1\ttable=01\r\nnode\t0 table=\r\n", True),
+    (PERNODE_2 + "node 1 table=01\nnode -0 table=10", True),
+    (HEADER + "# c\n\n\trule pernode n=2 nodes=1\nnode 0 table=01\n", True),
+    (PERNODE_2 + "node 1 table=01\n# a comment\nnode 0 table=10\n", False),
+    (PERNODE_2 + "node 1 table=01\n\nnode 0 table=10\n", False),
+    (PERNODE_2 + "node 1 table=01\n node 0 table=10\n", False),
+    (PERNODE_2 + " node 1 table=01\nnode 0 table=10\n", False),
+    (PERNODE_2 + "node 1 table=01\nnode 0 table=10 \n", False),
+    (PERNODE_2 + "node 1 table=01\nnode 0  table=10\n", False),
+    (PERNODE_2 + "node 1 table=01\nnode 1 table=10\n", False),  # a second table for node 1
+    (PERNODE_2 + "node 1 table=01\nnode 2 table=10\n", False),
+    (PERNODE_2 + "node 1 table=01\nnode 0 table=1x\n", False),
+    (PERNODE_2 + "node 1 table=01\nnode 0 tables=10\n", False),
+    (PERNODE_2 + "node 1 table=01\nnode 0 table=10\rnode 2 table=1\r", False),
+    (PERNODE_2 + "node 1 table=01\nnode 0 table=10\nnode 2 table=1\n", False),
+    (PERNODE_2 + "node 1 table=01\n", False),
+    (HEADER + "rule pernode n=2 nodes=0\nnode 0 table=01\n", False),
+    (HEADER + "rule pernode n=12 nodes=1\nnode 0 table=1,11\n", False),
+    # lines before the first node line that the whole text is read for
+    (HEADER + "node 0 table=01\nrule pernode n=2 nodes=1\n", False),
+    ("\n\nnode 0 table=01\n" + HEADER, False),
+    (HEADER + "rule pattern n=2 k=1 table=01\nnode 0 table=1\n", False),
+    (HEADER + "rule count center_weight=1 table=0:1\nnode 0 table=1\n", False),
+])
+def test_node_line_scanner_reads_what_the_numpy_reader_reads(monkeypatch, text, scanned):
+    taken, compiled_node_lines = [], backend.node_lines
+
+    def node_lines(*args):
+        taken.append(compiled_node_lines(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(backend, "node_lines", node_lines)
+    read = []
+    for name in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", name)
+        read.append(_read(rule_from_text, text))
+    assert read.count(read[0]) == len(read), read
+    if "c" in BACKENDS:
+        assert any(spans is not None for spans in taken) == scanned
+
+
+def test_integer_matrix_market_refuses_a_weight_that_is_not_whole(monkeypatch, tmp_path):
+    head = "%%MatrixMarket matrix coordinate integer general\n2 2 1\n"
+    for weight in ("1.5", "1e-3", "nan"):
+        read = _mm_read(monkeypatch, tmp_path, head + f"1 1 {weight}\n")
+        assert read == [(FileFormatError, f"weight {float(weight)} of an integer matrix "
+                                          "is not an integer")] * len(BACKENDS)
+    read = _mm_read(monkeypatch, tmp_path, head + "1 1 -3.0\n")
+    assert read[0][0] == (2, 2) and read.count(read[0]) == len(read)
+
+
+@pytest.mark.parametrize("text, match", [
+    (MM_REAL + "2 2 1000000000000\n1 1 1\n", "expected 1000000000000 entries, found 1"),
+    (HEADER + "rule pernode n=2 nodes=1000000000000\nnode 0 table=01\n",
+     "1 node lines for nodes=1000000000000"),
+])
+def test_a_declared_count_the_text_cannot_hold_allocates_nothing(monkeypatch, tmp_path, text,
+                                                                  match):
+    path = tmp_path / "f"
+    path.write_text(text)
+    read = load_matrix_market if text.startswith(MM_REAL) else rules.load_rule
+    for name in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", name)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError, match=match):
+                read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # -- Matrix Market writer against the %-format writer ----------------------
