@@ -1,29 +1,25 @@
-/* Compiled kernels: the CSR matvec, in float64 and in integers, the
- * stencil matvec of lattice automata, the integer-keyed table lookup,
- * whole steps of two-state lattice automata and networks, and the line
- * assembler and entry scanners of the text formats.  The fused steps
- * are the ones that DynamicalSystem.step and run take; the matvecs and the
- * lookup serve the systems that have no fused kernel, and are plain loops.
+/* Compiled kernels: the CSR matvec, in float64 and in integers, whole
+ * steps of two-state lattice automata and networks, and the line assembler
+ * and entry scanners of the text formats.  The fused steps are the ones
+ * that DynamicalSystem.step and run take for every two-state preset; the
+ * two CSR loops serve the float systems and every other discrete one,
+ * whose table lookup is numpy's.
  *
  * A lattice automaton's matrix is one stencil shifted to every cell of a
- * grid, the DIA format (Bell & Garland, SC'09): stencil_matvec_u8 reads no
- * column indices and no per-entry weights.  It first copies the grid into
- * rows padded on each side with the columns that wrap, or with zeros, so
- * that for each grid row and each tap it adds weight * the padded source
- * row, shifted by the tap's column offset, to an int16 accumulator row in
- * one straight loop over uint8 bytes that the compiler vectorises.  The
- * taps come from the generator that built the matrix from them, and the
- * matrix's arrays are read-only, so the taps and its entries agree.
- *
- * stencil_steps_u8 runs k steps of a two-state lattice automaton in one
- * call, the state kept in two padded grids used in turn.  With cells of 0
- * or 1 and a stencil whose |weights| sum to at most 31, a key spans at most
- * 32 values, so it is summed exactly in uint8 lanes modulo 256, re-based to
- * [0, 32) and looked up in the same row loop: the layer's weights and its
- * activation with no key vector between them.  It checks no key: the
- * caller runs it only when every key that cells of 0 or 1 can produce has
- * a next state, and its table is padded to 256 entries, so a caller that
- * breaks that guarantee gets wrong states but no access out of bounds.
+ * grid, the DIA format (Bell & Garland, SC'09).  stencil_steps_u8 runs k
+ * steps of a two-state one in one call and reads no column index and no
+ * per-entry weight: the state is kept in two grids used in turn, each row
+ * padded on both sides with the columns that wrap, or with zeros, and the
+ * taps come from the generator that built the matrix from them, whose
+ * arrays are read-only, so the taps and its entries agree.  With cells of
+ * 0 or 1 and a stencil whose |weights| sum to at most 31, a key spans at
+ * most 32 values, so it is summed exactly in uint8 lanes modulo 256,
+ * re-based to [0, 32) and looked up in the same row loop: the layer's
+ * weights and its activation with no key vector between them.  It checks
+ * no key: the caller runs it only when every key that cells of 0 or 1 can
+ * produce has a next state, and its table is padded to 256 entries, so a
+ * caller that breaks that guarantee gets wrong states but no access out of
+ * bounds.
  *
  * network_steps_u8 runs k steps of a two-state network whose rows all hold
  * W entries, as a random Boolean network's do, in two buffers used in
@@ -41,11 +37,12 @@
  * of _textcodec.assemble.  mm_entries reads Matrix Market entry lines into
  * index and weight arrays, each weight by PyOS_string_to_double, the
  * correctly rounded reader that numpy's loadtxt calls, so it keeps its
- * bits.  node_lines reads the node lines of a per-node rule into the spans
- * of their tables, indexed by node.  The two scanners take only the exact
- * shape the writers emit and decline anything else, never reading past
- * the text: the caller then runs the numpy path on the whole text, so
- * every result and every error stays that path's.
+ * bits, and passes whole-line % comments and empty lines, as loadtxt does.
+ * node_lines reads the node lines of a per-node rule into the spans of
+ * their tables, indexed by node.  The two scanners take only the exact
+ * shape the writers emit, comment lines aside, and decline anything else,
+ * never reading past the text: the caller then runs the numpy path on the
+ * whole text, so every result and every error stays that path's.
  *
  * Plain C over the buffer protocol, so the extension builds with nothing
  * but a C compiler.  The loops trust their buffers: latflow.backend checks
@@ -80,7 +77,7 @@ static int have_avx2;
 /* The interface version: latflow.backend uses the extension only when its
    VERSION equals the one it was written for, so a build of older source,
    whose functions take other arguments, counts as absent. */
-#define KERNELS_VERSION 9
+#define KERNELS_VERSION 10
 #define MAX_FIXED_WIDTH 9
 
 static PyObject *
@@ -184,123 +181,6 @@ pad_grid(uint8_t *pad, const uint8_t *x, Py_ssize_t height, Py_ssize_t width,
             memset(row + halo + width, 0, halo);
         }
     }
-}
-
-/* acc[c] += w * src[c] for c < n, in int16 */
-static void
-add_tap(int16_t *restrict acc, const uint8_t *restrict src, int16_t w, Py_ssize_t n)
-{
-    for (Py_ssize_t c = 0; c < n; c++)
-        acc[c] = (int16_t)(acc[c] + w * src[c]);
-}
-
-/* Cell (r, c) of a height x width grid, flattened row-major, sums
-   w[t] * x[r + dr[t], c + dc[t]] over the taps t; on a wrapped grid the
-   indices are taken modulo the grid, on an unwrapped one a tap outside it
-   reads zero.  The caller guarantees that the sum of |w| times 255 stays
-   below 2^15, so every int16 partial sum is exact. */
-static PyObject *
-stencil_matvec_u8(PyObject *self, PyObject *args)
-{
-    Py_buffer x, out, rows, cols, weights;
-    Py_ssize_t height, width;
-    int wrapped;
-    if (!PyArg_ParseTuple(args, "y*w*nnpy*y*y*:stencil_matvec_u8", &x, &out,
-                          &height, &width, &wrapped, &rows, &cols, &weights))
-        return NULL;
-    const int32_t *dr = rows.buf, *dc = cols.buf;
-    Py_ssize_t n_taps = weights.len / (Py_ssize_t)sizeof(int16_t);
-    Py_ssize_t halo = halo_of(height, width, n_taps, dr, dc);
-    int16_t *acc = NULL;
-    uint8_t *pad = NULL;
-    PyObject *result = NULL;
-
-    if (halo < 0) {
-        PyErr_SetString(PyExc_ValueError, "a stencil offset reaches past the grid");
-        goto done;
-    }
-    Py_ssize_t stride = width + 2 * halo;
-    acc = PyMem_Malloc((width > 0 ? width : 1) * sizeof(int16_t));
-    pad = PyMem_Malloc(height * stride > 0 ? height * stride : 1);
-    if (acc == NULL || pad == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    pad_grid(pad, x.buf, height, width, halo, wrapped);
-    const int16_t *w = weights.buf;
-    int32_t *y = out.buf;
-    /* row r of y sums w[t] * padded row r + dr[t], shifted by dc[t], over
-       the taps whose row lands in the grid or, wrapped, wraps back into it */
-    for (Py_ssize_t r = 0; r < height; r++, y += width) {
-        memset(acc, 0, width * sizeof(int16_t));
-        for (Py_ssize_t t = 0; t < n_taps; t++) {
-            Py_ssize_t sr = r + dr[t];
-            if (sr < 0 || sr >= height) {
-                if (!wrapped)
-                    continue;
-                sr += sr < 0 ? height : -height;
-            }
-            add_tap(acc, pad + sr * stride + halo + dc[t], w[t], width);
-        }
-        for (Py_ssize_t c = 0; c < width; c++)
-            y[c] = acc[c];
-    }
-    Py_END_ALLOW_THREADS
-    result = Py_None;
-    Py_INCREF(result);
-
-done:
-    PyMem_Free(acc);
-    PyMem_Free(pad);
-    PyBuffer_Release(&x);
-    PyBuffer_Release(&out);
-    PyBuffer_Release(&rows);
-    PyBuffer_Release(&cols);
-    PyBuffer_Release(&weights);
-    return result;
-}
-
-/* out[i] = t[i * stride + k[i] - lo] for i < n; returns the
-   first index whose key lies outside [lo, lo + width) or hits a 255 entry,
-   else -1.  Arguments by value, so the uint8 stores cannot alias them. */
-static Py_ssize_t
-lookup_scalar(const int32_t *restrict k, const uint8_t *restrict t, uint8_t *restrict y,
-              Py_ssize_t n, uint64_t lo, uint64_t width, Py_ssize_t stride)
-{
-    for (Py_ssize_t i = 0; i < n; i++) {
-        /* modulo 2^64 a key below lo wraps above every width, so one
-           unsigned compare checks both ends of the range */
-        uint64_t j = (uint64_t)(int64_t)k[i] - lo;
-        if (j >= width)
-            return i;
-        uint8_t v = t[i * stride + (Py_ssize_t)j];
-        if (v == 255)
-            return i;
-        y[i] = v;
-    }
-    return -1;
-}
-
-static PyObject *
-table_lookup(PyObject *self, PyObject *args)
-{
-    Py_buffer keys, table, out;
-    long long lo;
-    Py_ssize_t width, stride;
-    if (!PyArg_ParseTuple(args, "y*y*Lnnw*:table_lookup",
-                          &keys, &table, &lo, &width, &stride, &out))
-        return NULL;
-    Py_ssize_t n = keys.len / (Py_ssize_t)sizeof(int32_t), bad;
-
-    Py_BEGIN_ALLOW_THREADS
-    bad = lookup_scalar(keys.buf, table.buf, out.buf, n, (uint64_t)lo, (uint64_t)width, stride);
-    Py_END_ALLOW_THREADS
-
-    PyBuffer_Release(&keys);
-    PyBuffer_Release(&table);
-    PyBuffer_Release(&out);
-    return PyLong_FromSsize_t(bad);
 }
 
 /* The fused steps of a two-state lattice automaton.  A cell's key is the sum
@@ -822,13 +702,36 @@ scan_eol(const char **p, const char *end)
     return 1;
 }
 
+/* Passes the lines at *p that numpy's loadtxt(comments="%") skips and
+   that a scan need not read: empty ones, LF or CRLF, and ones that start
+   with %. */
+static void
+skip_comments(const char **p, const char *end)
+{
+    const char *s = *p;
+    while (s < end) {
+        if (*s == '%') {
+            const char *lf = memchr(s, '\n', end - s);
+            s = lf != NULL ? lf + 1 : end;
+        } else if (*s == '\n') {
+            s++;
+        } else if (*s == '\r' && end - s > 1 && s[1] == '\n') {
+            s += 2;
+        } else {
+            break;
+        }
+    }
+    *p = s;
+}
+
 /* Reads the entry lines "i j w" of a Matrix Market file from text[start:]
-   into rows, cols and weights, which hold one entry per line.  The weight
+   into rows, cols and weights, which hold one entry per line, passing the
+   comment and empty lines before, between and after them.  The weight
    goes through PyOS_string_to_double, the correctly rounded reader that
    numpy's loadtxt calls.  Returns False, with the outputs undefined, for a
-   text of any other shape: another line count, a comment, a blank line,
-   other whitespace, an integer that is not -?[0-9]{1,18}, a weight of
-   other bytes than [0-9.eE+-] or of 64 or more. */
+   text of any other shape: another entry count, a % after the start of a
+   line, other whitespace, an integer that is not -?[0-9]{1,18}, a weight
+   of other bytes than [0-9.eE+-] or of 64 or more. */
 static PyObject *
 mm_entries(PyObject *self, PyObject *args)
 {
@@ -842,6 +745,7 @@ mm_entries(PyObject *self, PyObject *args)
     double *w = weights.buf;
     Py_ssize_t nnz = rows.len / (Py_ssize_t)sizeof(int64_t);
     for (Py_ssize_t k = 0; ok && k < nnz; k++) {
+        skip_comments(&p, end);
         ok = scan_int(&p, end, &i[k]) && scan_int(&p, end, &j[k]);
         if (!ok)
             break;
@@ -861,6 +765,7 @@ mm_entries(PyObject *self, PyObject *args)
             ok = 0;
         }
     }
+    skip_comments(&p, end);
     ok = ok && p == end;
     PyBuffer_Release(&text);
     PyBuffer_Release(&rows);
@@ -920,16 +825,6 @@ static PyMethodDef methods[] = {
      "csr_matvec_u8(data, indices, indptr, x, out): out = A @ x in int32 for "
      "int32 weights and column indices and a uint8 vector, each row summed "
      "over its row pointers."},
-    {"stencil_matvec_u8", stencil_matvec_u8, METH_VARARGS,
-     "stencil_matvec_u8(x, out, height, width, wrapped, dr, dc, w): out = A @ x "
-     "in int32 for the matrix of a stencil on a height x width grid, whose tap "
-     "t reads cell (r + dr[t], c + dc[t]) with int16 weight w[t], and a uint8 "
-     "vector; the sum of |w| times 255 must stay below 2^15."},
-    {"table_lookup", table_lookup, METH_VARARGS,
-     "table_lookup(keys, table, lo, width, stride, out): "
-     "out[i] = table[i*stride + keys[i] - lo] for int32 keys and a uint8 "
-     "table.  Returns -1, or the first index whose key lies outside "
-     "[lo, lo + width) or hits a 255 entry, a hole."},
     {"stencil_steps_u8", stencil_steps_u8, METH_VARARGS,
      "stencil_steps_u8(x, out, hist, height, width, wrapped, dr, dc, w, table, kmin, "
      "steps): `steps` steps of a two-state automaton on a height x width grid "
@@ -956,7 +851,8 @@ static PyMethodDef methods[] = {
     {"mm_entries", mm_entries, METH_VARARGS,
      "mm_entries(text, start, rows, cols, weights): reads the Matrix Market entry "
      "lines of text[start:] into the int64 rows and cols and the float64 weights, one "
-     "line per entry.  False when the text has any other shape than the writer's."},
+     "line per entry, passing empty lines and lines that start with %.  False when "
+     "the text has any other shape than the writer's."},
     {"node_lines", node_lines, METH_VARARGS,
      "node_lines(text, start, starts, ends): reads the lines 'node <i> table=<digits>' "
      "of text[start:], one per entry of the int64 starts and ends, the table of node i "

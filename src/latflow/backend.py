@@ -14,10 +14,17 @@ index against the length of x, an O(nnz) scan; ``SparseMatrix.matvec``,
 whose indices were checked when it was built, calls the private entry
 points that skip it.
 
-A lattice automaton's matrix carries the taps of its stencil from
-construction, and its arrays are read-only, so the taps stay its exact
-description: it runs a kernel over them that reads no column index.  A
-two-state automaton on such a matrix also runs whole steps in one kernel,
+Every matrix takes a uint8 vector through the one integer CSR loop,
+``_csr_matvec_u8``, over its int32 view; the table lookup that follows is
+numpy's on both backends (``rules.apply_rule``).  Under the compiled
+backend that per-step path serves only what no fused kernel takes, such
+as rules of more than two states, a table with a reachable hole, ragged
+rows and a ``step`` replaced on the class.
+
+Every two-state preset steps by a fused kernel instead.  A lattice
+automaton's matrix carries the taps of its stencil from construction, and
+its arrays are read-only, so the taps stay its exact description: a
+two-state automaton on such a matrix runs whole steps in one kernel,
 ``_stencil_steps_u8``, which ``DynamicalSystem.step`` calls for one step
 and ``run`` for many: the stencil sum and the table lookup in byte lanes,
 with no key vector between them, and no key checked: it is called only
@@ -27,8 +34,7 @@ two-state network whose rows all hold W weights runs whole steps in
 weights into its table, one entry per pattern of its W inputs, once for
 a system's matrix and rule: the steps read no weight and make no key.
 On x86 with AVX2 the extension runs the fused lattice steps in vector
-registers, picked once at import: the same bytes, faster.  The integer
-matvecs and the lookup are plain loops.
+registers, picked once at import: the same bytes, faster.
 
 The text formats have three kernels: ``assemble``, and the scanners
 ``mm_entries`` and ``node_lines``, which give None for any text not in
@@ -43,7 +49,7 @@ import numpy as np
 from . import _kernels_py
 
 # the interface of _ckernels.c that this module calls
-_KERNELS_VERSION = 9
+_KERNELS_VERSION = 10
 
 
 def _import_compiled():
@@ -71,12 +77,8 @@ _I16 = np.dtype(np.int16)
 _U8 = np.dtype(np.uint8)
 
 
-def _is_buffer(array, dtype):
-    return array.dtype == dtype and array.ndim == 1 and array.flags.c_contiguous
-
-
 def _require(array, dtype, name):
-    if not _is_buffer(array, dtype):
+    if not (array.dtype == dtype and array.ndim == 1 and array.flags.c_contiguous):
         raise ValueError(f"{name} must be a C-contiguous 1-d {dtype} array")
 
 
@@ -145,20 +147,6 @@ def _csr_matvec_u8(data, indices, indptr, x):
     _require_span(data, indices, indptr)
     out = np.empty(len(indptr) - 1, dtype=np.int32)
     _ckernels.csr_matvec_u8(data, indices, indptr, x, out)
-    return out
-
-
-def _stencil_matvec_u8(x, height, width, wrapped, dr, dc, w):
-    """y = A @ x in int32 for a uint8 vector and the matrix of a stencil on
-    a height x width grid, by the compiled kernel, which accumulates each
-    grid row in int16: the caller guarantees that the sum of |w| times 255
-    stays below 2**15, so the product is exact."""
-    _require(x, _U8, "x")
-    _require_taps(dr, dc, w)
-    if len(x) != height * width:
-        raise ValueError(f"x of length {len(x)} for a {height}x{width} grid")
-    out = np.empty(len(x), dtype=np.int32)
-    _ckernels.stencil_matvec_u8(x, out, height, width, wrapped, dr, dc, w)
     return out
 
 
@@ -256,30 +244,6 @@ def _require_taps(dr, dc, w):
         raise ValueError("dr, dc and w differ in length")
 
 
-def table_lookup(keys, table, lo):
-    """``out[i] = table[keys[i] - lo]`` by the compiled kernel, or
-    ``table[i, keys[i] - lo]`` when the table has one row per cell, as uint8.
-
-    Returns None when the numpy fallback is active, when ``keys`` is not a
-    contiguous 1-d int32 array, when a 2-D table does not have one row per
-    key, or when some key lies outside [lo, lo + row width) or hits a 255
-    entry, a hole: the caller's numpy path then gives the result or the
-    precise error.
-    """
-    if BACKEND != "c" or not _is_buffer(keys, _I32):
-        return None
-    if table.ndim == 2 and len(table) != len(keys):
-        return None
-    flat = table.reshape(-1)
-    _require(flat, _U8, "table")
-    width = table.shape[-1]
-    out = np.empty(len(keys), dtype=np.uint8)
-    # the kernel reads row i at i * stride; stride 0 shares one row
-    if _ckernels.table_lookup(keys, flat, lo, width, width if table.ndim == 2 else 0, out) >= 0:
-        return None
-    return out
-
-
 def assemble(n, fields):
     """``_textcodec.assemble(n, *fields)`` by the compiled kernel, as a
     read-only uint8 array.  Checks first that every array field is a
@@ -302,11 +266,11 @@ def assemble(n, fields):
 
 def mm_entries(text, start, nnz):
     """The int64 rows and columns and float64 weights of the ``nnz`` Matrix
-    Market entry lines of ``text[start:]``, by the compiled scanner.  None
-    when the numpy fallback is active, and when the text is not ASCII, has
-    fewer than 6 bytes an entry, or has any other shape than the writer
-    emits: the caller's numpy path then gives the result or the precise
-    error."""
+    Market entry lines of ``text[start:]``, by the compiled scanner, which
+    passes empty lines and lines that start with ``%``.  None when the
+    numpy fallback is active, and when the text is not ASCII, has fewer
+    than 6 bytes an entry, or has any other shape than the writer emits:
+    the caller's numpy path then gives the result or the precise error."""
     if BACKEND != "c" or not text.isascii() or not 0 <= nnz <= (len(text) - start) // 6:
         return None
     entries = np.empty(nnz, _I64), np.empty(nnz, _I64), np.empty(nnz, _F64)

@@ -7,16 +7,18 @@ diffusively coupled lattices come out right.  There is no bias term and no
 per-step external input.
 
 A lookup-table rule with a uint8 table keeps its state as uint8, so each
-step is an integer matvec and an integer-keyed lookup, or a fused kernel
-(below).  Such a system records its history as bytes too, and saves it as
-bytes (the LFST layout ``LFS8``); ``StateHistory.states`` and the state
-are float64 all the same, made from the bytes when they are read.
+step is a fused kernel (below) or the one per-step integer path: the CSR
+matvec of the uint8 state in int32, then numpy's lookup of each key.
+Such a system records its history as bytes too, and saves it as bytes
+(the LFST layout ``LFS8``); ``StateHistory.states`` and the state are
+float64 all the same, made from the bytes when they are read.
 
 A step is ``apply_rule(rule, matrix.matvec(state))``, except that under
 the compiled backend a two-state system whose class keeps
 ``DynamicalSystem.step``, whose state holds only 0 and 1 and whose rule is
 a ``TableRule`` of 2 states makes one C call per ``step()`` and one per
-many steps of ``run()``, with the same states, in one of two lanes:
+many steps of ``run()``, with the same states, in one of two lanes, which
+every two-state preset takes:
 
 - a lattice automaton, whose matrix has a stencil view, with a 1-D table:
   the stencil sum and the lookup fused in byte lanes, when every key that

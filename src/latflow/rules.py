@@ -56,8 +56,8 @@ class TableRule:
       generator's positional weights do.
 
     With at most LANE_MAX_STATES states the rule also keeps the table as
-    uint8, 255 for a hole, for the compiled lookup, and its next states are
-    uint8.
+    uint8, 255 for a hole, which ``apply_rule`` and the fused kernels index,
+    and its next states are uint8.
     """
 
     table: np.ndarray = field(repr=False)
@@ -180,35 +180,35 @@ def apply_rule(rule, preactivation):
     A table rule takes an int32 vector as its keys and rounds any other to
     integer keys.  It raises NonIntegerKey, then DimensionMismatch (a
     per-node table with a row count other than the vector's length), then
-    KeyOutOfTable for a key outside the table or on a -1 entry.  Its next
-    states are uint8 when the rule has a uint8 table, else float64.
+    KeyOutOfTable naming the first key outside the table or, when every
+    key lies inside it, the first on a -1 entry.  Its next states are uint8
+    when the rule has a uint8 table, else float64.
     """
     pre = np.asarray(preactivation)
     if rule.n_states is None:
         return rule.map_values(pre)
-    keys = pre
-    if pre.dtype != np.int32:
-        keys = _integer_keys(np.asarray(pre, dtype=np.float64))
-        if keys.size and -(2**31) <= keys.min() and keys.max() < 2**31:
-            keys = keys.astype(np.int32)
-    # on any bad key the compiled lookup declines and the numpy code below
-    # raises the precise error
-    if rule._table8 is not None:
-        out = backend.table_lookup(keys, rule._table8, rule.lo)
-        if out is not None:
-            return out
-    table = rule.table
-    keys = keys - np.int64(rule.lo)
+    keys = pre if pre.dtype == np.int32 else _integer_keys(np.asarray(pre, dtype=np.float64))
+    table, hole = (rule.table, -1) if rule._table8 is None else (rule._table8, 255)
     if table.ndim == 2 and len(keys) != len(table):
         raise DimensionMismatch(f"{len(keys)} preactivations for {len(table)} node tables")
-    bad = (keys < 0) | (keys >= table.shape[-1])
-    if not bad.any():
-        out = table[np.arange(len(keys)), keys] if table.ndim == 2 else table[keys]
-        bad = out < 0
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise KeyOutOfTable(f"key {keys[i] + rule.lo} at index {i} is not in the table")
-    return out.astype(np.float64 if rule._table8 is None else np.uint8)
+    # each key's place in its table row, then in the flat table, where
+    # node i's row starts at i * width
+    width = table.shape[-1]
+    index = keys - np.int64(rule.lo)
+    if index.size and (index.min() < 0 or index.max() >= width):
+        _key_out_of_table(keys, (index < 0) | (index >= width))
+    if table.ndim == 2:
+        index += np.arange(len(table)) * width
+    out = table.reshape(-1).take(index)
+    on_hole = out == hole
+    if on_hole.any():
+        _key_out_of_table(keys, on_hole)
+    return out if rule._table8 is not None else out.astype(np.float64)
+
+
+def _key_out_of_table(keys, bad):
+    i = int(np.flatnonzero(bad)[0])
+    raise KeyOutOfTable(f"key {keys[i]} at index {i} is not in the table")
 
 
 # -- text serialization ----------------------------------------------------

@@ -13,12 +13,11 @@ memory traffic.  With the copy it keeps the common length of its rows,
 which the fused steps of a two-state network need.
 
 A matrix that a lattice generator built from a stencil of small integer
-weights carries, from its construction, a stencil view of the stencil's
-taps, and under the compiled backend its uint8 matvec runs the stencil
-kernel over them and never makes the int32 copy: that kernel reads each
-source row once per tap and no column index at all.  Any other matrix,
-including one derived from such a matrix by ``scaled`` or ``transpose`` or
-read back from Matrix Market, has no view and keeps the CSR kernels.
+weights also carries, from its construction, a stencil view of the
+stencil's taps, which only the engine's fused lattice steps read; its own
+matvec is the CSR one like every other matrix's.  A matrix derived from
+such a matrix by ``scaled`` or ``transpose``, or read back from Matrix
+Market, has no view.
 """
 
 import io
@@ -169,11 +168,10 @@ class SparseMatrix:
     def matvec(self, v):
         """A @ v via the active CSR kernel.
 
-        A uint8 vector gives the exact product as int32 when every weight is
-        an integer and no row's sum of |weight| * 255 reaches 2**31; any
-        other vector is taken as float64 and gives a float64 product.  The
-        compiled backend computes the int32 product of a matrix with a
-        stencil view by the stencil kernel.
+        A uint8 vector gives the exact product as int32, over the int32
+        view, when every weight is an integer and no row's sum of
+        |weight| * 255 reaches 2**31; any other vector is taken as float64
+        and gives a float64 product.
         """
         v = np.asarray(v)
         if v.dtype != np.uint8:
@@ -185,8 +183,6 @@ class SparseMatrix:
         # a strided view is copied, as the compiled kernels read contiguous memory
         v = np.ascontiguousarray(v)
         if v.dtype == np.uint8:
-            if backend.BACKEND == "c" and self._stencil is not None:
-                return backend._stencil_matvec_u8(v, *self._stencil)
             view = self._cached_int32_view()
             if view:
                 return backend._csr_matvec_u8(view[0], view[1], self.indptr, v)

@@ -136,8 +136,8 @@ def _stencil_matrix(grid, weights, center):
     allocated IndexOutOfBounds.
 
     When the weights are integers whose |w| sum to less than 2**15 / 255,
-    so that int16 sums of uint8 states are exact, the matrix gets its
-    stencil view (see SparseMatrix): the grid and each tap as the offset
+    the matrix gets its stencil view (see SparseMatrix), which the fused
+    lattice steps read: the grid and each tap as the offset
     (dr, dc) from a cell to the cell it reads, in int32, and its weight, in
     int16.  The view is built from the same taps as the entries, and the
     entries are read-only, so the two always agree."""

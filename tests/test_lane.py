@@ -1,6 +1,6 @@
 """The integer lane of discrete systems: uint8 state, an int32 matvec over a
-cached int32 view of the matrix, or over the stencil view of a lattice
-matrix, and one integer-keyed table lookup.
+cached int32 view of the matrix and one integer-keyed table lookup, or a
+fused kernel that runs whole steps of a two-state system.
 
 The lane must give the histories of the float64 engine bit for bit, raise
 the same errors with the same messages, and leave every system it cannot
@@ -111,7 +111,7 @@ def test_pinned_histories_on_both_backends(monkeypatch, name):
         history = system.run(steps, record=True)
         assert system._state.dtype == np.uint8
         if which == "c" and name.startswith(("life", "eca")):
-            # a lattice matrix takes the stencil kernel and needs no int32 copy
+            # a lattice takes the fused stencil lane and needs no int32 copy
             assert isinstance(system.matrix._stencil, tuple)
             assert system.matrix._int32 is None
         else:
@@ -232,7 +232,7 @@ def test_a_hole_in_a_255_state_table_is_not_a_state(monkeypatch):
 
 def test_int32_view_is_built_on_the_first_uint8_matvec():
     # life's matrix without the taps of its stencil, which would take the
-    # stencil kernel instead (tests/test_kernels.py)
+    # fused stencil lane instead
     life = game_of_life(8, 8, True)
     matrix = SparseMatrix.from_dense(life.matrix.to_dense())
     system = DynamicalSystem(matrix, life.rule, init_bits(64, 3))
@@ -626,6 +626,22 @@ def test_only_two_state_systems_take_a_fused_kernel(monkeypatch):
     assert random_boolean_network(9, 2, 1)._fused_lane() is None
 
 
+@needs_compiled
+def test_every_two_state_preset_takes_a_fused_lane(monkeypatch):
+    # the per-step path, matvec then lookup, is the slow one: no preset may
+    # fall back to it
+    monkeypatch.setattr(backend, "BACKEND", "c")
+    cases = [(elementary_ca(33, number, wrapped), backend._stencil_steps_u8)
+             for number in range(256) for wrapped in (True, False)]
+    cases += [(game_of_life(12, 9, wrapped), backend._stencil_steps_u8)
+              for wrapped in (True, False)]
+    cases += [(random_boolean_network(64, k, seed=k), backend._network_steps_u8)
+              for k in (1, 2, 3, 4)]
+    for system, kernel in cases:
+        lane = system._fused_lane()
+        assert lane is not None and lane[0] is kernel
+
+
 @pytest.mark.parametrize("matrix", [elementary_ca(16, 30).matrix, ring(16, [4, 2, 1])],
                          ids=["stencil", "network"])
 def test_a_state_left_by_a_rule_of_more_states_runs_as_the_per_step_path(monkeypatch, matrix):
@@ -660,6 +676,8 @@ def test_fused_wrapper_rejects_wrong_buffers(monkeypatch):
         (x, 2, np.zeros((2, 128), dtype=np.uint8)[:, ::2], *lane),
         (x, 2, None, *lane[:6], lane[6][:31], lane[7]),
         (x, 2, None, *lane[:5], lane[5].astype(np.int32), *lane[6:]),
+        (x, 2, None, *lane[:3], lane[3].astype(np.int64), *lane[4:]),
+        (x, 2, None, *lane[:3], lane[3][:-1], *lane[4:]),
     ):
         with pytest.raises(ValueError):
             backend._stencil_steps_u8(*args)

@@ -8,6 +8,7 @@ is a failure.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -177,3 +178,52 @@ def test_mutated_text_reads_alike_with_and_without_the_scanners(monkeypatch, tmp
         monkeypatch.setattr(backend, "BACKEND", name)
         read.append(_read(kind, path))
     assert read.count(read[0]) == len(read)
+
+
+# written files whose body (see _split_body) a compiled scanner reads
+BODY_SEEDS = {
+    "mm": [text.encode() for text in MM_SEEDS],
+    "rule": [rule_to_text(random_boolean_tables(n, k, seed=n)).encode()
+             for n, k in ((3, 2), (6, 3))],
+}
+
+
+def _split_body(kind, raw):
+    """(head, body) of a seed.  The body starts after the size line of a
+    Matrix Market file, the first that is not the header, a comment or
+    blank.  In rule text it starts after the rule line and the ``node `` of
+    the first node line, which the reader finds the node lines by: an edit
+    there sends the whole text to the numpy reader."""
+    if kind == "rule":
+        at = raw.index(b"\nnode ") + 6
+        return raw[:at], raw[at:]
+    lines = raw.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line[:1] not in (b"%", b"\n"))
+    return b"".join(lines[:at + 1]), b"".join(lines[at + 1:])
+
+
+@pytest.mark.skipif("c" not in BACKENDS, reason="the extension is not built")
+@pytest.mark.parametrize("kind, scanner", [("mm", "mm_entries"), ("rule", "node_lines")])
+def test_mutated_bodies_reach_the_scanners_and_read_alike(monkeypatch, tmp_path, kind, scanner):
+    # edits after the head leave what the reader parses before the body,
+    # so most examples reach the compiled scanner, which must then take or
+    # decline each one as the numpy reader reads it
+    real, calls, reached = getattr(backend._ckernels, scanner), [], []
+    monkeypatch.setattr(backend._ckernels, scanner, lambda *args: calls.append(1) or real(*args))
+    path = tmp_path / "in"
+
+    @FUZZ
+    @given(which=st.integers(0, 1), edits=mutations())
+    def reads_alike(which, edits):
+        head, body = _split_body(kind, BODY_SEEDS[kind][which])
+        path.write_bytes(head + _mutate(body, edits))
+        calls.clear()
+        read = []
+        for name in BACKENDS:
+            monkeypatch.setattr(backend, "BACKEND", name)
+            read.append(_read(kind, path))
+        assert read.count(read[0]) == len(read)
+        reached.append(bool(calls))
+
+    reads_alike()
+    assert sum(reached) > len(reached) / 2, f"{sum(reached)} of {len(reached)} reached {scanner}"

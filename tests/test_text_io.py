@@ -371,8 +371,19 @@ def _mm_read(monkeypatch, tmp_path, text):
     ("1 1 1\r2 2 2\r", 2, False),
     ("1\v1\v1.5\n", 1, False),
     ("1 1 1 % a comment\n", 1, False),
-    ("% a comment\n1 1 1\n", 1, False),
-    ("1 1 1\n\n2 2 2\n", 2, False),
+    ("1 1 1%\n", 1, False),
+    # whole-line comments and empty lines, passed as loadtxt passes them
+    ("% a comment\n1 1 1\n", 1, True),
+    ("1 1 1\n\n2 2 2\n", 2, True),
+    ("1 1 1\n% a trailing comment\n", 1, True),
+    ("1 1 1\n%", 1, True),  # no newline after the comment
+    ("%\n\n%%x\n1 1 1\r\n\r\n% c\r\n2 2 2\n\n", 2, True),
+    ("% only a comment\n", 0, True),
+    ("1 1 1\n%\n2 2 2\n", 1, False),  # more entries than declared
+    ("1 1 1\n%\n", 2, False),  # fewer
+    ("  % an indented comment\n1 1 1\n", 1, False),
+    ("1 1 1\n \n", 1, False),  # a line of blanks
+    ("1 1 1\n\r\r\n", 1, False),
     (" 1 1 1\n", 1, False),
     ("1  1 1\n", 1, False),
     ("1 1 1 \n", 1, False),
