@@ -17,24 +17,28 @@ A step is ``apply_rule(rule, matrix.matvec(state))``, except that under
 the compiled backend a two-state system whose class keeps
 ``DynamicalSystem.step``, whose state holds only 0 and 1 and whose rule is
 a ``TableRule`` of 2 states makes one C call per ``step()`` and one per
-many steps of ``run()``, with the same states, in one of two lanes, which
+chunk of ``run()``, with the same states, in one of two lanes, which
 every two-state preset takes:
 
 - a lattice automaton, whose matrix has a stencil view, with a 1-D table:
   the stencil sum and the lookup fused in byte lanes, when every key that
   cells of 0 or 1 can produce (at most 32) has a next state;
 - a network whose rows all hold W >= 1 integer weights, such as a random
-  Boolean network, with a 1-D table or one table row per node: each
-  node's weights are folded into a table of its 2**W input patterns, when
-  every pattern's key has a next state and the folded tables are no
-  larger than the larger of the rule's own table and the int32 weights.
+  Boolean network or a lattice that the first lane declines, with a 1-D
+  table or one table row per node: each node's weights are folded into a
+  table of its 2**W input patterns, when every pattern's key has a next
+  state and the folded tables are no larger than the larger of the rule's
+  own table and the int32 weights.
 
 This is decided from ``matrix`` and ``rule``, and decided again when
 either is assigned or the rule's ``lo`` changes, so a table with a
 reachable hole takes the matvec and the lookup, which raise on it.  A
 subclass or wrapper that replaces ``step`` is called once per step.
+``run()`` and ``latflow run`` share one loop, ``_chunks``: each chunk of
+steps goes into the whole history, or into one chunk's rows, reused.
 """
 
+import itertools
 import operator
 import os
 import struct
@@ -45,8 +49,7 @@ from . import _textcodec, backend
 from .errors import BadStateValue, DimensionMismatch, FileFormatError, NotSquare, read_text
 from .rules import MAP_THEN_MIX, TableRule, apply_rule
 
-# cell-updates per call of a fused kernel: run() returns to Python between
-# calls, so Ctrl-C stops a long run within milliseconds
+# cell-updates per chunk of run(), so per call of a fused kernel
 _FUSED_CELL_UPDATES = 1 << 22
 # values per block of the CSV writer
 _CSV_BLOCK = 1 << 15
@@ -91,25 +94,10 @@ class StateHistory:
     # -- CSV: one row per step, comma-separated reals ---------------------
 
     def save_csv(self, path):
-        with open(path, "w") as f:
-            f.writelines(self._csv_blocks())
+        _save(path, [self._rows], self._rows.shape, self._rows.dtype, binary=False)
 
     def to_csv(self):
-        return "".join(self._csv_blocks())
-
-    def _csv_blocks(self):
-        """The CSV text in blocks of whole rows, each value written as its
-        repr: a block at a time, so that the writer's temporaries stay
-        small whatever the length of the history."""
-        step = max(1, _CSV_BLOCK // max(self.n, 1))
-        for start in range(0, len(self), step):
-            block = self._rows[start : start + step]
-            flat = block.reshape(-1)
-            if flat.size and (block.dtype == np.uint8 or (
-                    np.all(np.abs(flat) < 1e16) and np.array_equal(flat, np.rint(flat)))):
-                yield _integer_csv(block)
-            else:
-                yield "".join(",".join(map(repr, row.tolist())) + "\n" for row in block)
+        return "".join(_csv_blocks([self._rows]))
 
     @classmethod
     def from_csv(cls, text):
@@ -137,12 +125,7 @@ class StateHistory:
     # -- binary: magic, u32 row count, u32 width, payload row-major --------
 
     def save_binary(self, path):
-        rows, n = self._rows.shape
-        magic = b"LFS8" if self._rows.dtype == np.uint8 else b"LFST"
-        with open(path, "wb") as f:
-            f.write(struct.pack("<4sII", magic, rows, n))
-            # the array's own buffer: no copy of the payload as bytes
-            f.write(np.ascontiguousarray(self._rows, dtype=_LFST_DTYPES[magic]).data)
+        _save(path, [self._rows], self._rows.shape, self._rows.dtype, binary=True)
 
     @classmethod
     def load_binary(cls, path):
@@ -166,6 +149,43 @@ class StateHistory:
             raise FileFormatError(f"expected {expected} payload bytes, found {found}")
         # bytes are always finite, and reading their states would widen them
         return cls(states) if dtype == np.uint8 else cls(states)._finite("LFST state file")
+
+
+def _csv_blocks(blocks):
+    """The CSV text of blocks of rows, in pieces of whole rows, each value
+    written as its repr: a piece at a time, so that the writer's
+    temporaries stay small whatever the number of rows."""
+    for rows in blocks:
+        step = max(1, _CSV_BLOCK // max(rows.shape[1], 1))
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            flat = block.reshape(-1)
+            if flat.size and (block.dtype == np.uint8 or (
+                    np.all(np.abs(flat) < 1e16) and np.array_equal(flat, np.rint(flat)))):
+                yield _integer_csv(block)
+            else:
+                yield "".join(",".join(map(repr, row.tolist())) + "\n" for row in block)
+
+
+def _save(path, blocks, shape, dtype, binary):
+    """Writes blocks of rows, ``shape`` and ``dtype`` in all, to ``path`` as
+    LFST or CSV, each as it comes: FileFormatError before the file is opened
+    when LFST's u32 fields cannot hold ``shape``, and the file removed when
+    the write stops early, as a shorter file would read back as valid."""
+    pieces = _csv_blocks(blocks)
+    if binary:
+        if max(shape) >= 2**32:
+            raise FileFormatError(f"LFST holds fewer than 2**32 rows and cells, not {shape}")
+        magic = b"LFS8" if dtype == np.uint8 else b"LFST"
+        # each block's own buffer: no copy of the payload as bytes
+        pieces = itertools.chain([struct.pack("<4sII", magic, *shape)], (
+            np.ascontiguousarray(rows, dtype=_LFST_DTYPES[magic]).data for rows in blocks))
+    with open(path, "wb" if binary else "w") as f:
+        try:
+            f.writelines(pieces)
+        except BaseException:
+            os.remove(path)
+            raise
 
 
 def _integer_csv(block):
@@ -278,12 +298,11 @@ class DynamicalSystem:
         engine's own ``step``, is recorded as bytes; the history's
         ``states`` are float64 all the same.
 
-        Each step is ``step()``, except that a system with a fused kernel
-        (see the module docstring) runs many steps per call of it, with the
-        same states; whether it has one is decided once per call.  A
-        subclass or wrapper that replaces ``step`` is called once per step.
-        A history too large to allocate raises BadStateValue before any
-        step.
+        The steps go a chunk at a time (``_chunks``): a call of a fused
+        kernel (see the module docstring) a chunk when the system has one,
+        decided once per call, else ``step()`` once per step, also when a
+        subclass or wrapper replaces it.  A history too large to allocate
+        raises BadStateValue before any step.
         """
         try:
             steps = operator.index(steps)
@@ -291,34 +310,49 @@ class DynamicalSystem:
             raise BadStateValue(f"the step count {steps!r} is not an integer") from None
         if steps < 0:
             raise BadStateValue(f"cannot run {steps} steps")
-        rows = None
-        if record:
-            # every step of such a system gives a uint8 state
-            byte = (self._state.dtype == np.uint8 and type(self).step is _STEP
-                    and isinstance(self.rule, TableRule) and self.rule._table8 is not None)
-            try:
-                rows = np.empty((steps + 1, self.n), dtype=np.uint8 if byte else np.float64)
-            except (ValueError, MemoryError):  # numpy refuses the size, or malloc does
-                raise BadStateValue(f"no memory to record {steps} steps") from None
-            rows[0] = self._state
-        lane = self._fused_lane()
-        if lane is not None:
-            kernel, args = lane
-            # a bounded amount of work per call, so Ctrl-C stops a long run
-            chunk = max(1, _FUSED_CELL_UPDATES // self.n)
-            for k in range(0, steps, chunk):
-                m = min(chunk, steps - k)
-                history = None if rows is None else rows[k + 1 : k + 1 + m]
-                self._state = kernel(self._state, m, history, *args)
-                self.t += m
-        else:
-            # the engine's own step without asking for the lane again
-            step = self.step if type(self).step is not _STEP else lambda: self._advance(None)
-            for k in range(steps):
-                step()
-                if rows is not None:
-                    rows[k + 1] = self._state
+        rows = self._record_rows(steps) if record else None
+        for _ in self._chunks(steps, rows):
+            pass
         return None if rows is None else StateHistory(rows)
+
+    def _chunk_steps(self):
+        """The most steps in a chunk: bounded work, so Ctrl-C stops a run."""
+        return max(1, _FUSED_CELL_UPDATES // max(self.n, 1))
+
+    def _record_rows(self, steps):
+        """Empty rows for the state and ``steps`` steps, uint8 when each step
+        gives a uint8 state, or BadStateValue when they cannot be allocated."""
+        byte = (self._state.dtype == np.uint8 and type(self).step is _STEP
+                and isinstance(self.rule, TableRule) and self.rule._table8 is not None)
+        try:
+            return np.empty((steps + 1, self.n), dtype=np.uint8 if byte else np.float64)
+        except (ValueError, MemoryError):  # numpy refuses the size, or malloc does
+            raise BadStateValue(f"no memory to record {steps} steps") from None
+
+    def _chunks(self, steps, rows):
+        """Advances ``steps`` steps, at most ``_chunk_steps()`` a chunk, and
+        yields the rows written since the last yield: row 0, the state, then
+        each chunk's.  ``rows`` (from ``_record_rows``, or None to write none)
+        holds every step, written in place, or one chunk's, reused."""
+        if rows is not None:
+            rows[0] = self._state
+        yield None if rows is None else rows[:1]
+        lane = self._fused_lane()
+        # the engine's own step without asking for the lane again
+        step = self.step if type(self).step is not _STEP else lambda: self._advance(None)
+        chunk, body = self._chunk_steps(), None if rows is None else rows[1:]
+        for k in range(0, steps, chunk):
+            m = min(chunk, steps - k)
+            out = None if body is None else body[k % len(body) :][:m]
+            if lane is not None:
+                self._state = lane[0](self._state, m, out, *lane[1])
+                self.t += m
+            else:
+                for j in range(m):
+                    step()
+                    if out is not None:
+                        out[j] = self._state
+            yield out
 
     def _fused_lane(self):
         """``(kernel, args)``, a fused kernel and its arguments after the
@@ -339,9 +373,9 @@ class DynamicalSystem:
         # kept while both are the same objects and the rule's lo is unchanged
         kept = self._lane
         if kept is None or kept[0] is not matrix or kept[1] is not rule or kept[2] != rule.lo:
-            if matrix._stencil is not None:
-                lane = _stencil_lane(matrix._stencil, rule)
-            else:
+            # a lattice that the stencil lane declines may fold its rows
+            lane = None if matrix._stencil is None else _stencil_lane(matrix._stencil, rule)
+            if lane is None:
                 lane = _network_lane(matrix, rule)
             kept = self._lane = (matrix, rule, rule.lo, lane)
         return kept[3]

@@ -217,10 +217,30 @@ def test_malformed_run_config_exits_3(tmp_path, capsys, case):
 
 
 def test_run_of_a_history_too_large_to_allocate_exits_3(tmp_path, capsys):
+    # render needs the whole run in memory; without it the rows would stream
     conf = tmp_path / "c.conf"
-    conf.write_text(f"system = elementary_ca\nwidth = 64\nrule = 30\nsteps = {2**52}\n")
+    conf.write_text(f"system = elementary_ca\nwidth = 64\nrule = 30\nsteps = {2**52}\n"
+                    "render = txt\n")
     assert run_cli("run", "--config", conf) == 3
     assert capsys.readouterr().err.startswith("error: no memory to record")
+
+
+def test_a_streamed_lfst_of_2_32_rows_is_refused_before_any_step(tmp_path, capsys, monkeypatch):
+    from latflow.engine import DynamicalSystem
+
+    def stepping(self):
+        raise AssertionError("the run began")
+
+    # every run asks for its lane before its first step
+    monkeypatch.setattr(DynamicalSystem, "_fused_lane", stepping)
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"system = elementary_ca\nwidth = 8\nrule = 30\nsteps = {2**32 - 1}\n"
+                    "record = h.lfst\n")
+    assert run_cli("run", "--config", conf) == 3
+    assert capsys.readouterr().err == (
+        "error: LFST holds fewer than 2**32 rows and cells, not (4294967296, 8)\n")
+    assert not (tmp_path / "h.lfst").exists()
 
 
 def test_run_missing_file_exits_3(tmp_path, capsys):

@@ -341,6 +341,18 @@ def test_binary_huge_declared_shape_refused_before_allocating(monkeypatch, tmp_p
             assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+@pytest.mark.parametrize("shape", [(2**32, 1), (1, 2**32)], ids=["rows", "cells"])
+def test_an_lfst_of_2_32_rows_or_cells_is_refused_before_the_file_is_opened(
+        tmp_path, shape, dtype):
+    # a broadcast view of one value: the history allocates nothing
+    history = StateHistory(np.broadcast_to(np.zeros((1, 1), dtype), shape))
+    path = tmp_path / "h.lfst"
+    with pytest.raises(FileFormatError, match="fewer than 2\\*\\*32 rows and cells"):
+        history.save_binary(path)
+    assert not path.exists()
+
+
 def test_binary_load_holds_the_payload_about_once(monkeypatch, tmp_path):
     # 380 random rows, then rows 360-379 once more: transient 360, period 20
     rows = np.random.default_rng(4).integers(0, 256, (400, 1000), dtype=np.uint8)

@@ -8,13 +8,15 @@ run exactly on the float path.
 """
 
 import hashlib
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from latflow import backend
-from latflow.engine import DynamicalSystem
+from latflow.engine import DynamicalSystem, load_history
 from latflow.errors import BadStateValue, DimensionMismatch, KeyOutOfTable, NonIntegerKey
 from latflow.rules import (
     ContinuousMap,
@@ -26,7 +28,13 @@ from latflow.rules import (
     rule_from_text,
 )
 from latflow.sparse import SparseMatrix
-from latflow.systems import echo_state_network, elementary_ca, game_of_life, random_boolean_network
+from latflow.systems import (
+    coupled_map_lattice,
+    echo_state_network,
+    elementary_ca,
+    game_of_life,
+    random_boolean_network,
+)
 from latflow.topology import (
     GridSpec,
     NeighborhoodSpec1D,
@@ -409,6 +417,20 @@ def test_fused_runs_of_any_length_against_the_chunk(monkeypatch, steps):
     assert_fused_matches_per_step(monkeypatch, lambda: game_of_life(33, 5, True, init), steps)
 
 
+def test_a_wrapped_lattice_the_stencil_lane_declines_takes_the_network_lane(monkeypatch):
+    # 3 taps whose |weights| sum to 33, past the stencil lane's 32 keys; an
+    # unwrapped row is ragged at its ends, which the network lane declines
+    def make():
+        matrix = generate_ca_1d(GridSpec(301, wrapped=True), NeighborhoodSpec1D((20, 10, 3), 1))
+        rule = TableRule(np.arange(34) * 7 // 3 % 2, center_weight=10)
+        return DynamicalSystem(matrix, rule, init_bits(301, 25))
+
+    assert_fused_matches_per_step(monkeypatch, make, 20)
+    if "c" in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", "c")
+        assert make()._fused_lane()[0] is backend._network_steps_u8
+
+
 def growing_block(width):
     """Rule 'left or own' on a wrapped ring from one live cell: the live
     block grows by a cell a step, and the key of left and right alive
@@ -592,9 +614,8 @@ def test_only_two_state_systems_take_a_fused_kernel(monkeypatch):
                              TableRule(np.arange(36) % 2, center_weight=1), None),
         "a reachable hole": (block.matrix, block.rule, None),
         "an unreachable hole": (gapped.matrix, gapped.rule, stencil),
-        # a matrix with a stencil view takes the stencil kernel or none
         "per-node tables on a stencil": (elementary_ca(9, 30).matrix,
-                                         random_boolean_tables(9, 3, 1), None),
+                                         random_boolean_tables(9, 3, 1), network),
         "no stencil view": (ring(9, [4, 2, 1]), elementary_rule(30), network),
         "per-node tables": (ring(9, [4, 2, 1]), random_boolean_tables(9, 3, 1), network),
         "a network of three states": (ring(9, [9, 3, 1]), three_states, None),
@@ -976,3 +997,134 @@ def test_a_folded_table_that_breaks_its_guarantee_stays_in_bounds(monkeypatch, n
         state = kernel(x, 7, history, indices, width, folded)
         assert np.array_equal(history[-1], state)
         assert state.shape == x.shape and state.dtype == np.uint8
+
+
+# -- `latflow run` streams its rows through one chunk ----------------------
+
+class OverridingStep(DynamicalSystem):
+    """A subclass that replaces ``step``: it steps by step() and records
+    float64 rows of its uint8 state."""
+
+    def step(self):
+        return super().step()
+
+
+def streamed_float(make):
+    init = np.random.default_rng(12).uniform(0.0, 1.0, 40)
+    return lambda: make(init)
+
+
+THREE = np.random.default_rng(8).integers(0, 3, 64).astype(np.float64)
+# name: a system maker; the lanes, the per-step byte and float rows
+STREAMED = {
+    "stencil lane": lambda: game_of_life(12, 9, True, init_bits(108, 21)),
+    "network lane": lambda: random_boolean_network(50, 3, 5, init_bits(50, 22)),
+    "three states": lambda: DynamicalSystem(ring(64, [1, 3, 9]),
+                                            TableRule(np.arange(27) % 3, n_states=3), THREE),
+    "overriding step": lambda: OverridingStep(elementary_ca(33, 110).matrix,
+                                              elementary_rule(110), init_bits(33, 23)),
+    "esn": streamed_float(lambda init: echo_state_network(40, 0.2, 0.9, 3, init)),
+    "cml": streamed_float(lambda init: coupled_map_lattice(40, 0.3, 3.9, True, init)),
+}
+# any config that validates: cli.build_system is replaced by the system's maker
+STREAM_CONF = "system = elementary_ca\nwidth = 8\nrule = 30\nsteps = {steps}\n"
+
+
+def run_streamed(monkeypatch, tmp_path, make, steps, record=None):
+    """main(["run", ...]) of ``make()`` for ``steps`` steps, recorded to the
+    file ``record`` in tmp_path or to stdout without one."""
+    from latflow import cli
+
+    monkeypatch.setattr(cli, "build_system", lambda config, init: make())
+    conf = tmp_path / "run.conf"
+    conf.write_text(STREAM_CONF.format(steps=steps) + (f"record = {record}\n" if record else ""))
+    monkeypatch.chdir(tmp_path)
+    return cli.main(["run", "--config", str(conf)])
+
+
+@pytest.mark.parametrize("steps", [0, 2, 6, 7])
+@pytest.mark.parametrize("name", STREAMED)
+def test_a_streamed_run_writes_the_bytes_of_its_recorded_history(
+        monkeypatch, tmp_path, capsys, name, steps):
+    from latflow import engine
+
+    make = STREAMED[name]
+    n = make().n
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 1 << 22)
+        want = make().run(steps, record=True)
+        want.save_binary(tmp_path / "want.lfst")
+        want.save_csv(tmp_path / "want.csv")
+        want_csv = want.to_csv()
+        # reading the states widens a byte history, so they are read last
+        assert want.states.tobytes() == stepped(make(), steps).tobytes()
+        # chunks of 3 steps: 6 steps are two chunks, 7 are three, 2 are one
+        monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 3 * n)
+        for record in ("got.lfst", "got.csv"):
+            assert run_streamed(monkeypatch, tmp_path, make, steps, record) == 0
+            assert (tmp_path / record).read_bytes() == (tmp_path / f"want{record[3:]}").read_bytes()
+            out = capsys.readouterr().out
+            assert out == f"recorded {steps + 1} states of {n} cells to {record}\n", which
+        assert run_streamed(monkeypatch, tmp_path, make, steps) == 0
+        assert capsys.readouterr().out == want_csv, which
+
+
+def raising_on_call(n, raised, f):
+    """``f``, except that its n-th call raises ``raised``."""
+    count = itertools.count(1)
+
+    def call(*args):
+        if next(count) == n:
+            raise raised("stopped")
+        return f(*args)
+
+    return call
+
+
+@pytest.mark.parametrize("record", ["h.lfst", "h.csv"])
+@pytest.mark.parametrize("raised", [OSError, KeyboardInterrupt, KeyOutOfTable])
+def test_a_streamed_run_that_raises_partway_leaves_no_record_file(
+        monkeypatch, tmp_path, capsys, raised, record):
+    from latflow import engine
+
+    make = STREAMED["stencil lane"]
+    if raised is KeyOutOfTable:
+        # the per-step path reaches a hole at step 29, in the eighth chunk
+        monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 4 * 31)
+        make = lambda: growing_block(31)  # noqa: E731
+    else:
+        # the third call of the fused kernel, steps 5 and 6, or the third step
+        monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 2 * 108)
+        monkeypatch.setattr(backend, "_stencil_steps_u8",
+                            raising_on_call(3, raised, backend._stencil_steps_u8))
+        monkeypatch.setattr(engine, "apply_rule", raising_on_call(3, raised, engine.apply_rule))
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        if raised is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run_streamed(monkeypatch, tmp_path, make, 40, record)
+        else:
+            assert run_streamed(monkeypatch, tmp_path, make, 40, record) == 3
+        assert not (tmp_path / record).exists(), which
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("record", ["h.lfst", "h.csv"])
+def test_a_long_streamed_run_holds_one_chunk_of_rows(monkeypatch, tmp_path, record):
+    from latflow import engine
+
+    # chunks of 16 steps of 4096 cells, 64 KiB, against a history of 12 MB;
+    # the rest is the system and the writers' temporaries
+    monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 16 * 4096)
+    make = lambda: elementary_ca(4096, 30, True, init_bits(4096, 24))  # noqa: E731
+    for which in BACKENDS:
+        monkeypatch.setattr(backend, "BACKEND", which)
+        tracemalloc.start()
+        try:
+            assert run_streamed(monkeypatch, tmp_path, make, 3000, record) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20, (which, peak)
+        assert len(load_history(tmp_path / record)) == 3001
