@@ -14,7 +14,7 @@ import numpy as np
 
 from . import backend
 from .analysis import detect_cycle, pca_project
-from .engine import StateHistory, _csv_blocks, _save, load_history
+from .engine import _stream, load_history
 from .errors import ArgumentTooSmall, ConfigError, FileFormatError, LatflowError, read_text
 from .sparse import save_matrix_market
 from .systems import (
@@ -276,18 +276,14 @@ def cmd_gen_esn(args):
 def cmd_run(args):
     rc = run_config_from_text(read_text(args.config, ConfigError))
     system = build_system(rc.system, make_initial_state(rc.system, rc.init))
-    # the rows pass through one chunk's buffer, reused, unless render needs them all
-    rows = system._record_rows(rc.steps if rc.render else min(rc.steps, system._chunk_steps()))
-    blocks = system._chunks(rc.steps, rows)
+    fmt = rc.format or ("bin" if rc.record and rc.record.endswith((".lfst", ".bin")) else "csv")
+    # render needs the whole history; without it the rows stream in chunks
+    history = _stream(system, rc.steps, rc.record or None, fmt == "bin", keep=bool(rc.render))
     if rc.record:
-        fmt = rc.format or ("bin" if rc.record.endswith((".lfst", ".bin")) else "csv")
-        _save(rc.record, blocks, (rc.steps + 1, system.n), rows.dtype, binary=fmt == "bin")
         print(f"recorded {rc.steps + 1} states of {system.n} cells to {rc.record}")
-    else:
-        sys.stdout.writelines(_csv_blocks(blocks))
     if rc.render:
         # a kind without a width is one row; a grid's sizes are at least 1
-        _render(StateHistory(rows), rc.render, rc.system.width or rc.system.n_cells,
+        _render(history, rc.render, rc.system.width or rc.system.n_cells,
                 rc.system.height or 1, rc.render_out, "render = pgm requires render_out prefix")
 
 

@@ -34,14 +34,15 @@ This is decided from ``matrix`` and ``rule``, and decided again when
 either is assigned or the rule's ``lo`` changes, so a table with a
 reachable hole takes the matvec and the lookup, which raise on it.  A
 subclass or wrapper that replaces ``step`` is called once per step.
-``run()`` and ``latflow run`` share one loop, ``_chunks``: each chunk of
-steps goes into the whole history, or into one chunk's rows, reused.
+``run()`` steps in one loop over chunks; ``latflow run`` streams its record
+as one ``run()`` a chunk (``_stream``), not holding the whole run.
 """
 
 import itertools
 import operator
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -49,7 +50,8 @@ from . import _textcodec, backend
 from .errors import BadStateValue, DimensionMismatch, FileFormatError, NotSquare, read_text
 from .rules import MAP_THEN_MIX, TableRule, apply_rule
 
-# cell-updates per chunk of run(), so per call of a fused kernel
+# cell-updates per chunk of run(), so per call of a fused kernel, and bytes
+# per chunk of latflow run's rows: Ctrl-C stops a long run in milliseconds
 _FUSED_CELL_UPDATES = 1 << 22
 # values per block of the CSV writer
 _CSV_BLOCK = 1 << 15
@@ -152,9 +154,8 @@ class StateHistory:
 
 
 def _csv_blocks(blocks):
-    """The CSV text of blocks of rows, in pieces of whole rows, each value
-    written as its repr: a piece at a time, so that the writer's
-    temporaries stay small whatever the number of rows."""
+    """The CSV text of blocks of rows, each value as its repr, in pieces of
+    whole rows, so that the writer's temporaries stay small."""
     for rows in blocks:
         step = max(1, _CSV_BLOCK // max(rows.shape[1], 1))
         for start in range(0, len(rows), step):
@@ -168,10 +169,9 @@ def _csv_blocks(blocks):
 
 
 def _save(path, blocks, shape, dtype, binary):
-    """Writes blocks of rows, ``shape`` and ``dtype`` in all, to ``path`` as
-    LFST or CSV, each as it comes: FileFormatError before the file is opened
-    when LFST's u32 fields cannot hold ``shape``, and the file removed when
-    the write stops early, as a shorter file would read back as valid."""
+    """Writes blocks of rows, ``shape`` and ``dtype`` in all, as LFST or CSV
+    to ``path``, or as CSV to stdout (None).  A file is renamed into place
+    when whole, so a write that stops early leaves no shorter valid one."""
     pieces = _csv_blocks(blocks)
     if binary:
         if max(shape) >= 2**32:
@@ -180,12 +180,35 @@ def _save(path, blocks, shape, dtype, binary):
         # each block's own buffer: no copy of the payload as bytes
         pieces = itertools.chain([struct.pack("<4sII", magic, *shape)], (
             np.ascontiguousarray(rows, dtype=_LFST_DTYPES[magic]).data for rows in blocks))
-    with open(path, "wb" if binary else "w") as f:
-        try:
+    if path is None:
+        return sys.stdout.writelines(pieces)
+    mode = "wb" if binary else "w"
+    if os.path.exists(path) and not os.path.isfile(path):  # a device or a pipe
+        with open(path, mode) as f:
+            return f.writelines(pieces)
+    path = os.path.realpath(path)
+    part = f"{path}.{os.getpid()}.part"
+    f = open(part, mode)
+    try:
+        with f:
             f.writelines(pieces)
-        except BaseException:
-            os.remove(path)
-            raise
+        os.replace(part, path)
+    except BaseException:
+        os.remove(part)
+        raise
+
+
+def _stream(system, steps, path, binary, keep):
+    """``system.run(steps, record=True)`` written by ``_save``, returned if
+    ``keep``; else run and written ``_FUSED_CELL_UPDATES`` bytes at a time."""
+    history = system.run(steps, record=True) if keep else None
+    first = system.run(0, record=True)._rows if history is None else history._rows
+    chunk = max(1, _FUSED_CELL_UPDATES // max(system.n * first.itemsize, 1))
+    # the steps that ``first`` lacks, a run a chunk: a run's row 0 is the last's last
+    later = (system.run(min(chunk, steps - k), record=True)._rows[1:]
+             for k in range(len(first) - 1, steps, chunk))
+    _save(path, itertools.chain([first], later), (steps + 1, system.n), first.dtype, binary)
+    return history
 
 
 def _integer_csv(block):
@@ -298,11 +321,12 @@ class DynamicalSystem:
         engine's own ``step``, is recorded as bytes; the history's
         ``states`` are float64 all the same.
 
-        The steps go a chunk at a time (``_chunks``): a call of a fused
-        kernel (see the module docstring) a chunk when the system has one,
-        decided once per call, else ``step()`` once per step, also when a
-        subclass or wrapper replaces it.  A history too large to allocate
-        raises BadStateValue before any step.
+        One loop steps chunks of ``_FUSED_CELL_UPDATES`` cell-updates,
+        each a call of a fused kernel (see the module docstring) if the
+        system has one, decided once per call, else ``step()`` per step,
+        also if a subclass or wrapper replaces it; both write straight into
+        the history.  A history too large to allocate raises BadStateValue
+        before any step.
         """
         try:
             steps = operator.index(steps)
@@ -310,40 +334,23 @@ class DynamicalSystem:
             raise BadStateValue(f"the step count {steps!r} is not an integer") from None
         if steps < 0:
             raise BadStateValue(f"cannot run {steps} steps")
-        rows = self._record_rows(steps) if record else None
-        for _ in self._chunks(steps, rows):
-            pass
-        return None if rows is None else StateHistory(rows)
-
-    def _chunk_steps(self):
-        """The most steps in a chunk: bounded work, so Ctrl-C stops a run."""
-        return max(1, _FUSED_CELL_UPDATES // max(self.n, 1))
-
-    def _record_rows(self, steps):
-        """Empty rows for the state and ``steps`` steps, uint8 when each step
-        gives a uint8 state, or BadStateValue when they cannot be allocated."""
-        byte = (self._state.dtype == np.uint8 and type(self).step is _STEP
-                and isinstance(self.rule, TableRule) and self.rule._table8 is not None)
-        try:
-            return np.empty((steps + 1, self.n), dtype=np.uint8 if byte else np.float64)
-        except (ValueError, MemoryError):  # numpy refuses the size, or malloc does
-            raise BadStateValue(f"no memory to record {steps} steps") from None
-
-    def _chunks(self, steps, rows):
-        """Advances ``steps`` steps, at most ``_chunk_steps()`` a chunk, and
-        yields the rows written since the last yield: row 0, the state, then
-        each chunk's.  ``rows`` (from ``_record_rows``, or None to write none)
-        holds every step, written in place, or one chunk's, reused."""
-        if rows is not None:
+        rows = None
+        if record:
+            # every step of such a system gives a uint8 state
+            byte = (self._state.dtype == np.uint8 and type(self).step is _STEP
+                    and isinstance(self.rule, TableRule) and self.rule._table8 is not None)
+            try:
+                rows = np.empty((steps + 1, self.n), dtype=np.uint8 if byte else np.float64)
+            except (ValueError, MemoryError):  # numpy refuses the size, or malloc does
+                raise BadStateValue(f"no memory to record {steps} steps") from None
             rows[0] = self._state
-        yield None if rows is None else rows[:1]
         lane = self._fused_lane()
         # the engine's own step without asking for the lane again
         step = self.step if type(self).step is not _STEP else lambda: self._advance(None)
-        chunk, body = self._chunk_steps(), None if rows is None else rows[1:]
+        chunk = max(1, _FUSED_CELL_UPDATES // max(self.n, 1))
         for k in range(0, steps, chunk):
             m = min(chunk, steps - k)
-            out = None if body is None else body[k % len(body) :][:m]
+            out = None if rows is None else rows[k + 1 : k + 1 + m]
             if lane is not None:
                 self._state = lane[0](self._state, m, out, *lane[1])
                 self.t += m
@@ -352,7 +359,7 @@ class DynamicalSystem:
                     step()
                     if out is not None:
                         out[j] = self._state
-            yield out
+        return None if rows is None else StateHistory(rows)
 
     def _fused_lane(self):
         """``(kernel, args)``, a fused kernel and its arguments after the
@@ -373,7 +380,6 @@ class DynamicalSystem:
         # kept while both are the same objects and the rule's lo is unchanged
         kept = self._lane
         if kept is None or kept[0] is not matrix or kept[1] is not rule or kept[2] != rule.lo:
-            # a lattice that the stencil lane declines may fold its rows
             lane = None if matrix._stencil is None else _stencil_lane(matrix._stencil, rule)
             if lane is None:
                 lane = _network_lane(matrix, rule)

@@ -226,13 +226,14 @@ def test_run_of_a_history_too_large_to_allocate_exits_3(tmp_path, capsys):
 
 
 def test_a_streamed_lfst_of_2_32_rows_is_refused_before_any_step(tmp_path, capsys, monkeypatch):
-    from latflow.engine import DynamicalSystem
+    from latflow import backend, engine
 
-    def stepping(self):
-        raise AssertionError("the run began")
+    def stepping(*args):
+        raise AssertionError("a step was taken")
 
-    # every run asks for its lane before its first step
-    monkeypatch.setattr(DynamicalSystem, "_fused_lane", stepping)
+    # a step is a call of the fused kernel or, per step, of apply_rule
+    monkeypatch.setattr(backend, "_stencil_steps_u8", stepping)
+    monkeypatch.setattr(engine, "apply_rule", stepping)
     monkeypatch.chdir(tmp_path)
     conf = tmp_path / "c.conf"
     conf.write_text(f"system = elementary_ca\nwidth = 8\nrule = 30\nsteps = {2**32 - 1}\n"

@@ -353,6 +353,18 @@ def test_an_lfst_of_2_32_rows_or_cells_is_refused_before_the_file_is_opened(
     assert not path.exists()
 
 
+@pytest.mark.parametrize("save, load", [("save_binary", "load_binary"), ("save_csv", "load_csv")])
+def test_saving_through_a_symlink_writes_its_target(tmp_path, save, load):
+    target = tmp_path / "target"
+    target.write_bytes(b"an earlier record")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    history = StateHistory(np.array([[0.0, 1.0], [2.5, -3.0]]))
+    getattr(history, save)(link)
+    assert link.is_symlink() and sorted(os.listdir(tmp_path)) == ["link", "target"]
+    assert np.array_equal(getattr(StateHistory, load)(target).states, history.states)
+
+
 def test_binary_load_holds_the_payload_about_once(monkeypatch, tmp_path):
     # 380 random rows, then rows 360-379 once more: transient 360, period 20
     rows = np.random.default_rng(4).integers(0, 256, (400, 1000), dtype=np.uint8)

@@ -9,6 +9,8 @@ run exactly on the float path.
 
 import hashlib
 import itertools
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -1059,8 +1061,9 @@ def test_a_streamed_run_writes_the_bytes_of_its_recorded_history(
         want_csv = want.to_csv()
         # reading the states widens a byte history, so they are read last
         assert want.states.tobytes() == stepped(make(), steps).tobytes()
-        # chunks of 3 steps: 6 steps are two chunks, 7 are three, 2 are one
-        monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 3 * n)
+        # chunks of 3 steps, whose rows take 3 * n bytes or float64 values:
+        # 6 steps are two chunks, 7 are three, 2 are one
+        monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 3 * n * want._rows.itemsize)
         for record in ("got.lfst", "got.csv"):
             assert run_streamed(monkeypatch, tmp_path, make, steps, record) == 0
             assert (tmp_path / record).read_bytes() == (tmp_path / f"want{record[3:]}").read_bytes()
@@ -1082,23 +1085,34 @@ def raising_on_call(n, raised, f):
     return call
 
 
+def raise_on_the_third_chunk(monkeypatch, raised):
+    """The stencil lane's life of STREAMED, in chunks of 2 steps, raising
+    ``raised`` in the third call of the fused kernel (steps 5 and 6) or in
+    the third step."""
+    from latflow import engine
+
+    monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 2 * 108)
+    monkeypatch.setattr(backend, "_stencil_steps_u8",
+                        raising_on_call(3, raised, backend._stencil_steps_u8))
+    monkeypatch.setattr(engine, "apply_rule", raising_on_call(3, raised, engine.apply_rule))
+    return STREAMED["stencil lane"]
+
+
+@pytest.mark.parametrize("earlier", [None, b"an earlier record"], ids=["new", "earlier"])
 @pytest.mark.parametrize("record", ["h.lfst", "h.csv"])
 @pytest.mark.parametrize("raised", [OSError, KeyboardInterrupt, KeyOutOfTable])
 def test_a_streamed_run_that_raises_partway_leaves_no_record_file(
-        monkeypatch, tmp_path, capsys, raised, record):
+        monkeypatch, tmp_path, capsys, raised, record, earlier):
     from latflow import engine
 
-    make = STREAMED["stencil lane"]
     if raised is KeyOutOfTable:
         # the per-step path reaches a hole at step 29, in the eighth chunk
         monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 4 * 31)
         make = lambda: growing_block(31)  # noqa: E731
     else:
-        # the third call of the fused kernel, steps 5 and 6, or the third step
-        monkeypatch.setattr(engine, "_FUSED_CELL_UPDATES", 2 * 108)
-        monkeypatch.setattr(backend, "_stencil_steps_u8",
-                            raising_on_call(3, raised, backend._stencil_steps_u8))
-        monkeypatch.setattr(engine, "apply_rule", raising_on_call(3, raised, engine.apply_rule))
+        make = raise_on_the_third_chunk(monkeypatch, raised)
+    if earlier is not None:
+        (tmp_path / record).write_bytes(earlier)
     for which in BACKENDS:
         monkeypatch.setattr(backend, "BACKEND", which)
         if raised is KeyboardInterrupt:
@@ -1106,8 +1120,36 @@ def test_a_streamed_run_that_raises_partway_leaves_no_record_file(
                 run_streamed(monkeypatch, tmp_path, make, 40, record)
         else:
             assert run_streamed(monkeypatch, tmp_path, make, 40, record) == 3
-        assert not (tmp_path / record).exists(), which
+        # the earlier file as it was, or none; and no partial file beside it
+        if earlier is None:
+            assert sorted(os.listdir(tmp_path)) == ["run.conf"], which
+        else:
+            assert sorted(os.listdir(tmp_path)) == [record, "run.conf"], which
+            assert (tmp_path / record).read_bytes() == earlier, which
         assert capsys.readouterr().out == ""
+
+
+def test_a_streamed_run_writes_a_device_or_a_pipe_in_place_and_keeps_it(
+        monkeypatch, tmp_path, capsys):
+    assert run_streamed(monkeypatch, tmp_path, STREAMED["stencil lane"], 6, os.devnull) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    if not hasattr(os, "mkfifo"):
+        return
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    # a reader first, so that opening the pipe to write does not block
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        make = raise_on_the_third_chunk(monkeypatch, OSError)
+        assert run_streamed(monkeypatch, tmp_path, make, 40, fifo.name) == 3
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        # the rows before the raise went into the pipe: two chunks, or a
+        # chunk and the step before the third
+        rows = {"c": 5, "python": 3}[backend.BACKEND]
+        assert os.read(reader, 1 << 16).count(b"\n") == rows
+    finally:
+        os.close(reader)
+    assert capsys.readouterr().err == "error: stopped\n"
 
 
 @pytest.mark.parametrize("record", ["h.lfst", "h.csv"])
